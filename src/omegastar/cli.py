@@ -382,13 +382,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_list(text: str, kind: type, flag: str) -> list[Any]:
+    """Comma-separated numbers of one type, floats finite; ValueError names the flag."""
+    try:
+        values = [kind(part) for part in text.split(",") if part]
+    except ValueError:
+        values = None
+    if values is None or (kind is float and not all(map(math.isfinite, values))):
+        raise ValueError(f"{flag} must be a comma-separated list of finite {kind.__name__}s, got {text!r}")
+    return values
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     params: dict[str, Any] = {}
     sc = args.subcommand
     if sc == "omega-star":
         params["n"] = args.n
     elif sc == "moments":
-        params["x"] = [int(part) for part in args.x.split(",") if part]
+        params["x"] = _parse_list(args.x, int, "--x")
         params["k"] = args.k
     elif sc == "champions":
         params["max_n"] = args.max_n
@@ -407,7 +418,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         params["y"] = args.y
     elif sc == "smooth-scan":
         params["x"] = args.x
-        params["v_list"] = [float(part) for part in args.v_list.split(",") if part]
+        params["v_list"] = _parse_list(args.v_list, float, "--v-list")
     elif sc == "report":
         params["x"] = args.x
         params["log_x"] = args.log_x
@@ -433,9 +444,8 @@ def run(config: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return run(config)
+        return run(_config_from_args(args))
     except ResourceLimitError as exc:
         print(f"omegastar: resource limit: {exc}", file=sys.stderr)
         return 3

@@ -18,6 +18,7 @@ big integers.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -373,8 +374,9 @@ def sample_stats(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     chunks = [(start, min(chunk_size, trials - start)) for start in range(0, trials, chunk_size)]
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(workers, os.cpu_count() or 1, len(chunks))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda c: _chunk_stats(params, seed, *c), chunks))
     else:
         results = [_chunk_stats(params, seed, *c) for c in chunks]

@@ -14,6 +14,11 @@ import numpy as np
 from .arith import divisors
 from .sieve import PrimeTable, check_ceiling, factorize, is_prime, sieve_primes
 
+# Steps p - 1 with at least this many multiples in [1, x] get a slice update each.
+_SMALL_STEP_MULTIPLES = 64
+# Entries per np.bincount call in moment_sum.
+_HIST_BLOCK = 1 << 20
+
 
 @dataclass
 class OmegaStarTable:
@@ -38,28 +43,48 @@ def omega_star(n: int) -> int:
 
 def omega_star_table(x: int, table: PrimeTable | None = None) -> OmegaStarTable:
     """Bulk omega* over [1, x]: for each prime p <= x + 1, every multiple of
-    p - 1 gains one count (p = 2 contributes to every n)."""
+    p - 1 gains one count (p = 2 contributes to every n).
+
+    Steps s = p - 1 <= x // _SMALL_STEP_MULTIPLES get one strided slice
+    update each.  Every larger step has fewer than _SMALL_STEP_MULTIPLES
+    multiples, so those are added by multiplier instead: pass j adds one to
+    j * s for all large steps s <= x // j in a single fancy-index update,
+    whose indices are distinct for a fixed j.
+    """
     if x < 1:
         raise ValueError("x must be at least 1")
     check_ceiling(x, "omega* table size")
     if table is None or table.limit < x + 1:
         table = sieve_primes(x + 1)
     counts = np.zeros(x + 1, dtype=np.int32)
-    for p in table.primes[: table.count(x + 1)].tolist():
-        step = p - 1
-        if step >= 1:
-            counts[step::step] += 1
+    steps = table.primes[: table.count(x + 1)] - 1
+    split = np.searchsorted(steps, x // _SMALL_STEP_MULTIPLES, side="right")
+    for step in steps[:split].tolist():
+        counts[step::step] += 1
+    large = steps[split:]
+    j = 1
+    while large.size:
+        counts[j * large] += 1
+        j += 1
+        large = large[: np.searchsorted(large, x // j, side="right")]
     return OmegaStarTable(x=x, counts=counts)
 
 
 def moment_sum(table: OmegaStarTable, k: int, upto: int | None = None) -> int:
-    """Exact integer sum of omega*(n)^k over n <= upto (default: the whole table)."""
+    """Exact integer sum of omega*(n)^k over n <= upto (default: the whole table).
+
+    The value histogram is accumulated over blocks of _HIST_BLOCK entries, so
+    the working memory beyond the table does not grow with upto.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     x = table.x if upto is None else upto
     if not 1 <= x <= table.x:
         raise ValueError(f"upto = {x} outside table range [1, {table.x}]")
-    hist = np.bincount(table.counts[1 : x + 1])
+    values = table.counts[1 : x + 1]
+    hist = np.zeros(int(values.max()) + 1, dtype=np.int64)
+    for lo in range(0, x, _HIST_BLOCK):
+        hist += np.bincount(values[lo : lo + _HIST_BLOCK], minlength=hist.size)
     return sum(int(c) * v**k for v, c in enumerate(hist.tolist()) if c)
 
 

@@ -98,7 +98,7 @@ def sieve_primes(limit: int, segment_size: int = 1 << 20) -> PrimeTable:
                     seg[start - lo :: p] = 0
             flags[lo:hi] = seg
     primes = np.flatnonzero(flags).astype(np.int64)
-    return PrimeTable(limit=limit, is_prime=bytearray(flags.tobytes()), primes=primes)
+    return PrimeTable(limit=limit, is_prime=bytearray(flags), primes=primes)
 
 
 _trial_flags = _simple_sieve(_TRIAL_LIMIT)

@@ -164,3 +164,18 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["moments", "--x", "100000", "--k", "1"])
         assert code == 3
         assert "ceiling" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--x", "10,abc"],
+            ["smooth-scan", "--x", "1000", "--v-list", "1,zz"],
+            ["smooth-scan", "--x", "1000", "--v-list", "1,inf"],
+        ],
+    )
+    def test_bad_list_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "omegastar: error" in err
+        assert "Traceback" not in err

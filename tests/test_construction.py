@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from omegastar import rng
+from omegastar import construction, rng
 from omegastar.constants import GRH_U
 from omegastar.construction import (
     accept_flags,
@@ -305,6 +305,34 @@ class TestSampleStats:
         assert one.n_in_logd == four.n_in_logd
         assert one.sum_omega == four.sum_omega
         assert abs(one.sum_log_d - four.sum_log_d) <= 1e-6
+
+    def test_thread_count_is_clamped(self, grh_1100, monkeypatch):
+        # A fake executor records max_workers and maps serially, so an
+        # oversized worker request can never start that many threads.
+        requested = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(construction, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(construction.os, "cpu_count", lambda: 8)
+        huge = sample_stats(grh_1100, 300, seed=5, workers=10**6, chunk_size=100)
+        monkeypatch.setattr(construction.os, "cpu_count", lambda: 2)
+        sample_stats(grh_1100, 300, seed=5, workers=10**6, chunk_size=100)
+        assert requested == [3, 2]  # 3 chunks, then 2 cores
+        one = sample_stats(grh_1100, 300, seed=5, workers=1, chunk_size=100)
+        assert requested == [3, 2]
+        assert huge == one
 
     def test_sampling_mean_concentrates(self, grh_1100):
         mean, var = log_d_moments(grh_1100)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from omegastar import omega
 from omegastar.omega import (
     moment,
     moment_scan,
@@ -64,6 +65,57 @@ class TestOmegaStarTable:
         for d in range(1, x + 1):
             tau_arr[d::d] += 1
         assert np.all(counts[1:] <= tau_arr[1:])
+
+
+def slice_per_prime_oracle(x):
+    """The original kernel: one strided slice update per prime p <= x + 1."""
+    primes = sieve_primes(x + 1).primes
+    counts = np.zeros(x + 1, dtype=np.int32)
+    for p in primes.tolist():
+        counts[p - 1 :: p - 1] += 1
+    return counts
+
+
+def bincount_moment_oracle(counts, k, upto):
+    """sum of omega*(n)^k over n <= upto from one whole-prefix histogram."""
+    hist = np.bincount(counts[1 : upto + 1])
+    return sum(int(c) * v**k for v, c in enumerate(hist.tolist()))
+
+
+class TestSplitKernel:
+    """omega_star_table's small-step/large-step split against the per-prime oracle."""
+
+    B = omega._SMALL_STEP_MULTIPLES
+
+    def _check(self, x):
+        assert np.array_equal(omega_star_table(x).counts, slice_per_prime_oracle(x)), x
+
+    def test_small_x(self):
+        # covers x = 1, 2, 3 and B - 1, B, B + 1; below B every step is large
+        for x in range(1, 3 * self.B):
+            self._check(x)
+
+    def test_step_equal_to_split_point(self):
+        # p - 1 == x // B for the prime p = 1009: the boundary step is a small step
+        x = 1008 * self.B + self.B // 2
+        assert sieve_primes(1009).primes[-1] == 1009
+        self._check(x)
+
+    def test_near_2_pow_20(self):
+        for x in (2**20 - 1, 2**20 + 1):
+            self._check(x)
+
+    def test_at_1e6(self, table_1e6):
+        assert np.array_equal(table_1e6.counts, slice_per_prime_oracle(10**6))
+
+
+class TestBlockedMomentSum:
+    def test_matches_whole_prefix_bincount(self):
+        block = omega._HIST_BLOCK
+        table = omega_star_table(2 * block + 5)
+        for upto in (1, 2, block - 1, block, block + 1, 2 * block, 2 * block + 5):
+            for k in (1, 2, 3):
+                assert moment_sum(table, k, upto=upto) == bincount_moment_oracle(table.counts, k, upto)
 
 
 class TestMoments:
