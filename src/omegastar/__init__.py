@@ -9,13 +9,14 @@ exact at desk scale and validated against brute-force oracles; the CLI
 emits deterministic CSV/JSON.
 """
 
+from types import ModuleType as _ModuleType
+
 from .sieve import (
     Factorization,
     PrimeTable,
     ResourceLimitError,
     factorize,
     is_prime,
-    log_integral,
     prime_count,
     primes_in_ap,
     sieve_primes,
@@ -23,13 +24,9 @@ from .sieve import (
 from .arith import (
     DivisorList,
     big_omega,
-    carmichael_lambda,
     count_coprime_up_to,
     divisors,
     euler_phi,
-    gcd_sum_over_primes,
-    little_omega,
-    mobius,
     tau,
 )
 from .omega import (
@@ -72,7 +69,6 @@ from .construction import (
     harman_smoothness_check,
     log_d_moments,
     pair_count_report,
-    primorial_k,
     sample_divisor,
     sample_stats,
     total_pairs_A,
@@ -92,4 +88,6 @@ from .smooth import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

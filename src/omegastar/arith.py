@@ -6,12 +6,9 @@ visible at the call site.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .sieve import Factorization, PrimeTable, sieve_primes
+from .sieve import Factorization
 
 
 @dataclass
@@ -45,30 +42,8 @@ def euler_phi(f: Factorization) -> int:
     return out
 
 
-def mobius(f: Factorization) -> int:
-    if any(e > 1 for _, e in f.factors):
-        return 0
-    return -1 if len(f.factors) % 2 else 1
-
-
-def little_omega(f: Factorization) -> int:
-    return len(f.factors)
-
-
 def big_omega(f: Factorization) -> int:
     return sum(e for _, e in f.factors)
-
-
-def carmichael_lambda(f: Factorization) -> int:
-    """Exponent of the multiplicative group mod n; lambda(1) = 1 (trivial group)."""
-    lam = 1
-    for p, e in f.factors:
-        if p == 2:
-            block = 1 if e == 1 else 2 if e == 2 else 2 ** (e - 2)
-        else:
-            block = p ** (e - 1) * (p - 1)
-        lam = math.lcm(lam, block)
-    return lam
 
 
 def count_coprime_up_to(y: int, d: Factorization) -> int:
@@ -79,15 +54,3 @@ def count_coprime_up_to(y: int, d: Factorization) -> int:
     for p, _ in d.factors:
         terms += [(e * p, -sign) for e, sign in terms]
     return sum(sign * (y // e) for e, sign in terms)
-
-
-def gcd_sum_over_primes(x: int, k: Factorization, table: PrimeTable | None = None) -> int:
-    """Sum of gcd(p - 1, k) over primes p <= x; k must be squarefree."""
-    if x < 2:
-        raise ValueError("x must be at least 2")
-    if not k.is_squarefree():
-        raise ValueError(f"k = {k.n} is not squarefree")
-    if table is None or table.limit < x:
-        table = sieve_primes(int(x))
-    ps = table.primes[: table.count(x)]
-    return int(np.gcd(ps - 1, k.n).sum())

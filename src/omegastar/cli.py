@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Any
 
 from . import __version__
@@ -41,41 +40,30 @@ SCHEMA = "omegastar/1"
 _JSON_DEFAULT = {"constants", "sample-divisors", "pairs", "report"}
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    params: dict[str, Any]
-    seed: int
-    output_format: str
-    output_path: str | None
-    workers: int
-
-
 def _dump_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
+def _emit(path: str | None, text: str) -> None:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_omega_star(config: RunConfig) -> str:
-    n = config.params["n"]
+def _cmd_omega_star(args: argparse.Namespace) -> str:
+    n = args.n
     value = omega_star(n)
-    if config.output_format == "json":
+    if args.format == "json":
         return _dump_json({"schema": SCHEMA, "n": n, "omega_star": value})
     return f"n,omega_star\n{n},{value}\n"
 
 
-def _cmd_moments(config: RunConfig) -> str:
-    xs = config.params["x"]
-    k = config.params["k"]
-    series = moment_scan(xs, k)
-    if config.output_format == "json":
+def _cmd_moments(args: argparse.Namespace) -> str:
+    k = args.k
+    series = moment_scan(_parse_list(args.x, int, "--x"), k)
+    if args.format == "json":
         return _dump_json(
             {
                 "schema": SCHEMA,
@@ -86,9 +74,9 @@ def _cmd_moments(config: RunConfig) -> str:
     return moment_series_csv(series)
 
 
-def _cmd_champions(config: RunConfig) -> str:
-    record = champion_search(config.params["max_n"], factorize(config.params["k"]))
-    if config.output_format == "json":
+def _cmd_champions(args: argparse.Namespace) -> str:
+    record = champion_search(args.max_n, factorize(args.k))
+    if args.format == "json":
         return _dump_json(
             {
                 "schema": SCHEMA,
@@ -122,9 +110,9 @@ def _constants_document(theta: float) -> dict[str, Any]:
     }
 
 
-def _cmd_constants(config: RunConfig) -> str:
-    doc = _constants_document(config.params["theta"])
-    if config.output_format == "csv":
+def _cmd_constants(args: argparse.Namespace) -> str:
+    doc = _constants_document(args.theta)
+    if args.format == "csv":
         flat = {
             "theta": doc["theta"],
             "u_star": doc["u_star"],
@@ -179,22 +167,15 @@ def _sampling_document(log_x: float, mode: str, trials: int, seed: int, workers:
     }
 
 
-def _cmd_sample_divisors(config: RunConfig) -> str:
-    doc = _sampling_document(
-        config.params["log_x"],
-        config.params["mode"],
-        config.params["trials"],
-        config.seed,
-        config.workers,
-    )
-    return _dump_json(doc)
+def _cmd_sample_divisors(args: argparse.Namespace) -> str:
+    return _dump_json(_sampling_document(args.log_x, args.mode, args.trials, args.seed, args.workers))
 
 
-def _cmd_pairs(config: RunConfig) -> str:
-    x = config.params["x"]
-    k = factorize(config.params["k"])
+def _cmd_pairs(args: argparse.Namespace) -> str:
+    x = args.x
+    k = factorize(args.k)
     report = pair_count_report(x, k)
-    if config.output_format == "csv":
+    if args.format == "csv":
         lines = ["x,k,d,A_d,total_A"]
         for d, a_d in report.per_d:
             lines.append(f"{x},{k.n},{d},{a_d},{report.total_A}")
@@ -222,9 +203,9 @@ def _smooth_rows(entries: list[tuple[int, int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_smooth(config: RunConfig) -> str:
-    x, y = config.params["x"], config.params["y"]
-    if config.output_format == "json":
+def _cmd_smooth(args: argparse.Namespace) -> str:
+    x, y = args.x, args.y
+    if args.format == "json":
         census = smooth_census(x, y)
         ratio = pomerance_ratio(x, y, census=census)
         return _dump_json(
@@ -243,38 +224,37 @@ def _cmd_smooth(config: RunConfig) -> str:
     return _smooth_rows([(x, y)])
 
 
-def _cmd_smooth_scan(config: RunConfig) -> str:
-    x = config.params["x"]
-    entries = [(x, max(1, round(v * math.log(x)))) for v in config.params["v_list"]]
+def _cmd_smooth_scan(args: argparse.Namespace) -> str:
+    x = args.x
+    entries = [(x, max(1, round(v * math.log(x)))) for v in _parse_list(args.v_list, float, "--v-list")]
     return _smooth_rows(entries)
 
 
-def _cmd_report(config: RunConfig) -> str:
-    p = config.params
-    x, log_x, trials = p["x"], p["log_x"], p["trials"]
+def _cmd_report(args: argparse.Namespace) -> str:
+    x, log_x, trials = args.x, args.log_x, args.trials
     constants_doc = _constants_document(UNCONDITIONAL_THETA)
     constants_doc.pop("schema")
-    sampling_doc = _sampling_document(log_x, p["mode"], trials, config.seed, config.workers)
+    sampling_doc = _sampling_document(log_x, args.mode, trials, args.seed, args.workers)
     sampling_doc.pop("schema")
 
     table = omega_star_table(x)
     xs = [n for n in (x // 100, x // 10, x) if n >= 10]
     series = moment_scan(sorted(set(xs)), 1, table=table)
     champion = champion_search(x, factorize(1), table=table)
-    census = smooth_census(x, p["smooth_y"])
-    ratio = pomerance_ratio(x, p["smooth_y"], census=census)
+    census = smooth_census(x, args.smooth_y)
+    ratio = pomerance_ratio(x, args.smooth_y, census=census)
 
     doc = {
         "schema": "omegastar-report/1",
         "version": __version__,
-        "seed": config.seed,
+        "seed": args.seed,
         "parameters": {
             "x": x,
             "log_x": log_x,
             "trials": trials,
             "mode": sampling_doc["params"]["mode"],
-            "smooth_y": p["smooth_y"],
-            "workers": config.workers,
+            "smooth_y": args.smooth_y,
+            "workers": args.workers,
         },
         "constants": constants_doc,
         "moments": {
@@ -300,7 +280,7 @@ def _cmd_report(config: RunConfig) -> str:
         "sampling": sampling_doc,
         "smooth": {
             "x": x,
-            "y": p["smooth_y"],
+            "y": args.smooth_y,
             "psi": census.psi,
             "pi_smooth": census.pi_smooth,
             "pi": census.pi_x,
@@ -393,59 +373,13 @@ def _parse_list(text: str, kind: type, flag: str) -> list[Any]:
     return values
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    params: dict[str, Any] = {}
-    sc = args.subcommand
-    if sc == "omega-star":
-        params["n"] = args.n
-    elif sc == "moments":
-        params["x"] = _parse_list(args.x, int, "--x")
-        params["k"] = args.k
-    elif sc == "champions":
-        params["max_n"] = args.max_n
-        params["k"] = args.k
-    elif sc == "constants":
-        params["theta"] = args.theta
-    elif sc == "sample-divisors":
-        params["log_x"] = args.log_x
-        params["mode"] = args.mode
-        params["trials"] = args.trials
-    elif sc == "pairs":
-        params["x"] = args.x
-        params["k"] = args.k
-    elif sc == "smooth":
-        params["x"] = args.x
-        params["y"] = args.y
-    elif sc == "smooth-scan":
-        params["x"] = args.x
-        params["v_list"] = _parse_list(args.v_list, float, "--v-list")
-    elif sc == "report":
-        params["x"] = args.x
-        params["log_x"] = args.log_x
-        params["trials"] = args.trials
-        params["mode"] = args.mode
-        params["smooth_y"] = args.smooth_y
-    fmt = args.format or ("json" if sc in _JSON_DEFAULT else "csv")
-    return RunConfig(
-        subcommand=sc,
-        params=params,
-        seed=args.seed,
-        output_format=fmt,
-        output_path=args.out,
-        workers=max(1, args.workers),
-    )
-
-
-def run(config: RunConfig) -> int:
-    _emit(config, _HANDLERS[config.subcommand](config))
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.format = args.format or ("json" if args.subcommand in _JSON_DEFAULT else "csv")
+    args.workers = max(1, args.workers)
     try:
-        return run(_config_from_args(args))
+        _emit(args.out, _HANDLERS[args.subcommand](args))
+        return 0
     except ResourceLimitError as exc:
         print(f"omegastar: resource limit: {exc}", file=sys.stderr)
         return 3

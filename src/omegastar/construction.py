@@ -43,6 +43,7 @@ MODES = ("GRH", "UNCONDITIONAL")
 
 _MIN_LOG_X = 100.0
 _MAX_EXACT_R = 24
+_MAX_PAIR_X = 10**5
 
 
 @dataclass(eq=False)
@@ -179,6 +180,8 @@ def build_params(
     mode = mode.strip().upper()
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if not math.isfinite(log_x):
+        raise ValueError(f"log_x must be finite, got {log_x}")
     if log_x < _MIN_LOG_X:
         raise ValueError(
             f"log_x = {log_x} is too small: require log_x >= {_MIN_LOG_X:g} so that "
@@ -220,18 +223,6 @@ def build_params(
     )
 
 
-def primorial_k(limit: float, excluded_prime: int | None = None) -> tuple[np.ndarray, float]:
-    """Primes making up k = product of primes <= limit (minus the excluded
-    one) and log k; k itself is never materialized."""
-    if limit < 2:
-        raise ValueError("limit must be at least 2")
-    table = sieve_primes(int(limit))
-    primes = table.primes
-    if excluded_prime is not None:
-        primes = primes[primes != excluded_prime]
-    return primes, float(np.log(primes.astype(np.float64)).sum())
-
-
 def count_A_d(x: int, y: int, k: Factorization, d: int, table: PrimeTable | None = None) -> int:
     """#{(m, p) : m <= y, p <= x prime, p = 1 (mod d), gcd(m, k) = k/d}.
 
@@ -249,16 +240,20 @@ def count_A_d(x: int, y: int, k: Factorization, d: int, table: PrimeTable | None
     return p_count * m_count
 
 
+def _check_pair_x(x: int) -> None:
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    if x > _MAX_PAIR_X:
+        raise ValueError(f"total pair counts are capped at x <= {_MAX_PAIR_X} (quadratic pair space)")
+
+
 def total_pairs_A(x: int, k: Factorization, table: PrimeTable | None = None) -> int:
     """Exact number of pairs (m, p) with m, p <= x and k | m(p-1).
 
     Iterates p and counts the multiples of k/gcd(p-1, k); quadratic pair space
     is capped at desk scale.
     """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x > 10**5:
-        raise ValueError("total_pairs_A is capped at x <= 10^5 (quadratic pair space)")
+    _check_pair_x(x)
     if k.n < 1:
         raise ValueError("k must be positive")
     if table is None or table.limit < x:
@@ -309,7 +304,9 @@ def champion_score(n: int, omega_star_n: int) -> float:
     return math.log(omega_star_n) * math.log(math.log(n)) / math.log(n)
 
 
-def _window_flags(params: ConstructionParams, log_d: float, big_omega_d: float):
+def _window_flags(params: ConstructionParams, log_d, big_omega_d):
+    """(in log d window, in Omega window), elementwise on scalars or arrays:
+    |log d - target| < window_log_d strictly, |Omega - rho R| <= window_omega."""
     in_logd = abs(log_d - params.target_log_d) < params.window_log_d
     in_omega = abs(big_omega_d - params.expected_omega) <= params.window_omega
     return in_logd, in_omega
@@ -347,8 +344,7 @@ def _chunk_stats(params: ConstructionParams, seed: int, start: int, count: int):
     ind = u < params.rho
     log_d = (ind * params.log_primes).sum(axis=1)
     w = ind.sum(axis=1)
-    in_logd = np.abs(log_d - params.target_log_d) < params.window_log_d
-    in_omega = np.abs(w - params.expected_omega) <= params.window_omega
+    in_logd, in_omega = _window_flags(params, log_d, w)
     return (
         int(in_logd.sum()),
         int(in_omega.sum()),
@@ -454,8 +450,7 @@ def enumerate_D_exact(params: ConstructionParams) -> ExactEnumeration:
     for sa, pa in zip(sums_a.tolist(), pops_a.tolist()):
         log_d = sa + sums_b
         w = pa + pops_b
-        in_logd = np.abs(log_d - params.target_log_d) < params.window_log_d
-        in_omega = np.abs(w - params.expected_omega) <= params.window_omega
+        in_logd, in_omega = _window_flags(params, log_d, w)
         size_D += int(in_logd.sum())
         sel = in_logd & in_omega
         if sel.any():
@@ -490,6 +485,7 @@ def pair_count_report(x: int, k: Factorization, table: PrimeTable | None = None)
     Each pair lands in A_d for at most one d, so the listed counts must sum to
     at most total_A.
     """
+    _check_pair_x(x)
     if table is None or table.limit < x:
         table = sieve_primes(int(x))
     small_d = [d for d in divisors(k).divisors if d * d <= k.n]

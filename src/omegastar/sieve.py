@@ -55,20 +55,26 @@ class PrimeTable:
         return int(np.searchsorted(self.primes, x, side="right"))
 
 
-def _simple_sieve(n: int) -> bytearray:
-    """Plain byte-per-entry Eratosthenes; used for base primes and small tables."""
-    flags = bytearray([1]) * (n + 1) if n >= 0 else bytearray()
-    if n >= 0:
-        flags[0:1] = b"\x00"
-    if n >= 1:
-        flags[1:2] = b"\x00"
-    p = 2
-    while p * p <= n:
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = bytearray(len(range(start, n + 1, p)))
-        p += 1
+def _segment_flags(lo: int, hi: int, base: list[int]) -> np.ndarray:
+    """uint8 primality flags for the integers in [lo, hi).
+
+    `base` must hold every prime <= isqrt(hi - 1), ascending; each crosses
+    out its multiples from max(p^2, lo) on.  0 and 1 are not prime.
+    """
+    flags = np.ones(hi - lo, dtype=np.uint8)
+    flags[: max(0, 2 - lo)] = 0
+    for p in base:
+        if p * p >= hi:
+            break
+        start = max(p * p, ((lo + p - 1) // p) * p)
+        flags[start - lo :: p] = 0
     return flags
+
+
+def _primes_upto(n: int) -> np.ndarray:
+    """Ascending int64 primes <= n, the base primes coming from the same kernel."""
+    base = _primes_upto(math.isqrt(n)).tolist() if n >= 4 else []
+    return np.flatnonzero(_segment_flags(0, n + 1, base))
 
 
 def sieve_primes(limit: int, segment_size: int = 1 << 20) -> PrimeTable:
@@ -84,26 +90,15 @@ def sieve_primes(limit: int, segment_size: int = 1 << 20) -> PrimeTable:
         raise ValueError("segment_size must be positive")
     check_ceiling(limit, "sieve limit")
 
-    flags = np.zeros(limit + 1, dtype=np.uint8)
-    if limit >= 2:
-        root = math.isqrt(limit)
-        base_flags = _simple_sieve(root)
-        base = [p for p in range(2, root + 1) if base_flags[p]]
-        for lo in range(2, limit + 1, segment_size):
-            hi = min(lo + segment_size, limit + 1)
-            seg = np.ones(hi - lo, dtype=np.uint8)
-            for p in base:
-                start = max(p * p, ((lo + p - 1) // p) * p)
-                if start < hi:
-                    seg[start - lo :: p] = 0
-            flags[lo:hi] = seg
-    primes = np.flatnonzero(flags).astype(np.int64)
-    return PrimeTable(limit=limit, is_prime=bytearray(flags), primes=primes)
+    flags = np.empty(limit + 1, dtype=np.uint8)
+    base = _primes_upto(math.isqrt(limit)).tolist()
+    for lo in range(0, limit + 1, segment_size):
+        hi = min(lo + segment_size, limit + 1)
+        flags[lo:hi] = _segment_flags(lo, hi, base)
+    return PrimeTable(limit=limit, is_prime=bytearray(flags), primes=np.flatnonzero(flags))
 
 
-_trial_flags = _simple_sieve(_TRIAL_LIMIT)
-_TRIAL_PRIMES = tuple(p for p in range(2, _TRIAL_LIMIT + 1) if _trial_flags[p])
-del _trial_flags
+_TRIAL_PRIMES = tuple(_primes_upto(_TRIAL_LIMIT).tolist())
 
 # Strong-pseudoprime witnesses proving primality for all n < 3.3 * 10^24,
 # comfortably covering the 63-bit contract.
@@ -242,33 +237,3 @@ def primes_in_ap(x: int, d: int, a: int, table: PrimeTable | None = None) -> int
         return int(ps.size)
     return int(np.count_nonzero(ps % d == a))
 
-
-def log_integral(x: float, tol: float = 1e-9) -> float:
-    """Li(x) = integral of dt/log t from 2 to x, by adaptive Simpson quadrature."""
-    if x < 2:
-        raise ValueError("log_integral is defined for x >= 2")
-    x = float(x)
-    if x == 2.0:
-        return 0.0
-
-    def f(t: float) -> float:
-        return 1.0 / math.log(t)
-
-    def simpson(a: float, fa: float, b: float, fb: float) -> tuple[float, float, float]:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, b, fb, m, fm, whole, eps, depth) -> float:
-        lm, flm, left = simpson(a, fa, m, fm)
-        rm, frm, right = simpson(m, fm, b, fb)
-        delta = left + right - whole
-        if depth > 60 or abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        return recurse(a, fa, m, fm, lm, flm, left, eps / 2.0, depth + 1) + recurse(
-            m, fm, b, fb, rm, frm, right, eps / 2.0, depth + 1
-        )
-
-    fa, fb = f(2.0), f(x)
-    m, fm, whole = simpson(2.0, fa, x, fb)
-    return recurse(2.0, fa, x, fb, m, fm, whole, tol, 0)

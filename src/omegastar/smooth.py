@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .sieve import check_ceiling, factorize, _simple_sieve
+from .sieve import _primes_upto, _segment_flags, check_ceiling, factorize
 
 import numpy as np
 
@@ -72,9 +72,9 @@ def smooth_census(x: int, y: int, segment_size: int = 1 << 20, count_primes: boo
     check_ceiling(x, "smooth census size")
 
     root = math.isqrt(x)
-    base_flags = _simple_sieve(max(root, min(y, x)))
-    peel = [p for p in range(2, min(y, x) + 1) if base_flags[p]]
-    mark = [p for p in range(2, root + 1) if base_flags[p]] if count_primes else []
+    base = _primes_upto(max(root, min(y, x))).tolist()
+    peel = [p for p in base if p <= y]
+    mark = [p for p in base if p <= root]
 
     psi = 0
     pi_x = 0
@@ -93,13 +93,7 @@ def smooth_census(x: int, y: int, segment_size: int = 1 << 20, count_primes: boo
         smooth = rem == 1
         psi += int(smooth.sum())
         if count_primes:
-            prime = np.ones(hi - lo, dtype=bool)
-            if lo == 1:
-                prime[0] = False
-            for p in mark:
-                start = max(p * p, ((lo + p - 1) // p) * p)
-                if start < hi:
-                    prime[start - lo :: p] = False
+            prime = _segment_flags(lo, hi, mark).view(bool)
             pi_x += int(prime.sum())
             shifted = np.empty_like(smooth)
             shifted[0] = prev_smooth

@@ -2,30 +2,14 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import pytest
 
-from omegastar.arith import (
-    big_omega,
-    carmichael_lambda,
-    count_coprime_up_to,
-    divisors,
-    euler_phi,
-    gcd_sum_over_primes,
-    little_omega,
-    mobius,
-    tau,
-)
-from omegastar.sieve import factorize, primes_in_ap, sieve_primes
+from omegastar.arith import big_omega, count_coprime_up_to, divisors, euler_phi, tau
+from omegastar.sieve import factorize
 
 
 @lru_cache(maxsize=None)
 def _phi(n: int) -> int:
     return euler_phi(factorize(n))
-
-
-@lru_cache(maxsize=None)
-def _mu(n: int) -> int:
-    return mobius(factorize(n))
 
 
 class TestDivisors:
@@ -52,53 +36,16 @@ class TestBasicFunctions:
     def test_examples(self):
         assert tau(factorize(12)) == 6
         assert euler_phi(factorize(1)) == 1
-        assert mobius(factorize(30)) == -1
         assert big_omega(factorize(12)) == 3
-        assert little_omega(factorize(12)) == 2
 
     def test_phi_divisor_sum_identity(self):
         for n in range(1, 10**4 + 1):
             assert sum(_phi(d) for d in divisors(factorize(n)).divisors) == n
 
-    def test_mobius_divisor_sum_identity(self):
-        for n in range(1, 10**4 + 1):
-            total = sum(_mu(d) for d in divisors(factorize(n)).divisors)
-            assert total == (1 if n == 1 else 0)
-
     def test_omega_chain(self):
         for n in range(2, 10**5 + 1, 7):
             f = factorize(n)
-            assert little_omega(f) <= big_omega(f) <= math.log2(n) + 1e-9
-
-
-class TestCarmichael:
-    def test_examples(self):
-        assert carmichael_lambda(factorize(1)) == 1
-        assert carmichael_lambda(factorize(8)) == 2
-        assert carmichael_lambda(factorize(15)) == 4
-
-    def test_two_power_ladder(self):
-        assert carmichael_lambda(factorize(2)) == 1
-        assert carmichael_lambda(factorize(4)) == 2
-        assert carmichael_lambda(factorize(32)) == 8
-
-    def test_group_exponent_oracle(self):
-        # lambda(n) is the exponent of (Z/n)*: brute-force the group
-        for n in range(1, 200):
-            units = [a for a in range(1, n) if math.gcd(a, n) == 1] or [0]
-            lam = carmichael_lambda(factorize(n))
-            if n == 1:
-                assert lam == 1
-                continue
-            assert all(pow(a, lam, n) == 1 for a in units)
-            for e in range(1, lam):
-                if all(pow(a, e, n) == 1 for a in units):
-                    pytest.fail(f"exponent {e} < lambda({n}) = {lam}")
-
-    def test_divides_phi(self):
-        for n in range(1, 10**4 + 1):
-            f = factorize(n)
-            assert euler_phi(f) % carmichael_lambda(f) == 0
+            assert big_omega(f) <= math.log2(n) + 1e-9
 
 
 class TestCountCoprime:
@@ -109,7 +56,7 @@ class TestCountCoprime:
         assert count_coprime_up_to(100, factorize(30)) == 26
 
     def test_brute_scan_all_squarefree_moduli(self):
-        squarefree = [d for d in range(1, 211) if mobius(factorize(d)) != 0]
+        squarefree = [d for d in range(1, 211) if factorize(d).is_squarefree()]
         ys = np.arange(1, 1001)
         for d in squarefree:
             f = factorize(d)
@@ -124,30 +71,3 @@ class TestCountCoprime:
             for y in range(1, 1001):
                 assert count_coprime_up_to(y, f) == int(coprime_cum[y - 1])
 
-
-class TestGcdSum:
-    def test_examples(self, oracle_primes_2000):
-        assert gcd_sum_over_primes(10, factorize(1)) == 4
-        assert gcd_sum_over_primes(10, factorize(2)) == 7  # 1+2+2+2
-        expected = sum(math.gcd(p - 1, 6) for p in oracle_primes_2000 if p <= 20)
-        assert gcd_sum_over_primes(20, factorize(6)) == expected == 27
-
-    def test_rejects_non_squarefree(self):
-        with pytest.raises(ValueError):
-            gcd_sum_over_primes(100, factorize(12))
-
-    def test_phi_pi_identity_all_x_to_2000(self, oracle_primes_2000):
-        # gcd-sum = sum over d | k of phi(d) pi(x; d, 1), for every x <= 2000:
-        # both sides only jump at primes, so checking at each prime checks all x
-        table = sieve_primes(2000)
-        ps = np.array(oracle_primes_2000)
-        for k in (2, 6, 30, 210):
-            fk = factorize(k)
-            lhs_cum = np.cumsum(np.gcd(ps - 1, k))
-            for i in (0, 1, 2, 10, 50, 100, len(ps) - 1):
-                x = int(ps[i])
-                rhs = sum(
-                    _phi(d) * primes_in_ap(x, d, 1 % d, table=table)
-                    for d in divisors(fk).divisors
-                )
-                assert int(lhs_cum[i]) == gcd_sum_over_primes(x, fk, table=table) == rhs

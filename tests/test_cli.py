@@ -179,3 +179,24 @@ class TestExitCodes:
         assert out == ""
         assert "omegastar: error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("subcommand", ["sample-divisors", "report"])
+    def test_non_finite_log_x_exit_2(self, capsys, subcommand, value):
+        code, out, err = run_cli(capsys, [subcommand, "--log-x", value, "--trials", "10"])
+        assert code == 2
+        assert out == ""
+        assert "omegastar: error" in err
+        assert "Traceback" not in err
+
+    def test_pairs_cap_checked_before_sieving(self, capsys, monkeypatch):
+        from omegastar import construction
+
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("sieve_primes called before the pair-space cap was checked")
+
+        monkeypatch.setattr(construction, "sieve_primes", no_sieve)
+        code, out, err = run_cli(capsys, ["pairs", "--x", "100001", "--k", "6"])
+        assert code == 2
+        assert out == ""
+        assert "omegastar: error" in err

@@ -18,7 +18,6 @@ from omegastar.construction import (
     harman_smoothness_check,
     log_d_moments,
     pair_count_report,
-    primorial_k,
     sample_divisor,
     sample_stats,
     total_pairs_A,
@@ -88,28 +87,6 @@ class TestBuildParams:
         assert 89 not in without.k_primes.tolist()
         unaffected = build_params(111.0, mode="grh", excluded_prime=97)  # above L
         assert unaffected.R == grh_111.R
-
-
-class TestPrimorial:
-    def test_ten(self):
-        primes, log_k = primorial_k(10)
-        assert primes.tolist() == [2, 3, 5, 7]
-        assert abs(log_k - math.log(210)) <= 1e-12
-
-    def test_exclusion(self):
-        primes, log_k = primorial_k(19, excluded_prime=7)
-        assert primes.tolist() == [2, 3, 5, 11, 13, 17, 19]
-        assert abs(log_k - math.log(2 * 3 * 5 * 11 * 13 * 17 * 19)) <= 1e-12
-
-    def test_chebyshev_scale_at_1000(self, oracle_primes_2000):
-        primes, log_k = primorial_k(1000)
-        oracle = math.fsum(math.log(p) for p in oracle_primes_2000 if p <= 1000)
-        assert abs(log_k - oracle) <= 1e-9
-        assert 0.9 * 1000 < log_k < 1.1 * 1000
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            primorial_k(1.5)
 
 
 class TestCountAd:

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from omegastar.sieve import (
     ResourceLimitError,
+    _primes_upto,
+    _segment_flags,
     factorize,
     is_prime,
-    log_integral,
     prime_count,
     primes_in_ap,
     sieve_primes,
@@ -45,6 +45,7 @@ class TestSievePrimes:
         assert np.array_equal(flagged, t.primes)
         assert np.all(np.diff(t.primes) > 0)
         assert t.primes[0] == 2
+        assert t.primes.dtype == np.int64
 
     def test_segmented_matches_unsegmented(self):
         limit = 10**6
@@ -61,6 +62,38 @@ class TestSievePrimes:
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):
             sieve_primes(-1)
+
+
+class TestSegmentKernel:
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (0, 2),
+            (0, 3),
+            (0, 200),
+            (1, 150),
+            (2, 97),
+            (47, 51),  # straddles 7^2
+            (120, 122),  # straddles 11^2
+            (955, 970),  # straddles 31^2
+            (1368, 1370),  # straddles 37^2
+            (10**4 - 3, 10**4 + 250),
+        ],
+    )
+    def test_window_against_trial_division(self, lo, hi):
+        base = _primes_upto(math.isqrt(hi - 1)).tolist()
+        flags = _segment_flags(lo, hi, base)
+        assert flags.dtype == np.uint8
+        assert flags.tolist() == [int(trial_division_is_prime(n)) for n in range(lo, hi)]
+
+    def test_one_wide_windows(self):
+        for n in range(0, 400):
+            base = _primes_upto(math.isqrt(n)).tolist()
+            assert bool(_segment_flags(n, n + 1, base)[0]) == trial_division_is_prime(n), n
+
+    def test_base_primes(self):
+        for n in range(0, 300):
+            assert _primes_upto(n).tolist() == trial_division_primes(n), n
 
 
 class TestIsPrime:
@@ -163,34 +196,3 @@ class TestPrimesInAp:
         with pytest.raises(ValueError):
             primes_in_ap(10, 3, 3)
 
-
-class TestLogIntegral:
-    def test_empty_integral(self):
-        assert log_integral(2) == 0.0
-
-    def test_against_quadrature_oracle(self):
-        # adaptive-quadrature oracle at x = 10 (QUADPACK's reported error bound
-        # is conservative; the values themselves agree to ~1e-13)
-        expected, _ = quad(lambda t: 1.0 / math.log(t), 2, 10, epsabs=1e-12)
-        assert abs(log_integral(10.0) - expected) <= 1e-9
-
-    def test_against_high_precision_oracle(self):
-        # arbitrary-precision li(x) - li(2) from mpmath, a fully independent path
-        import mpmath
-
-        mpmath.mp.dps = 30
-        for x in (10.0, 100.0, 1e4, 1e6):
-            expected = float(mpmath.li(x) - mpmath.li(2))
-            assert abs(log_integral(x) - expected) <= 1e-9, x
-
-    def test_ratio_to_prime_count(self):
-        assert 1.0 < log_integral(10**6) / prime_count(10**6) < 1.01
-
-    def test_monotone(self):
-        xs = [2, 2.5, 3, 5, 10, 100, 1e4]
-        vals = [log_integral(x) for x in xs]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            log_integral(1.5)
