@@ -34,7 +34,6 @@ from .omega import (
     OmegaStarTable,
     moment,
     moment_scan,
-    moment_series_csv,
     moment_sum,
     omega_star,
     omega_star_table,

@@ -31,17 +31,35 @@ from .construction import (
     pair_count_report,
     sample_stats,
 )
-from .omega import moment_scan, moment_series_csv, omega_star, omega_star_table
+from .omega import moment_scan, omega_star, omega_star_table
 from .sieve import ResourceLimitError, factorize
 from .smooth import pomerance_ratio, smooth_census
 
 SCHEMA = "omegastar/1"
 
-_JSON_DEFAULT = {"constants", "sample-divisors", "pairs", "report"}
+# Output formats each subcommand can write, default first; any other exits 2.
+_FORMATS = {
+    "omega-star": ("csv", "json"),
+    "moments": ("csv", "json"),
+    "champions": ("csv", "json"),
+    "constants": ("json", "csv"),
+    "sample-divisors": ("json",),
+    "pairs": ("json", "csv"),
+    "smooth": ("csv", "json"),
+    "smooth-scan": ("csv",),
+    "report": ("json",),
+}
+
+# A handler returns (doc, rows): the JSON document and the CSV rows, flat
+# dicts whose keys are the header; None where the command has no such form.
+Output = tuple[dict[str, Any] | None, list[dict[str, Any]] | None]
 
 
-def _dump_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _render(fmt: str, doc: dict[str, Any] | None, rows: list[dict[str, Any]] | None) -> str:
+    if fmt == "json":
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    lines = [",".join(rows[0])] + [",".join(map(repr, row.values())) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -52,47 +70,37 @@ def _emit(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_omega_star(args: argparse.Namespace) -> str:
-    n = args.n
-    value = omega_star(n)
-    if args.format == "json":
-        return _dump_json({"schema": SCHEMA, "n": n, "omega_star": value})
-    return f"n,omega_star\n{n},{value}\n"
+def _cmd_omega_star(args: argparse.Namespace) -> Output:
+    row = {"n": args.n, "omega_star": omega_star(args.n)}
+    return {"schema": SCHEMA, **row}, [row]
 
 
-def _cmd_moments(args: argparse.Namespace) -> str:
-    k = args.k
-    series = moment_scan(_parse_list(args.x, int, "--x"), k)
-    if args.format == "json":
-        return _dump_json(
-            {
-                "schema": SCHEMA,
-                "k": k,
-                "points": [{"x": x, "Mk": mk} for x, mk in series.points],
-            }
-        )
-    return moment_series_csv(series)
+def _cmd_moments(args: argparse.Namespace) -> Output:
+    series = moment_scan(_parse_list(args.x, int, "--x"), args.k)
+    doc = {"schema": SCHEMA, "k": series.k, "points": [{"x": x, "Mk": mk} for x, mk in series.points]}
+    rows = [
+        {
+            "x": x,
+            "k": series.k,
+            "Mk": mk,
+            "log_x": math.log(x),
+            "loglog_x": math.log(math.log(x)) if x >= 2 else math.nan,
+        }
+        for x, mk in series.points
+    ]
+    return doc, rows
 
 
-def _cmd_champions(args: argparse.Namespace) -> str:
+def _cmd_champions(args: argparse.Namespace) -> Output:
     record = champion_search(args.max_n, factorize(args.k))
-    if args.format == "json":
-        return _dump_json(
-            {
-                "schema": SCHEMA,
-                "n": record.n,
-                "omega_star": record.omega_star_n,
-                "score": record.score,
-            }
-        )
-    return f"n,omega_star,score\n{record.n},{record.omega_star_n},{record.score!r}\n"
+    row = {"n": record.n, "omega_star": record.omega_star_n, "score": record.score}
+    return {"schema": SCHEMA, **row}, [row]
 
 
 def _constants_document(theta: float) -> dict[str, Any]:
     opt = maximize_f_theta(theta)
     g = grh_constants()
     return {
-        "schema": SCHEMA,
         "theta": theta,
         "u_star": opt.u_star,
         "f_max": opt.f_max,
@@ -110,21 +118,17 @@ def _constants_document(theta: float) -> dict[str, Any]:
     }
 
 
-def _cmd_constants(args: argparse.Namespace) -> str:
+def _cmd_constants(args: argparse.Namespace) -> Output:
     doc = _constants_document(args.theta)
-    if args.format == "csv":
-        flat = {
-            "theta": doc["theta"],
-            "u_star": doc["u_star"],
-            "f_max": doc["f_max"],
-            "f_over_log2": doc["f_over_log2"],
-            "grh_u": doc["grh"]["u"],
-            "grh_C": doc["grh"]["C"],
-        }
-        header = ",".join(flat)
-        row = ",".join(repr(v) for v in flat.values())
-        return f"{header}\n{row}\n"
-    return _dump_json(doc)
+    row = {
+        "theta": doc["theta"],
+        "u_star": doc["u_star"],
+        "f_max": doc["f_max"],
+        "f_over_log2": doc["f_over_log2"],
+        "grh_u": doc["grh"]["u"],
+        "grh_C": doc["grh"]["C"],
+    }
+    return {"schema": SCHEMA, **doc}, [row]
 
 
 def _sampling_document(log_x: float, mode: str, trials: int, seed: int, workers: int) -> dict[str, Any]:
@@ -132,7 +136,6 @@ def _sampling_document(log_x: float, mode: str, trials: int, seed: int, workers:
     stats = sample_stats(params, trials, seed, workers=workers)
     p_fail_logd, p_fail_omega = chebyshev_bounds(params)
     return {
-        "schema": SCHEMA,
         "seed": seed,
         "params": {
             "log_x": params.log_x,
@@ -167,82 +170,54 @@ def _sampling_document(log_x: float, mode: str, trials: int, seed: int, workers:
     }
 
 
-def _cmd_sample_divisors(args: argparse.Namespace) -> str:
-    return _dump_json(_sampling_document(args.log_x, args.mode, args.trials, args.seed, args.workers))
+def _cmd_sample_divisors(args: argparse.Namespace) -> Output:
+    doc = _sampling_document(args.log_x, args.mode, args.trials, args.seed, args.workers)
+    return {"schema": SCHEMA, **doc}, None
 
 
-def _cmd_pairs(args: argparse.Namespace) -> str:
+def _cmd_pairs(args: argparse.Namespace) -> Output:
     x = args.x
     k = factorize(args.k)
     report = pair_count_report(x, k)
-    if args.format == "csv":
-        lines = ["x,k,d,A_d,total_A"]
-        for d, a_d in report.per_d:
-            lines.append(f"{x},{k.n},{d},{a_d},{report.total_A}")
-        return "\n".join(lines) + "\n"
-    return _dump_json(
-        {
-            "schema": SCHEMA,
-            "x": x,
-            "k": k.n,
-            "per_d": [{"d": d, "A_d": a_d} for d, a_d in report.per_d],
-            "total_A": report.total_A,
-        }
-    )
+    doc = {
+        "schema": SCHEMA,
+        "x": x,
+        "k": k.n,
+        "per_d": [{"d": d, "A_d": a_d} for d, a_d in report.per_d],
+        "total_A": report.total_A,
+    }
+    rows = [{"x": x, "k": k.n, "d": d, "A_d": a_d, "total_A": report.total_A} for d, a_d in report.per_d]
+    return doc, rows
 
 
-def _smooth_rows(entries: list[tuple[int, int]]) -> str:
-    lines = ["x,y,psi,pi_smooth,pi,lhs,rhs,quotient"]
-    for x, y in entries:
-        census = smooth_census(x, y)
-        ratio = pomerance_ratio(x, y, census=census)
-        lines.append(
-            f"{x},{y},{census.psi},{census.pi_smooth},{census.pi_x},"
-            f"{ratio.lhs!r},{ratio.rhs!r},{ratio.quotient!r}"
-        )
-    return "\n".join(lines) + "\n"
+def _smooth_row(x: int, y: int) -> dict[str, Any]:
+    census = smooth_census(x, y)
+    ratio = pomerance_ratio(x, y, census=census)
+    counts = {"x": x, "y": y, "psi": census.psi, "pi_smooth": census.pi_smooth, "pi": census.pi_x}
+    return {**counts, **ratio._asdict()}
 
 
-def _cmd_smooth(args: argparse.Namespace) -> str:
-    x, y = args.x, args.y
-    if args.format == "json":
-        census = smooth_census(x, y)
-        ratio = pomerance_ratio(x, y, census=census)
-        return _dump_json(
-            {
-                "schema": SCHEMA,
-                "x": x,
-                "y": y,
-                "psi": census.psi,
-                "pi_smooth": census.pi_smooth,
-                "pi": census.pi_x,
-                "lhs": ratio.lhs,
-                "rhs": ratio.rhs,
-                "quotient": ratio.quotient,
-            }
-        )
-    return _smooth_rows([(x, y)])
+def _cmd_smooth(args: argparse.Namespace) -> Output:
+    row = _smooth_row(args.x, args.y)
+    return {"schema": SCHEMA, **row}, [row]
 
 
-def _cmd_smooth_scan(args: argparse.Namespace) -> str:
+def _cmd_smooth_scan(args: argparse.Namespace) -> Output:
     x = args.x
-    entries = [(x, max(1, round(v * math.log(x)))) for v in _parse_list(args.v_list, float, "--v-list")]
-    return _smooth_rows(entries)
+    vs = _parse_list(args.v_list, float, "--v-list")
+    return None, [_smooth_row(x, max(1, round(v * math.log(x)))) for v in vs]
 
 
-def _cmd_report(args: argparse.Namespace) -> str:
+def _cmd_report(args: argparse.Namespace) -> Output:
     x, log_x, trials = args.x, args.log_x, args.trials
-    constants_doc = _constants_document(UNCONDITIONAL_THETA)
-    constants_doc.pop("schema")
+    if x < 10:
+        raise ValueError(f"report --x must be at least 10, its smallest moment checkpoint; got {x}")
     sampling_doc = _sampling_document(log_x, args.mode, trials, args.seed, args.workers)
-    sampling_doc.pop("schema")
 
     table = omega_star_table(x)
     xs = [n for n in (x // 100, x // 10, x) if n >= 10]
     series = moment_scan(sorted(set(xs)), 1, table=table)
     champion = champion_search(x, factorize(1), table=table)
-    census = smooth_census(x, args.smooth_y)
-    ratio = pomerance_ratio(x, args.smooth_y, census=census)
 
     doc = {
         "schema": "omegastar-report/1",
@@ -256,7 +231,7 @@ def _cmd_report(args: argparse.Namespace) -> str:
             "smooth_y": args.smooth_y,
             "workers": args.workers,
         },
-        "constants": constants_doc,
+        "constants": _constants_document(UNCONDITIONAL_THETA),
         "moments": {
             "k": 1,
             "points": [
@@ -278,18 +253,9 @@ def _cmd_report(args: argparse.Namespace) -> str:
             "grh_exponent": math.log(GOLDEN_RATIO),
         },
         "sampling": sampling_doc,
-        "smooth": {
-            "x": x,
-            "y": args.smooth_y,
-            "psi": census.psi,
-            "pi_smooth": census.pi_smooth,
-            "pi": census.pi_x,
-            "lhs": ratio.lhs,
-            "rhs": ratio.rhs,
-            "quotient": ratio.quotient,
-        },
+        "smooth": _smooth_row(x, args.smooth_y),
     }
-    return _dump_json(doc)
+    return doc, None
 
 
 _HANDLERS = {
@@ -363,22 +329,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_list(text: str, kind: type, flag: str) -> list[Any]:
-    """Comma-separated numbers of one type, floats finite; ValueError names the flag."""
+    """Nonempty comma-separated numbers of one type, floats finite; ValueError names the flag."""
     try:
         values = [kind(part) for part in text.split(",") if part]
     except ValueError:
         values = None
-    if values is None or (kind is float and not all(map(math.isfinite, values))):
-        raise ValueError(f"{flag} must be a comma-separated list of finite {kind.__name__}s, got {text!r}")
+    if not values or (kind is float and not all(map(math.isfinite, values))):
+        kinds = f"finite {kind.__name__}s"
+        raise ValueError(f"{flag} must be a nonempty comma-separated list of {kinds}, got {text!r}")
     return values
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    args.format = args.format or ("json" if args.subcommand in _JSON_DEFAULT else "csv")
+    formats = _FORMATS[args.subcommand]
+    fmt = args.format or formats[0]
     args.workers = max(1, args.workers)
     try:
-        _emit(args.out, _HANDLERS[args.subcommand](args))
+        if fmt not in formats:
+            supported = ", ".join(formats)
+            raise ValueError(f"--format {fmt} is not supported by {args.subcommand} (supported: {supported})")
+        _emit(args.out, _render(fmt, *_HANDLERS[args.subcommand](args)))
         return 0
     except ResourceLimitError as exc:
         print(f"omegastar: resource limit: {exc}", file=sys.stderr)

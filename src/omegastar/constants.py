@@ -22,6 +22,9 @@ UNCONDITIONAL_THETA = 0.4736
 UNCONDITIONAL_U = 1.2694
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section bracket [theta, _SEARCH_UPPER] and its step count.
+_SEARCH_UPPER = 64.0
+_SEARCH_ITERATIONS = 200
 
 
 @dataclass
@@ -67,13 +70,13 @@ def f_theta(theta: float, t: float) -> float:
     return num / (t + 1.0 - theta)
 
 
-def maximize_f_theta(theta: float, upper: float = 64.0, iterations: int = 200) -> OptimumReport:
-    """Locate the unique maximum of f_theta on [theta, upper] by golden-section
-    search; 200 iterations shrink the bracket far below 1e-9."""
+def maximize_f_theta(theta: float) -> OptimumReport:
+    """Locate the unique maximum of f_theta on [theta, _SEARCH_UPPER] by
+    golden-section search; 200 iterations shrink the bracket far below 1e-9."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    a, b = theta, upper
-    for _ in range(iterations):
+    a, b = theta, _SEARCH_UPPER
+    for _ in range(_SEARCH_ITERATIONS):
         c = b - (b - a) * _INV_GOLDEN
         d = a + (b - a) * _INV_GOLDEN
         if f_theta(theta, c) < f_theta(theta, d):

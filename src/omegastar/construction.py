@@ -44,6 +44,9 @@ MODES = ("GRH", "UNCONDITIONAL")
 _MIN_LOG_X = 100.0
 _MAX_EXACT_R = 24
 _MAX_PAIR_X = 10**5
+# Samples per Monte Carlo chunk.  Chunk boundaries set the summation order of
+# log d, so this size is part of the byte-identical output contract.
+_CHUNK = 4096
 
 
 @dataclass(eq=False)
@@ -354,13 +357,7 @@ def _chunk_stats(params: ConstructionParams, seed: int, start: int, count: int):
     )
 
 
-def sample_stats(
-    params: ConstructionParams,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-    chunk_size: int = 4096,
-) -> SampleStats:
+def sample_stats(params: ConstructionParams, trials: int, seed: int, workers: int = 1) -> SampleStats:
     """Aggregate `trials` seeded samples.
 
     Sample i is exactly sample_divisor(params, rng.substream_seed(seed, i)),
@@ -369,7 +366,7 @@ def sample_stats(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    chunks = [(start, min(chunk_size, trials - start)) for start in range(0, trials, chunk_size)]
+    chunks = [(start, min(_CHUNK, trials - start)) for start in range(0, trials, _CHUNK)]
     threads = min(workers, os.cpu_count() or 1, len(chunks))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -6,13 +6,12 @@ omega*(n) counts divisors d of n with d + 1 prime; it is >= 1 always, equals
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import divisors
-from .sieve import PrimeTable, check_ceiling, factorize, is_prime, sieve_primes
+from .sieve import check_ceiling, factorize, is_prime, sieve_primes
 
 # Steps p - 1 with at least this many multiples in [1, x] get a slice update each.
 _SMALL_STEP_MULTIPLES = 64
@@ -41,7 +40,7 @@ def omega_star(n: int) -> int:
     return sum(1 for d in divisors(factorize(n)).divisors if is_prime(d + 1))
 
 
-def omega_star_table(x: int, table: PrimeTable | None = None) -> OmegaStarTable:
+def omega_star_table(x: int) -> OmegaStarTable:
     """Bulk omega* over [1, x]: for each prime p <= x + 1, every multiple of
     p - 1 gains one count (p = 2 contributes to every n).
 
@@ -54,10 +53,8 @@ def omega_star_table(x: int, table: PrimeTable | None = None) -> OmegaStarTable:
     if x < 1:
         raise ValueError("x must be at least 1")
     check_ceiling(x, "omega* table size")
-    if table is None or table.limit < x + 1:
-        table = sieve_primes(x + 1)
     counts = np.zeros(x + 1, dtype=np.int32)
-    steps = table.primes[: table.count(x + 1)] - 1
+    steps = sieve_primes(x + 1).primes - 1
     split = np.searchsorted(steps, x // _SMALL_STEP_MULTIPLES, side="right")
     for step in steps[:split].tolist():
         counts[step::step] += 1
@@ -105,13 +102,3 @@ def moment_scan(xs: list[int], k: int, table: OmegaStarTable | None = None) -> M
         table = omega_star_table(xs[-1])
     points = [(x, moment_sum(table, k, upto=x) / x) for x in xs]
     return MomentSeries(k=k, points=points)
-
-
-def moment_series_csv(series: MomentSeries) -> str:
-    """CSV rendering with header x,k,Mk,log_x,loglog_x."""
-    lines = ["x,k,Mk,log_x,loglog_x"]
-    for x, mk in series.points:
-        log_x = math.log(x) if x >= 1 else float("nan")
-        loglog_x = math.log(math.log(x)) if x >= 2 else float("nan")
-        lines.append(f"{x},{series.k},{mk!r},{log_x!r},{loglog_x!r}")
-    return "\n".join(lines) + "\n"

@@ -12,6 +12,8 @@ DEFAULT_CEILING = 2**31
 CEILING_ENV = "OMEGASTAR_CEILING"
 
 _TRIAL_LIMIT = 1 << 16
+# Integers per sieve segment in sieve_primes and smooth.smooth_census.
+_SEGMENT = 1 << 20
 
 
 class ResourceLimitError(RuntimeError):
@@ -33,20 +35,10 @@ def check_ceiling(n: int, what: str) -> None:
 
 @dataclass
 class PrimeTable:
-    """Sieved primality flags and the ordered list of primes up to `limit`.
-
-    `is_prime[n]` is 1 iff n is prime, for 0 <= n <= limit; `primes` is the
-    ascending array of all primes <= limit.
-    """
+    """The ascending array of all primes <= `limit`."""
 
     limit: int
-    is_prime: bytearray
     primes: np.ndarray
-
-    def contains(self, n: int) -> bool:
-        if not 0 <= n <= self.limit:
-            raise ValueError(f"n = {n} outside table range [0, {self.limit}]")
-        return bool(self.is_prime[n])
 
     def count(self, x: int | None = None) -> int:
         """Number of primes <= x (defaults to the full table)."""
@@ -77,25 +69,19 @@ def _primes_upto(n: int) -> np.ndarray:
     return np.flatnonzero(_segment_flags(0, n + 1, base))
 
 
-def sieve_primes(limit: int, segment_size: int = 1 << 20) -> PrimeTable:
-    """Segmented sieve of Eratosthenes up to `limit` inclusive.
-
-    Memory beyond the returned table is O(segment_size).  Passing
-    segment_size > limit degenerates to an unsegmented sieve with
-    bit-identical output.
-    """
+def sieve_primes(limit: int) -> PrimeTable:
+    """Segmented sieve of Eratosthenes up to `limit` inclusive, _SEGMENT
+    integers at a time; any segment size gives the same primes."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    if segment_size < 1:
-        raise ValueError("segment_size must be positive")
     check_ceiling(limit, "sieve limit")
 
     flags = np.empty(limit + 1, dtype=np.uint8)
     base = _primes_upto(math.isqrt(limit)).tolist()
-    for lo in range(0, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
+    for lo in range(0, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit + 1)
         flags[lo:hi] = _segment_flags(lo, hi, base)
-    return PrimeTable(limit=limit, is_prime=bytearray(flags), primes=np.flatnonzero(flags))
+    return PrimeTable(limit=limit, primes=np.flatnonzero(flags))
 
 
 _TRIAL_PRIMES = tuple(_primes_upto(_TRIAL_LIMIT).tolist())

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import sieve
 from .sieve import _primes_upto, _segment_flags, check_ceiling, factorize
 
 import numpy as np
@@ -57,8 +58,9 @@ def greatest_prime_factor(n: int) -> int:
     return factorize(n).factors[-1][0]
 
 
-def smooth_census(x: int, y: int, segment_size: int = 1 << 20, count_primes: bool = True) -> SmoothCensus:
-    """One segmented pass over [1, x] producing Psi(x, y), pi(x, y), pi(x).
+def smooth_census(x: int, y: int, count_primes: bool = True) -> SmoothCensus:
+    """One pass over [1, x] in segments of sieve._SEGMENT producing Psi(x, y),
+    pi(x, y), pi(x).
 
     Per segment, a remainder array is divided once by p for every prime power
     p^e <= x dividing the entry; entries reduced to 1 are exactly the y-smooth
@@ -80,8 +82,8 @@ def smooth_census(x: int, y: int, segment_size: int = 1 << 20, count_primes: boo
     pi_x = 0
     pi_smooth = 0
     prev_smooth = True  # carry for n - 1 across segments; n = 1 has no predecessor in range
-    for lo in range(1, x + 1, segment_size):
-        hi = min(lo + segment_size, x + 1)
+    for lo in range(1, x + 1, sieve._SEGMENT):
+        hi = min(lo + sieve._SEGMENT, x + 1)
         rem = np.arange(lo, hi, dtype=np.int64)
         for p in peel:
             q = p
@@ -103,16 +105,16 @@ def smooth_census(x: int, y: int, segment_size: int = 1 << 20, count_primes: boo
     return SmoothCensus(x=x, y=y, psi=psi, pi_smooth=pi_smooth, pi_x=pi_x)
 
 
-def psi_count(x: int, y: int, segment_size: int = 1 << 20) -> int:
+def psi_count(x: int, y: int) -> int:
     """Psi(x, y): exact count of y-smooth integers up to x."""
-    return smooth_census(x, y, segment_size=segment_size, count_primes=False).psi
+    return smooth_census(x, y, count_primes=False).psi
 
 
-def pi_smooth_count(x: int, y: int, segment_size: int = 1 << 20) -> int:
+def pi_smooth_count(x: int, y: int) -> int:
     """pi(x, y): exact count of primes p <= x with p - 1 y-smooth."""
     if x < 2:
         raise ValueError("x must be at least 2")
-    return smooth_census(x, y, segment_size=segment_size).pi_smooth
+    return smooth_census(x, y).pi_smooth
 
 
 def pomerance_ratio(x: int, y: int, census: SmoothCensus | None = None) -> PomeranceRatio:
@@ -139,7 +141,7 @@ def log_psi_leading(v: float) -> float:
     return (1.0 + v) * math.log1p(v) - v * math.log(v)
 
 
-def apr_from_pomerance_report(x: int, v: float, segment_size: int = 1 << 20) -> AprComparisonReport:
+def apr_from_pomerance_report(x: int, v: float) -> AprComparisonReport:
     """Census the smooth counts entering the representation lower bound.
 
     Emits Psi(x, y) and Psi(x^2, y) at y = round(v log x), the statistic
@@ -153,8 +155,8 @@ def apr_from_pomerance_report(x: int, v: float, segment_size: int = 1 << 20) -> 
     log_x = math.log(x)
     y_unrounded = v * log_x
     y = max(1, round(y_unrounded))
-    psi_x_y = psi_count(x, y, segment_size=segment_size)
-    psi_x2_y = psi_count(x * x, y, segment_size=segment_size)
+    psi_x_y = psi_count(x, y)
+    psi_x2_y = psi_count(x * x, y)
     statistic = psi_x_y**2 / psi_x2_y / log_x
     comparator = math.exp((math.log(2.0) - 1.0 / (1.0 + v)) * 2.0 * log_x / math.log(log_x))
     return AprComparisonReport(

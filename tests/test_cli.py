@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from omegastar import cli
 from omegastar.cli import main
 
 
@@ -10,6 +11,125 @@ def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _json(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_SMOOTH_1000_10 = "1000,10,141,52,168,0.30952380952380953,0.141,2.1952043228638978\n"
+_SMOOTH_HEADER = "x,y,psi,pi_smooth,pi,lhs,rhs,quotient\n"
+
+# Exact stdout of each subcommand in every format it writes; the first
+# format listed is the default.  The sampling commands are left out: their
+# bytes are checked by the determinism tests below.
+PINNED = {
+    ("omega-star", "--n", "12"): {
+        "csv": "n,omega_star\n12,5\n",
+        "json": _json({"n": 12, "omega_star": 5, "schema": "omegastar/1"}),
+    },
+    ("moments", "--x", "1,10,100", "--k", "2"): {
+        "csv": (
+            "x,k,Mk,log_x,loglog_x\n"
+            "1,2,1.0,0.0,nan\n"
+            "10,2,4.5,2.302585092994046,0.834032445247956\n"
+            "100,2,9.71,4.605170185988092,1.5271796258079011\n"
+        ),
+        "json": _json(
+            {
+                "k": 2,
+                "points": [{"Mk": 1.0, "x": 1}, {"Mk": 4.5, "x": 10}, {"Mk": 9.71, "x": 100}],
+                "schema": "omegastar/1",
+            }
+        ),
+    },
+    ("champions", "--max-n", "100"): {
+        "csv": "n,omega_star,score\n60,8,0.7159130291715198\n",
+        "json": _json({"n": 60, "omega_star": 8, "schema": "omegastar/1", "score": 0.7159130291715198}),
+    },
+    ("constants",): {
+        "json": _json(
+            {
+                "apr_bound_at_theta": 0.44554085873125693,
+                "apr_bound_limit": 0.6931471805599453,
+                "f_max": 0.46694494531658054,
+                "f_over_log2": 0.673659156976399,
+                "grh": {
+                    "C": 0.8705203694270068,
+                    "golden": 1.618033988749895,
+                    "inverse_golden_squared": 0.38196601125010515,
+                    "log_golden": 0.48121182505960347,
+                    "residuals": {
+                        "C_first_form": 1.1102230246251565e-16,
+                        "C_identity": 0.0,
+                        "half_sum": 0.0,
+                        "ratio_identity": 0.0,
+                        "sqrt_identity": 0.0,
+                    },
+                    "u": 1.3090169943749475,
+                },
+                "schema": "omegastar/1",
+                "theta": 0.4736,
+                "u_star": 1.269414461829573,
+            }
+        ),
+        "csv": (
+            "theta,u_star,f_max,f_over_log2,grh_u,grh_C\n"
+            "0.4736,1.269414461829573,0.46694494531658054,0.673659156976399,1.3090169943749475,0.8705203694270068\n"
+        ),
+    },
+    ("pairs", "--x", "100", "--k", "30"): {
+        "json": _json(
+            {
+                "k": 30,
+                "per_d": [
+                    {"A_d": 75, "d": 1},
+                    {"A_d": 72, "d": 2},
+                    {"A_d": 77, "d": 3},
+                    {"A_d": 65, "d": 5},
+                ],
+                "schema": "omegastar/1",
+                "total_A": 542,
+                "x": 100,
+            }
+        ),
+        "csv": "x,k,d,A_d,total_A\n100,30,1,75,542\n100,30,2,72,542\n100,30,3,77,542\n100,30,5,65,542\n",
+    },
+    ("smooth", "--x", "1000", "--y", "10"): {
+        "csv": _SMOOTH_HEADER + _SMOOTH_1000_10,
+        "json": _json(
+            {
+                "lhs": 0.30952380952380953,
+                "pi": 168,
+                "pi_smooth": 52,
+                "psi": 141,
+                "quotient": 2.1952043228638978,
+                "rhs": 0.141,
+                "schema": "omegastar/1",
+                "x": 1000,
+                "y": 10,
+            }
+        ),
+    },
+    ("smooth-scan", "--x", "1000", "--v-list", "1,2"): {
+        "csv": (
+            _SMOOTH_HEADER
+            + "1000,7,141,52,168,0.30952380952380953,0.141,2.1952043228638978\n"
+            + "1000,14,242,76,168,0.4523809523809524,0.242,1.8693427784336876\n"
+        ),
+    },
+}
+
+
+@pytest.fixture
+def no_heavy_work(monkeypatch):
+    """Stand-ins that fail if the Monte Carlo, the omega* table or a smooth census runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for name in ("sample_stats", "omega_star_table", "smooth_census"):
+        monkeypatch.setattr(cli, name, refuse)
 
 
 class TestBasicCommands:
@@ -67,6 +187,25 @@ class TestBasicCommands:
         lines = out.strip().split("\n")
         assert len(lines) == 3
         assert lines[1].split(",")[1] == str(round(math.log(1000)))
+
+    def test_moments_csv_shape(self, capsys):
+        code, out, _ = run_cli(capsys, ["moments", "--x", "10,100", "--k", "1"])
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "x,k,Mk,log_x,loglog_x"
+        assert lines[1].startswith("10,1,1.9,")
+        assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "argv, fmt",
+        [(argv, fmt) for argv, by_format in PINNED.items() for fmt in (None, *by_format)],
+        ids=lambda v: v[0] if isinstance(v, tuple) else (v or "default"),
+    )
+    def test_pinned_stdout(self, capsys, argv, fmt):
+        expected = PINNED[argv]
+        code, out, err = run_cli(capsys, (["--format", fmt] if fmt else []) + list(argv))
+        assert (code, err) == (0, "")
+        assert out == expected[fmt or next(iter(expected))]
 
     def test_sample_divisors_document(self, capsys):
         code, out, _ = run_cli(
@@ -171,6 +310,8 @@ class TestExitCodes:
             ["moments", "--x", "10,abc"],
             ["smooth-scan", "--x", "1000", "--v-list", "1,zz"],
             ["smooth-scan", "--x", "1000", "--v-list", "1,inf"],
+            ["moments", "--x", ","],
+            ["smooth-scan", "--x", "1000", "--v-list", ","],
         ],
     )
     def test_bad_list_exit_2(self, capsys, argv):
@@ -178,7 +319,29 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "omegastar: error" in err
+        assert argv[-2] in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--format", "csv", "sample-divisors", "--log-x", "111", "--trials", "10"],
+            ["--format", "csv", "report", "--x", "2000", "--log-x", "111", "--trials", "10"],
+            ["--format", "json", "smooth-scan", "--x", "1000", "--v-list", "1,2"],
+        ],
+        ids=lambda argv: f"{argv[1]}-{argv[2]}",
+    )
+    def test_unsupported_format_exit_2_before_work(self, capsys, no_heavy_work, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("omegastar: error: --format")
+
+    def test_report_x_below_10_exit_2_before_work(self, capsys, no_heavy_work):
+        code, out, err = run_cli(capsys, ["report", "--x", "9", "--trials", "10", "--log-x", "111"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("omegastar: error: report --x must be at least 10")
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("subcommand", ["sample-divisors", "report"])

@@ -277,11 +277,8 @@ class TestSampleStats:
 
     def test_worker_count_does_not_change_results(self, grh_1100):
         one = sample_stats(grh_1100, 20000, seed=5, workers=1)
-        four = sample_stats(grh_1100, 20000, seed=5, workers=4, chunk_size=1024)
-        assert one.n_in_dprime == four.n_in_dprime
-        assert one.n_in_logd == four.n_in_logd
-        assert one.sum_omega == four.sum_omega
-        assert abs(one.sum_log_d - four.sum_log_d) <= 1e-6
+        four = sample_stats(grh_1100, 20000, seed=5, workers=4)
+        assert one == four
 
     def test_thread_count_is_clamped(self, grh_1100, monkeypatch):
         # A fake executor records max_workers and maps serially, so an
@@ -302,12 +299,13 @@ class TestSampleStats:
                 return map(fn, items)
 
         monkeypatch.setattr(construction, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(construction, "_CHUNK", 100)
         monkeypatch.setattr(construction.os, "cpu_count", lambda: 8)
-        huge = sample_stats(grh_1100, 300, seed=5, workers=10**6, chunk_size=100)
+        huge = sample_stats(grh_1100, 300, seed=5, workers=10**6)
         monkeypatch.setattr(construction.os, "cpu_count", lambda: 2)
-        sample_stats(grh_1100, 300, seed=5, workers=10**6, chunk_size=100)
+        sample_stats(grh_1100, 300, seed=5, workers=10**6)
         assert requested == [3, 2]  # 3 chunks, then 2 cores
-        one = sample_stats(grh_1100, 300, seed=5, workers=1, chunk_size=100)
+        one = sample_stats(grh_1100, 300, seed=5, workers=1)
         assert requested == [3, 2]
         assert huge == one
 

@@ -7,7 +7,6 @@ from omegastar import omega
 from omegastar.omega import (
     moment,
     moment_scan,
-    moment_series_csv,
     moment_sum,
     omega_star,
     omega_star_table,
@@ -174,13 +173,6 @@ class TestMomentScan:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             moment_scan([10, 10], 1)
-
-    def test_csv_shape(self):
-        text = moment_series_csv(moment_scan([10, 100], 1))
-        lines = text.strip().split("\n")
-        assert lines[0] == "x,k,Mk,log_x,loglog_x"
-        assert lines[1].startswith("10,1,1.9,")
-        assert len(lines) == 3
 
 
 class TestReportedTrends:

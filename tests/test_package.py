@@ -17,6 +17,7 @@ DELETED = (
     "little_omega",
     "gcd_sum_over_primes",
     "primorial_k",
+    "moment_series_csv",
 )
 
 

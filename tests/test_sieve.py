@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from omegastar import sieve
 from omegastar.sieve import (
     ResourceLimitError,
     _primes_upto,
@@ -34,24 +35,21 @@ class TestSievePrimes:
         assert t.count() == 25
         assert t.primes.tolist() == trial_division_primes(100)
 
-    def test_flags_match_trial_division_to_1e4(self):
-        t = sieve_primes(10**4)
-        for n in range(10**4 + 1):
-            assert bool(t.is_prime[n]) == trial_division_is_prime(n), n
+    def test_primes_match_trial_division_to_1e4(self):
+        assert sieve_primes(10**4).primes.tolist() == trial_division_primes(10**4)
 
     def test_table_invariants(self):
         t = sieve_primes(10**5)
-        flagged = np.flatnonzero(np.frombuffer(bytes(t.is_prime), dtype=np.uint8))
-        assert np.array_equal(flagged, t.primes)
         assert np.all(np.diff(t.primes) > 0)
         assert t.primes[0] == 2
         assert t.primes.dtype == np.int64
 
-    def test_segmented_matches_unsegmented(self):
+    def test_segmented_matches_unsegmented(self, monkeypatch):
         limit = 10**6
-        seg = sieve_primes(limit, segment_size=1 << 16)
-        whole = sieve_primes(limit, segment_size=limit + 1)
-        assert seg.is_prime == whole.is_prime
+        monkeypatch.setattr(sieve, "_SEGMENT", 1 << 16)
+        seg = sieve_primes(limit)
+        monkeypatch.setattr(sieve, "_SEGMENT", limit + 1)
+        whole = sieve_primes(limit)
         assert np.array_equal(seg.primes, whole.primes)
 
     def test_ceiling_enforced(self, monkeypatch):

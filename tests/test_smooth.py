@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from omegastar import sieve
 from omegastar.sieve import is_prime, prime_count, sieve_primes
 from omegastar.smooth import (
     apr_from_pomerance_report,
@@ -50,8 +51,10 @@ class TestPsiCount:
                 expected = int(np.count_nonzero(gpf_oracle_1e5[1 : x + 1] <= y))
                 assert psi_count(x, y) == expected, (x, y)
 
-    def test_segmentation_invariance(self):
-        assert psi_count(12345, 7, segment_size=100) == psi_count(12345, 7)
+    def test_segmentation_invariance(self, monkeypatch):
+        whole = psi_count(12345, 7)
+        monkeypatch.setattr(sieve, "_SEGMENT", 100)
+        assert psi_count(12345, 7) == whole
 
     def test_complement_partition(self, gpf_oracle_1e5):
         for x in (3 * 10**4, 10**5):
@@ -198,8 +201,9 @@ class TestCensusInternals:
         assert c.pi_x == prime_count(10**4)
         assert c.pi_smooth <= c.pi_x <= c.x and c.psi <= c.x and c.psi >= 1
 
-    def test_segment_boundary_carry(self):
+    def test_segment_boundary_carry(self, monkeypatch):
         # p - 1 falling in the previous segment must still be seen
-        a = smooth_census(10**4, 10, segment_size=64)
         b = smooth_census(10**4, 10)
+        monkeypatch.setattr(sieve, "_SEGMENT", 64)
+        a = smooth_census(10**4, 10)
         assert (a.psi, a.pi_smooth, a.pi_x) == (b.psi, b.pi_smooth, b.pi_x)
