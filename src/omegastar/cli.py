@@ -94,7 +94,9 @@ def _cmd_moments(args: argparse.Namespace) -> Output:
 def _cmd_champions(args: argparse.Namespace) -> Output:
     record = champion_search(args.max_n, factorize(args.k))
     row = {"n": record.n, "omega_star": record.omega_star_n, "score": record.score}
-    return {"schema": SCHEMA, **row}, [row]
+    # JSON has no NaN: the score, undefined below n = 3, is null there.
+    score = None if math.isnan(record.score) else record.score
+    return {"schema": SCHEMA, **row, "score": score}, [row]
 
 
 def _constants_document(theta: float) -> dict[str, Any]:
@@ -212,6 +214,8 @@ def _cmd_report(args: argparse.Namespace) -> Output:
     x, log_x, trials = args.x, args.log_x, args.trials
     if x < 10:
         raise ValueError(f"report --x must be at least 10, its smallest moment checkpoint; got {x}")
+    if args.smooth_y < 1:
+        raise ValueError(f"report --smooth-y must be at least 1; got {args.smooth_y}")
     sampling_doc = _sampling_document(log_x, args.mode, trials, args.seed, args.workers)
 
     table = omega_star_table(x)

@@ -31,16 +31,23 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-    return z ^ (z >> np.uint64(31))
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """mix64 over a uint64 array, overwriting it; returns z.  Callers pass an
+    array they own, never one a caller of theirs handed in."""
+    t = np.empty_like(z)
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def stream(seed: int, n: int) -> np.ndarray:
     """First n raw 64-bit outputs of the stream for `seed`."""
     idx = np.arange(1, n + 1, dtype=np.uint64)
-    return _mix64_vec(np.uint64(seed & _MASK) + idx * np.uint64(GAMMA))
+    return _mix64_inplace(np.uint64(seed & _MASK) + idx * np.uint64(GAMMA))
 
 
 def to_unit(raw: np.ndarray) -> np.ndarray:
@@ -61,13 +68,19 @@ def substream_seed(seed: int, j: int) -> int:
 def substream_seeds(seed: int, start: int, count: int) -> np.ndarray:
     """Vector of substream seeds for indices start .. start+count-1."""
     idx = np.arange(start, start + count, dtype=np.uint64)
-    return _mix64_vec(np.uint64(seed & _MASK) + idx * np.uint64(GAMMA))
+    return _mix64_inplace(np.uint64(seed & _MASK) + idx * np.uint64(GAMMA))
 
 
-def unit_block(seeds: np.ndarray, n: int) -> np.ndarray:
+def unit_block(seeds: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix of unit floats: row i holds the first n draws of seeds[i].
 
-    Row i is bit-identical to unit_stream(int(seeds[i]), n).
+    Row i is bit-identical to unit_stream(int(seeds[i]), n).  The states are
+    mixed, shifted, cast and scaled in place in one uint64 matrix: a fresh
+    one, or `out` (uint64, shape (seeds.size, n)), whose memory the returned
+    float64 matrix then shares.  `seeds` is only read.
     """
     offs = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GAMMA)
-    return to_unit(_mix64_vec(seeds[:, None] + offs[None, :]))
+    z = _mix64_inplace(np.add(seeds[:, None], offs[None, :], out=out))
+    z >>= np.uint64(11)
+    # Cast and scale in place: each float overwrites the word it came from.
+    return np.multiply(z, _U53, out=z.view(np.float64))

@@ -86,15 +86,20 @@ def sieve_primes(limit: int) -> PrimeTable:
 
 _TRIAL_PRIMES = tuple(_primes_upto(_TRIAL_LIMIT).tolist())
 
-# Strong-pseudoprime witnesses proving primality for all n < 3.3 * 10^24,
-# comfortably covering the 63-bit contract.
+# Strong-pseudoprime witnesses 2..37 prove primality for all n below psi_12
+# (Sorenson-Webster), the least composite strong pseudoprime to all twelve,
+# 399165290221 * 798330580441 ~ 3.2e23; that covers the 63-bit contract.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 2**63."""
+    """Deterministic primality test for n < psi_12 ~ 3.2e23 (so every n < 2**63);
+    ValueError at larger n, where the witnesses prove nothing."""
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime is proven only below psi_12 = {_MR_LIMIT}, got {n}")
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p

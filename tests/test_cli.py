@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -21,8 +22,8 @@ _SMOOTH_1000_10 = "1000,10,141,52,168,0.30952380952380953,0.141,2.19520432286389
 _SMOOTH_HEADER = "x,y,psi,pi_smooth,pi,lhs,rhs,quotient\n"
 
 # Exact stdout of each subcommand in every format it writes; the first
-# format listed is the default.  The sampling commands are left out: their
-# bytes are checked by the determinism tests below.
+# format listed is the default.  The sampling commands are pinned by hash in
+# PINNED_SHA256 below.
 PINNED = {
     ("omega-star", "--n", "12"): {
         "csv": "n,omega_star\n12,5\n",
@@ -121,6 +122,25 @@ PINNED = {
 }
 
 
+_REPORT_SMALL = ["--seed", "12", "report", "--x", "2000", "--log-x", "111", "--trials", "1000", "--smooth-y", "20"]
+
+# SHA-256 of the exact stdout of the Monte Carlo commands.  Chunk and row-block
+# boundaries of the sampler must not move a byte, whatever the worker count.
+# The log x = 1100 run spans five 4096-sample chunks, the last one partial.
+PINNED_SHA256 = {
+    ("--seed", "3", "--workers", "1", "sample-divisors", "--log-x", "111", "--trials", "5000"): (
+        "fae9f06f1e9548c417ca81e9906f2651022f6fff297120273a9fc7ab9bf6b1e7"
+    ),
+    ("--seed", "3", "--workers", "2", "sample-divisors", "--log-x", "111", "--trials", "5000"): (
+        "fae9f06f1e9548c417ca81e9906f2651022f6fff297120273a9fc7ab9bf6b1e7"
+    ),
+    ("--seed", "7", "--workers", "2", "sample-divisors", "--log-x", "1100", "--mode", "grh", "--trials", "20000"): (
+        "f534fc522ecd552a159c7048dba9c9258c8b5f60db0260941f16675bbcdc41c6"
+    ),
+    tuple(_REPORT_SMALL): "61048cdd8598c1d5d270f60e219b8beac58752ce81203fa5bf8b67dd236d8a8b",
+}
+
+
 @pytest.fixture
 def no_heavy_work(monkeypatch):
     """Stand-ins that fail if the Monte Carlo, the omega* table or a smooth census runs."""
@@ -207,6 +227,19 @@ class TestBasicCommands:
         assert (code, err) == (0, "")
         assert out == expected[fmt or next(iter(expected))]
 
+    @pytest.mark.parametrize("max_n", [1, 2])
+    def test_champions_json_is_strict_below_3(self, capsys, max_n):
+        # The score is undefined below n = 3: null in JSON, which has no NaN;
+        # CSV keeps Python's nan.
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        code, out, _ = run_cli(capsys, ["--format", "json", "champions", "--max-n", str(max_n)])
+        assert code == 0
+        assert json.loads(out, parse_constant=refuse)["score"] is None
+        code, out, _ = run_cli(capsys, ["champions", "--max-n", str(max_n)])
+        assert out == f"n,omega_star,score\n{max_n},{max_n},nan\n"
+
     def test_sample_divisors_document(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -234,21 +267,8 @@ class TestDeterminism:
         assert one == four
 
     def test_report_small_byte_identical(self, capsys):
-        argv = [
-            "--seed",
-            "12",
-            "report",
-            "--x",
-            "2000",
-            "--log-x",
-            "111",
-            "--trials",
-            "1000",
-            "--smooth-y",
-            "20",
-        ]
-        _, first, _ = run_cli(capsys, argv)
-        _, second, _ = run_cli(capsys, argv)
+        _, first, _ = run_cli(capsys, _REPORT_SMALL)
+        _, second, _ = run_cli(capsys, _REPORT_SMALL)
         assert first == second
         doc = json.loads(first)
         assert doc["schema"] == "omegastar-report/1"
@@ -256,6 +276,14 @@ class TestDeterminism:
         assert doc["constants"]["grh"]["residuals"]["sqrt_identity"] <= 1e-12
         assert 0.0 <= doc["sampling"]["acceptance_rates"]["acceptance"] <= 1.0
         assert doc["smooth"]["psi"] >= 1
+
+    @pytest.mark.parametrize(
+        "argv", list(PINNED_SHA256), ids=["logx111-workers1", "logx111-workers2", "logx1100-workers2", "report"]
+    )
+    def test_pinned_sampling_stdout(self, capsys, argv):
+        code, out, err = run_cli(capsys, list(argv))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[argv]
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
@@ -342,6 +370,12 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("omegastar: error: report --x must be at least 10")
+
+    def test_report_smooth_y_below_1_exit_2_before_work(self, capsys, no_heavy_work):
+        code, out, err = run_cli(capsys, ["report", "--smooth-y", "0", "--trials", "10", "--log-x", "111"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("omegastar: error: report --smooth-y must be at least 1")
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("subcommand", ["sample-divisors", "report"])

@@ -275,6 +275,26 @@ class TestSampleStats:
         assert stats.n_in_dprime == n_dp
         assert abs(stats.sum_log_d - total_logd) <= 1e-7
 
+    @pytest.mark.parametrize("log_x", [111.0, 1100.0], ids=["R24", "R172"])
+    def test_blocked_chunk_matches_scalar_samples(self, log_x):
+        # Each count sits at or next to a row-block boundary of the chunk
+        # kernel, or fills a whole chunk.
+        p = build_params(log_x, mode="grh")
+        rows = construction._block_rows(p.R)
+        assert rows < construction._CHUNK
+        seed, start = 13, 3 * construction._CHUNK
+        samples = [sample_divisor(p, rng.substream_seed(seed, start + i)) for i in range(construction._CHUNK)]
+        for count in (1, rows - 1, rows, rows + 1, construction._CHUNK):
+            head = samples[:count]
+            expected = (
+                sum(s.in_window_logd for s in head),
+                sum(s.in_window_omega for s in head),
+                sum(s.in_window_logd and s.in_window_omega for s in head),
+                float(np.array([s.log_d for s in head]).sum()),
+                sum(s.big_omega_d for s in head),
+            )
+            assert construction._chunk_stats(p, seed, start, count) == expected, count
+
     def test_worker_count_does_not_change_results(self, grh_1100):
         one = sample_stats(grh_1100, 20000, seed=5, workers=1)
         four = sample_stats(grh_1100, 20000, seed=5, workers=4)

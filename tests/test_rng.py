@@ -43,5 +43,26 @@ class TestSplitMix64:
             assert np.array_equal(block[i], row)
             assert int(seeds[i]) == rng.substream_seed(99, i)
 
+    def test_block_into_out_matches_fresh_block(self):
+        seeds = rng.substream_seeds(5, 100, 9)
+        out = np.empty((9, 17), dtype=np.uint64)
+        block = rng.unit_block(seeds, 17, out=out)
+        assert np.shares_memory(block, out)
+        assert np.array_equal(block, rng.unit_block(seeds, 17))
+
+    def test_inputs_are_only_read(self):
+        # The mixing runs in place, so it must never reach a caller's array.
+        seeds = rng.substream_seeds(99, 0, 16)
+        kept = seeds.copy()
+        rng.unit_block(seeds, 32)
+        rng.unit_block(seeds, 1)
+        rng.unit_block(seeds[3:9], 5, out=np.empty((6, 5), dtype=np.uint64))
+        assert np.array_equal(seeds, kept)
+        assert np.array_equal(rng.substream_seeds(99, 0, 16), kept)
+        raw = rng.stream(7, 64)
+        assert raw.tolist() == _scalar_stream(7, 64)
+        rng.to_unit(raw)
+        assert raw.tolist() == _scalar_stream(7, 64)
+
     def test_distinct_seeds_distinct_streams(self):
         assert not np.array_equal(rng.stream(1, 16), rng.stream(2, 16))

@@ -109,6 +109,16 @@ class TestIsPrime:
         assert not is_prime(2**62 - 1)
         assert is_prime(9223372036854775783)  # largest prime below 2^63
 
+    def test_refuses_beyond_proven_witness_range(self):
+        # psi_12 is a strong pseudoprime to every base 2..37, so the twelve
+        # witnesses prove nothing from there on.
+        psi_12 = 399165290221 * 798330580441
+        assert psi_12 == 318665857834031151167461
+        assert not is_prime(psi_12 - 1)  # even, and still in range
+        for n in (psi_12, psi_12 + 2, 2**80):
+            with pytest.raises(ValueError, match="psi_12"):
+                is_prime(n)
+
 
 class TestFactorize:
     def test_twelve(self):
