@@ -140,6 +140,23 @@ PINNED_SHA256 = {
     tuple(_REPORT_SMALL): "61048cdd8598c1d5d270f60e219b8beac58752ce81203fa5bf8b67dd236d8a8b",
 }
 
+# SHA-256 of the exact stdout of the smooth censuses: the census benchmark's
+# command lines at seeds 7 and 43 (x = _draw_x(seed) in perfbench/workloads.py),
+# an unsorted y list with a duplicate, y above x, and the report's x and y.
+PINNED_SMOOTH_SHA256 = {
+    ("smooth-scan", "--x", "9942445", "--v-list", "1,2,4"): (
+        "22ae7f2ce44472832054e23b3b0045ae38d86690d4c21fab706f9762d7daa308"
+    ),
+    ("smooth-scan", "--x", "9905053", "--v-list", "1,2,4"): (
+        "cf39825a36dc52d4a0986daf87d1236d3ee38e2c635db87e780c1a4b3fda1f0d"
+    ),
+    ("smooth-scan", "--x", "100", "--v-list", "4,1,1"): (
+        "a0ef261bd28c61d4a296e7b5638abc2e54720ece162daf2bd9d55e7d5374d309"
+    ),
+    ("smooth", "--x", "100", "--y", "1000"): "e1bd39b3d11c48e57fd77e6e230d610c079d6ee17165bb9985cc2feaa54be367",
+    ("smooth", "--x", "1000000", "--y", "100"): "9fc4023b7761bc62febcdc2da3cf1f50174ad998fb1886ff2fc9ad938ca7509d",
+}
+
 
 @pytest.fixture
 def no_heavy_work(monkeypatch):
@@ -284,6 +301,16 @@ class TestDeterminism:
         code, out, err = run_cli(capsys, list(argv))
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[argv]
+
+    @pytest.mark.parametrize(
+        "argv",
+        list(PINNED_SMOOTH_SHA256),
+        ids=["census-seed7", "census-seed43", "scan-unsorted-dup", "smooth-y-above-x", "smooth-report-xy"],
+    )
+    def test_pinned_smooth_stdout(self, capsys, argv):
+        code, out, err = run_cli(capsys, list(argv))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SMOOTH_SHA256[argv]
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
