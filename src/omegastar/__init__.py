@@ -73,11 +73,8 @@ from .construction import (
     total_pairs_A,
 )
 from .smooth import (
-    AprComparisonReport,
     PomeranceRatio,
     SmoothCensus,
-    apr_from_pomerance_report,
-    greatest_prime_factor,
     log_psi_leading,
     pi_smooth_count,
     pomerance_ratio,

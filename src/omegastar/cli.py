@@ -192,22 +192,29 @@ def _cmd_pairs(args: argparse.Namespace) -> Output:
     return doc, rows
 
 
-def _smooth_row(x: int, y: int) -> dict[str, Any]:
-    census = smooth_census(x, y)
-    ratio = pomerance_ratio(x, y, census=census)
-    counts = {"x": x, "y": y, "psi": census.psi, "pi_smooth": census.pi_smooth, "pi": census.pi_x}
-    return {**counts, **ratio._asdict()}
+def _smooth_rows(x: int, ys: list[int]) -> list[dict[str, Any]]:
+    rows = []
+    for census in smooth_census(x, ys):
+        counts = {"x": x, "y": census.y, "psi": census.psi, "pi_smooth": census.pi_smooth, "pi": census.pi_x}
+        rows.append({**counts, **pomerance_ratio(x, census.y, census=census)._asdict()})
+    return rows
+
+
+def _smooth_x(args: argparse.Namespace) -> int:
+    if args.x < 2:
+        raise ValueError(f"{args.subcommand} --x must be at least 2; got {args.x}")
+    return args.x
 
 
 def _cmd_smooth(args: argparse.Namespace) -> Output:
-    row = _smooth_row(args.x, args.y)
-    return {"schema": SCHEMA, **row}, [row]
+    rows = _smooth_rows(_smooth_x(args), [args.y])
+    return {"schema": SCHEMA, **rows[0]}, rows
 
 
 def _cmd_smooth_scan(args: argparse.Namespace) -> Output:
-    x = args.x
+    x = _smooth_x(args)
     vs = _parse_list(args.v_list, float, "--v-list")
-    return None, [_smooth_row(x, max(1, round(v * math.log(x)))) for v in vs]
+    return None, _smooth_rows(x, [max(1, round(v * math.log(x))) for v in vs])
 
 
 def _cmd_report(args: argparse.Namespace) -> Output:
@@ -257,7 +264,7 @@ def _cmd_report(args: argparse.Namespace) -> Output:
             "grh_exponent": math.log(GOLDEN_RATIO),
         },
         "sampling": sampling_doc,
-        "smooth": _smooth_row(x, args.smooth_y),
+        "smooth": _smooth_rows(x, [args.smooth_y])[0],
     }
     return doc, None
 

@@ -1,20 +1,22 @@
-"""Smooth-number censuses: P+(n), Psi(x, y), pi(x, y), and the ratio they feed.
+"""Smooth-number censuses: Psi(x, y), pi(x, y), pi(x), and the ratio they feed.
 
 An integer is y-smooth when its greatest prime factor P+(n) is at most y
 (P+(1) = 1).  Psi(x, y) counts y-smooth n <= x; pi(x, y) counts primes p <= x
-with p - 1 y-smooth.  Both come from one segmented sieve pass that peels
-prime powers out of a remainder array (exactness over Buchstab-style
-recursion) while marking primality alongside.
+with p - 1 y-smooth.  One segmented sieve pass serves every y at once: it
+multiplies up the smooth part of each n over the primes in ascending order
+(exactness over Buchstab-style recursion), reading the counts off as the
+primes pass each y, with one set of primality flags shared by all.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import sieve
-from .sieve import _primes_upto, _segment_flags, check_ceiling, factorize
+from .sieve import _primes_upto, _segment_flags, check_ceiling
 
 import numpy as np
 
@@ -34,87 +36,79 @@ class PomeranceRatio(NamedTuple):
     quotient: float
 
 
-@dataclass
-class AprComparisonReport:
-    """Census-side vs analytic-side of the representation-count lower bound
-    at y = round(v log x); all values are logged, nothing is asserted."""
+def _census_segment(
+    lo: int, hi: int, mark: list[int], stages: list[list[int]], carry: list[bool]
+) -> tuple[int, list[tuple[int, int]]]:
+    """pi over [lo, hi), and (psi, pi_smooth) over [lo, hi) after each stage.
 
-    x: int
-    v: float
-    y: int
-    y_unrounded: float
-    psi_x_y: int
-    psi_x2_y: int
-    statistic: float
-    comparator: float
+    `mark` holds every prime <= isqrt(hi - 1), ascending.  Stage i adds the
+    primes of `stages[i]`, ascending and above those of earlier stages: `part`
+    is multiplied by p once for every p^e dividing n, so it stays the smooth
+    part of n, at most n, and n is smooth at stage i exactly when part == n.
+    `carry[i]` says whether lo - 1 is smooth at stage i; it is moved on to
+    hi - 1 in place.  n and part are uint32 while hi - 1 fits, else uint64.
+    """
+    n = np.arange(lo, hi, dtype=np.uint32 if hi <= 2**32 else np.uint64)
+    part = np.ones_like(n)
+    prime = _segment_flags(lo, hi, mark).view(bool)
+    counts = []
+    for i, primes in enumerate(stages):
+        for p in primes:
+            q = p
+            while q < hi:
+                start = -(-lo // q) * q
+                if start < hi:
+                    part[start - lo :: q] *= p
+                q *= p
+        smooth = part == n
+        shifted = int(np.count_nonzero(prime[1:] & smooth[:-1])) + bool(prime[0] and carry[i])
+        counts.append((int(np.count_nonzero(smooth)), shifted))
+        carry[i] = bool(smooth[-1])
+    return int(np.count_nonzero(prime)), counts
 
 
-def greatest_prime_factor(n: int) -> int:
-    """P+(n): the largest prime dividing n, with P+(1) = 1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n == 1:
-        return 1
-    return factorize(n).factors[-1][0]
+def smooth_census(x: int, ys: list[int]) -> list[SmoothCensus]:
+    """Psi(x, y), pi(x, y) and pi(x) for each y of `ys`, in the given order,
+    from one pass over [1, x] in segments of sieve._SEGMENT.
 
-
-def smooth_census(x: int, y: int, count_primes: bool = True) -> SmoothCensus:
-    """One pass over [1, x] in segments of sieve._SEGMENT producing Psi(x, y),
-    pi(x, y), pi(x).
-
-    Per segment, a remainder array is divided once by p for every prime power
-    p^e <= x dividing the entry; entries reduced to 1 are exactly the y-smooth
-    ones.  Primality flags ride along so p - 1 smoothness is read off with a
-    one-element carry across segment boundaries.
+    The distinct y values, ascending, are the stages of _census_segment;
+    each keeps its own carry of n - 1's smoothness across segment
+    boundaries.  For x < 2^32 every segment works in uint32.
     """
     if x < 1:
         raise ValueError("x must be at least 1")
-    if y < 1:
-        raise ValueError("y must be at least 1")
+    if not ys or min(ys) < 1:
+        raise ValueError("ys must be a nonempty list of y at least 1")
     check_ceiling(x, "smooth census size")
 
     root = math.isqrt(x)
-    base = _primes_upto(max(root, min(y, x))).tolist()
-    peel = [p for p in base if p <= y]
-    mark = [p for p in base if p <= root]
+    order = sorted(set(ys))
+    base = _primes_upto(max(root, min(order[-1], x))).tolist()
+    mark = base[: bisect.bisect_right(base, root)]
+    cuts = [0] + [bisect.bisect_right(base, y) for y in order]
+    stages = [base[a:b] for a, b in zip(cuts, cuts[1:])]
 
-    psi = 0
+    carry = [True] * len(order)  # n = 1 has no predecessor in range
     pi_x = 0
-    pi_smooth = 0
-    prev_smooth = True  # carry for n - 1 across segments; n = 1 has no predecessor in range
+    totals = np.zeros((len(order), 2), dtype=np.int64)  # (psi, pi_smooth) per stage
     for lo in range(1, x + 1, sieve._SEGMENT):
-        hi = min(lo + sieve._SEGMENT, x + 1)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        for p in peel:
-            q = p
-            while q < hi:
-                start = ((lo + q - 1) // q) * q
-                if start < hi:
-                    rem[start - lo :: q] //= p
-                q *= p
-        smooth = rem == 1
-        psi += int(smooth.sum())
-        if count_primes:
-            prime = _segment_flags(lo, hi, mark).view(bool)
-            pi_x += int(prime.sum())
-            shifted = np.empty_like(smooth)
-            shifted[0] = prev_smooth
-            shifted[1:] = smooth[:-1]
-            pi_smooth += int((prime & shifted).sum())
-        prev_smooth = bool(smooth[-1])
-    return SmoothCensus(x=x, y=y, psi=psi, pi_smooth=pi_smooth, pi_x=pi_x)
+        pi, counts = _census_segment(lo, min(lo + sieve._SEGMENT, x + 1), mark, stages, carry)
+        pi_x += pi
+        totals += counts
+    by_y = dict(zip(order, totals.tolist()))
+    return [SmoothCensus(x=x, y=y, psi=by_y[y][0], pi_smooth=by_y[y][1], pi_x=pi_x) for y in ys]
 
 
 def psi_count(x: int, y: int) -> int:
     """Psi(x, y): exact count of y-smooth integers up to x."""
-    return smooth_census(x, y, count_primes=False).psi
+    return smooth_census(x, [y])[0].psi
 
 
 def pi_smooth_count(x: int, y: int) -> int:
     """pi(x, y): exact count of primes p <= x with p - 1 y-smooth."""
     if x < 2:
         raise ValueError("x must be at least 2")
-    return smooth_census(x, y).pi_smooth
+    return smooth_census(x, [y])[0].pi_smooth
 
 
 def pomerance_ratio(x: int, y: int, census: SmoothCensus | None = None) -> PomeranceRatio:
@@ -126,7 +120,7 @@ def pomerance_ratio(x: int, y: int, census: SmoothCensus | None = None) -> Pomer
     if x < 2:
         raise ValueError("x must be at least 2")
     if census is None or (census.x, census.y) != (x, y):
-        census = smooth_census(x, y)
+        census = smooth_census(x, [y])[0]
     lhs = census.pi_smooth / census.pi_x
     rhs = census.psi / x
     return PomeranceRatio(lhs=lhs, rhs=rhs, quotient=lhs / rhs)
@@ -139,33 +133,3 @@ def log_psi_leading(v: float) -> float:
     if v <= 0:
         raise ValueError("v must be positive")
     return (1.0 + v) * math.log1p(v) - v * math.log(v)
-
-
-def apr_from_pomerance_report(x: int, v: float) -> AprComparisonReport:
-    """Census the smooth counts entering the representation lower bound.
-
-    Emits Psi(x, y) and Psi(x^2, y) at y = round(v log x), the statistic
-    Psi(x,y)^2 / Psi(x^2,y) / log x, and the analytic comparator
-    exp((log 2 - 1/(1+v)) * 2 log x / log log x).  Report only.
-    """
-    if x < 3:
-        raise ValueError("x must be at least 3 (log log x must be positive)")
-    if v <= 0:
-        raise ValueError("v must be positive")
-    log_x = math.log(x)
-    y_unrounded = v * log_x
-    y = max(1, round(y_unrounded))
-    psi_x_y = psi_count(x, y)
-    psi_x2_y = psi_count(x * x, y)
-    statistic = psi_x_y**2 / psi_x2_y / log_x
-    comparator = math.exp((math.log(2.0) - 1.0 / (1.0 + v)) * 2.0 * log_x / math.log(log_x))
-    return AprComparisonReport(
-        x=x,
-        v=v,
-        y=y,
-        y_unrounded=y_unrounded,
-        psi_x_y=psi_x_y,
-        psi_x2_y=psi_x2_y,
-        statistic=statistic,
-        comparator=comparator,
-    )

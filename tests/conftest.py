@@ -1,9 +1,10 @@
 """Shared fixtures and independent brute-force oracles.
 
 Oracles here never call the code path they are checking: primality comes from
-trial division, pair counts from literal pair enumeration, smoothness from
-per-integer factoring, and the GRH-mode acceptance probability from a grid
-convolution over parameters recomputed from their documented formulas.
+trial division or a plain unsegmented sieve, pair counts from literal pair
+enumeration, smoothness from per-integer factoring or the unsegmented division
+peel, and the GRH-mode acceptance probability from a grid convolution over
+parameters recomputed from their documented formulas.
 """
 
 from __future__ import annotations
@@ -41,6 +42,29 @@ def brute_gpf(n: int) -> int:
             big, m = p, m // p
         p += 1
     return max(big, m) if m > 1 else big
+
+
+def division_census(x: int, y: int) -> tuple[int, int, int]:
+    """(Psi(x, y), pi(x, y), pi(x)) by the division peel, unsegmented.
+
+    The reference for smooth_census's product kernel: every prime power
+    p^e <= x with p <= y divides its multiples once by p, and the entries
+    left at 1 are the y-smooth ones.  Primality comes from a plain
+    Eratosthenes sieve over [0, x], sieved as the loop passes each p.
+    """
+    rem = np.arange(x + 1, dtype=np.int64)
+    prime = np.ones(x + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, x + 1):
+        if not prime[p]:
+            continue
+        prime[p * p :: p] = False
+        q = p
+        while p <= y and q <= x:
+            rem[q::q] //= p
+            q *= p
+    smooth = rem == 1
+    return int(smooth.sum()), int((prime[2:] & smooth[1:-1]).sum()), int(prime.sum())
 
 
 def brute_omega_star(n: int, prime_flags: np.ndarray | None = None) -> int:

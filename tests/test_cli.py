@@ -404,6 +404,22 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("omegastar: error: report --smooth-y must be at least 1")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["smooth-scan", "--x", "0", "--v-list", "1"],
+            ["smooth-scan", "--x", "-5", "--v-list", "1"],
+            ["smooth-scan", "--x", "1", "--v-list", "1"],
+            ["smooth", "--x", "1", "--y", "10"],
+        ],
+        ids=lambda argv: f"{argv[0]}-x{argv[2]}",
+    )
+    def test_smooth_x_below_2_exit_2_before_work(self, capsys, no_heavy_work, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"omegastar: error: {argv[0]} --x must be at least 2")
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("subcommand", ["sample-divisors", "report"])
     def test_non_finite_log_x_exit_2(self, capsys, subcommand, value):

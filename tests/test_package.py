@@ -1,6 +1,7 @@
 """Package surface: the exported names, import under a small memory
 ceiling, and the names the benchmark tracer needs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +19,9 @@ DELETED = (
     "gcd_sum_over_primes",
     "primorial_k",
     "moment_series_csv",
+    "apr_from_pomerance_report",
+    "AprComparisonReport",
+    "greatest_prime_factor",
 )
 
 
@@ -58,3 +62,26 @@ def test_benchmark_tracer_installs():
     )
     result = _run(code, str(ROOT / "perfbench"))
     assert result.returncode == 0, result.stderr
+
+
+def test_tracer_sees_one_census_for_all_y():
+    # smooth-scan makes one smooth_census call over [1, x] for all its y;
+    # the benchmark reads that call's x as smooth.smooth_census.n
+    code = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from omegastar import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["smooth-scan", "--x", "5000", "--v-list", "1,2,4"])
+print(json.dumps({"code": code, "spans": tracer.export()["spans"]}))
+"""
+    result = _run(code, str(ROOT / "perfbench"))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["code"] == 0
+    census = [s for s in report["spans"] if s["name"] == "smooth.smooth_census"]
+    assert len(census) == 1
+    assert census[0]["sizes"]["n"] == 5000

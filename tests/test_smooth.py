@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from omegastar import sieve
-from omegastar.sieve import is_prime, prime_count, sieve_primes
+from omegastar import sieve, smooth
+from omegastar.sieve import factorize, is_prime, prime_count, sieve_primes
 from omegastar.smooth import (
-    apr_from_pomerance_report,
-    greatest_prime_factor,
     log_psi_leading,
     pi_smooth_count,
     pomerance_ratio,
@@ -16,22 +14,7 @@ from omegastar.smooth import (
     smooth_census,
 )
 
-from conftest import brute_gpf
-
-
-class TestGreatestPrimeFactor:
-    def test_examples(self):
-        assert greatest_prime_factor(1) == 1
-        assert greatest_prime_factor(12) == 3
-        assert greatest_prime_factor(97) == 97
-
-    def test_brute_oracle(self):
-        for n in range(1, 3001):
-            assert greatest_prime_factor(n) == brute_gpf(n) if n > 1 else 1
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            greatest_prime_factor(0)
+from conftest import division_census
 
 
 class TestPsiCount:
@@ -61,6 +44,21 @@ class TestPsiCount:
             for y in (2, 10, 100):
                 rough = int(np.count_nonzero(gpf_oracle_1e5[1 : x + 1] > y))
                 assert psi_count(x, y) + rough == x
+
+    def test_recursive_enumeration_1e8(self):
+        # a hundred segments at 1e8, against recursive smooth enumeration
+        def count_smooth(limit: int, primes: tuple[int, ...]) -> int:
+            if not primes:
+                return 1
+            total, q = 0, 1
+            while q <= limit:
+                total += count_smooth(limit // q, primes[1:])
+                q *= primes[0]
+            return total
+
+        smooth_primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+        assert psi_count(10**4, 28) == count_smooth(10**4, smooth_primes)
+        assert psi_count(10**8, 28) == count_smooth(10**8, smooth_primes) == 63768
 
     def test_monotone_grid(self):
         psis = [psi_count(x, y) for x in (100, 200, 400) for y in (3, 7, 19)]
@@ -146,56 +144,9 @@ class TestLogPsiLeading:
             log_psi_leading(0.0)
 
 
-class TestAprReport:
-    def test_trivial_regime(self):
-        # y far above x^2 makes every count full: statistic collapses to 1/log x
-        rep = apr_from_pomerance_report(30, 300.0)
-        assert rep.psi_x_y == 30 and rep.psi_x2_y == 900
-        assert abs(rep.statistic - 1.0 / math.log(30)) <= 1e-12
-
-    def test_rounding_is_recorded(self):
-        rep = apr_from_pomerance_report(1000, 2.0)
-        assert rep.y == round(rep.y_unrounded) == round(2.0 * math.log(1000))
-        assert rep.y == 14
-
-    def test_census_oracle_1e3(self, gpf_oracle_1e5):
-        rep = apr_from_pomerance_report(1000, 2.0)
-        assert rep.psi_x_y == int(np.count_nonzero(gpf_oracle_1e5[1:1001] <= rep.y))
-        assert rep.psi_x2_y == psi_count(10**6, rep.y)
-        assert rep.statistic > 0
-        assert rep.comparator == math.exp(
-            (math.log(2) - 1 / 3) * 2 * math.log(1000) / math.log(math.log(1000))
-        )
-
-    def test_census_oracle_1e4_v3(self):
-        # x^2 = 1e8 census, checked against recursive smooth enumeration
-        rep = apr_from_pomerance_report(10**4, 3.0)
-        assert rep.y == 28
-
-        def count_smooth(limit: int, primes: tuple[int, ...]) -> int:
-            if not primes:
-                return 1
-            total, q = 0, 1
-            while q <= limit:
-                total += count_smooth(limit // q, primes[1:])
-                q *= primes[0]
-            return total
-
-        smooth_primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
-        assert rep.psi_x_y == count_smooth(10**4, smooth_primes)
-        assert rep.psi_x2_y == count_smooth(10**8, smooth_primes) == 63768
-        print(
-            f"x=1e4 v=3: statistic {rep.statistic:.4f} vs analytic comparator {rep.comparator:.4f}"
-        )
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            apr_from_pomerance_report(1000, -1.0)
-
-
 class TestCensusInternals:
     def test_census_consistency(self):
-        c = smooth_census(10**4, 10)
+        (c,) = smooth_census(10**4, [10])
         assert c.psi == psi_count(10**4, 10)
         assert c.pi_smooth == pi_smooth_count(10**4, 10)
         assert c.pi_x == prime_count(10**4)
@@ -203,7 +154,77 @@ class TestCensusInternals:
 
     def test_segment_boundary_carry(self, monkeypatch):
         # p - 1 falling in the previous segment must still be seen
-        b = smooth_census(10**4, 10)
+        (b,) = smooth_census(10**4, [10])
         monkeypatch.setattr(sieve, "_SEGMENT", 64)
-        a = smooth_census(10**4, 10)
+        (a,) = smooth_census(10**4, [10])
         assert (a.psi, a.pi_smooth, a.pi_x) == (b.psi, b.pi_smooth, b.pi_x)
+
+    @pytest.mark.parametrize("ys", [[], [0], [3, 0]])
+    def test_domain(self, ys):
+        with pytest.raises(ValueError):
+            smooth_census(100, ys)
+
+
+# y lists for the oracle: one y, two close ones, one past x for small x, y at
+# and above x, and an unsorted list with a duplicate.
+_Y_LISTS = (
+    lambda x: [1],
+    lambda x: [2, 3],
+    lambda x: [5, 17, 400],
+    lambda x: [x, 2 * x],
+    lambda x: [17, 2, 5, 2],
+)
+
+
+def _expected(x: int, ys: list[int]) -> list[tuple[int, int, int]]:
+    return [division_census(x, y) for y in ys]
+
+
+def _got(x: int, ys: list[int]) -> list[tuple[int, int, int]]:
+    out = smooth_census(x, ys)
+    assert [(c.x, c.y) for c in out] == [(x, y) for y in ys]
+    return [(c.psi, c.pi_smooth, c.pi_x) for c in out]
+
+
+class TestCensusOracle:
+    """The product kernel against the unsegmented division peel.  Each y
+    carries n - 1's smoothness across segment boundaries on its own, so small
+    segments with several y values check every carry separately."""
+
+    @pytest.mark.parametrize("segment", [1, 7, 64, 100])
+    def test_every_x_below_300(self, monkeypatch, segment):
+        cases = [(x, f(x)) for x in range(1, 300) for f in _Y_LISTS]
+        expected = [_expected(x, ys) for x, ys in cases]
+        monkeypatch.setattr(sieve, "_SEGMENT", segment)
+        for (x, ys), want in zip(cases, expected):
+            assert _got(x, ys) == want, (x, ys, segment)
+
+    # Segments of 1 and 7 at 10^5 + 7 would take half a minute; their carries
+    # are checked at every x < 300 and at 4099.
+    @pytest.mark.parametrize(
+        "x, segment", [(4099, 1), (4099, 7), (4099, 64), (4099, 100), (10**5 + 7, 64), (10**5 + 7, 100)]
+    )
+    def test_larger_x(self, monkeypatch, x, segment):
+        cases = [f(x) for f in _Y_LISTS]
+        expected = [_expected(x, ys) for ys in cases]
+        monkeypatch.setattr(sieve, "_SEGMENT", segment)
+        for ys, want in zip(cases, expected):
+            assert _got(x, ys) == want, (x, ys, segment)
+
+    def test_uint64_segment_straddling_2_to_32(self):
+        # one segment [2^32 - 2^10, 2^32 + 2^10): n and part must be uint64
+        lo, hi = 2**32 - 2**10, 2**32 + 2**10
+        ys = [2, 3, 1000, 2**16]
+        base = sieve._primes_upto(2**16 + 1).tolist()
+        stages = [[p for p in base if a < p <= b] for a, b in zip([0] + ys, ys)]
+        gpf = [factorize(n).factors[-1][0] for n in range(lo - 1, hi)]
+        carry = [gpf[0] <= y for y in ys]
+        pi, counts = smooth._census_segment(lo, hi, base, stages, carry)
+        prime = [is_prime(n) for n in range(lo, hi)]
+        assert pi == sum(prime)
+        for y, (psi, pi_smooth), last in zip(ys, counts, carry):
+            smooth_flags = [g <= y for g in gpf]
+            assert psi == sum(smooth_flags[1:]), y
+            assert pi_smooth == sum(p and s for p, s in zip(prime, smooth_flags)), y
+            assert last == smooth_flags[-1]
+        assert counts[0][0] == 1  # 2^32 alone is 2-smooth
