@@ -61,8 +61,8 @@ def _census_segment(
                     part[start - lo :: q] *= p
                 q *= p
         smooth = part == n
-        shifted = int(np.count_nonzero(prime[1:] & smooth[:-1])) + bool(prime[0] and carry[i])
-        counts.append((int(np.count_nonzero(smooth)), shifted))
+        pi_smooth = int(np.count_nonzero(prime[1:] & smooth[:-1])) + bool(prime[0] and carry[i])
+        counts.append((int(np.count_nonzero(smooth)), pi_smooth))
         carry[i] = bool(smooth[-1])
     return int(np.count_nonzero(prime)), counts
 
@@ -77,8 +77,10 @@ def smooth_census(x: int, ys: list[int]) -> list[SmoothCensus]:
     """
     if x < 1:
         raise ValueError("x must be at least 1")
-    if not ys or min(ys) < 1:
-        raise ValueError("ys must be a nonempty list of y at least 1")
+    if not ys:
+        raise ValueError("ys must be nonempty")
+    if min(ys) < 1:
+        raise ValueError("y must be at least 1")
     check_ceiling(x, "smooth census size")
 
     root = math.isqrt(x)
