@@ -127,6 +127,7 @@ _REPORT_SMALL = ["--seed", "12", "report", "--x", "2000", "--log-x", "111", "--t
 # SHA-256 of the exact stdout of the Monte Carlo commands.  Chunk and row-block
 # boundaries of the sampler must not move a byte, whatever the worker count.
 # The log x = 1100 run spans five 4096-sample chunks, the last one partial.
+# At log x = 100, the smallest accepted, epsilon = 0.466 lies nearest theta.
 PINNED_SHA256 = {
     ("--seed", "3", "--workers", "1", "sample-divisors", "--log-x", "111", "--trials", "5000"): (
         "fae9f06f1e9548c417ca81e9906f2651022f6fff297120273a9fc7ab9bf6b1e7"
@@ -138,6 +139,12 @@ PINNED_SHA256 = {
         "f534fc522ecd552a159c7048dba9c9258c8b5f60db0260941f16675bbcdc41c6"
     ),
     tuple(_REPORT_SMALL): "61048cdd8598c1d5d270f60e219b8beac58752ce81203fa5bf8b67dd236d8a8b",
+    ("--seed", "5", "sample-divisors", "--log-x", "100", "--mode", "unconditional", "--trials", "5000"): (
+        "d9e8900969a5dda109020c5c841b34386702c1a08d31ef2eeb6764af7dbcc6cf"
+    ),
+    ("--seed", "5", "sample-divisors", "--log-x", "100", "--mode", "grh", "--trials", "5000"): (
+        "a37737247173d353b5adff7a2eaa24f139cd9e98de645b9d8623598227e26924"
+    ),
 }
 
 # SHA-256 of the exact stdout of the smooth censuses: the census benchmark's
@@ -295,7 +302,16 @@ class TestDeterminism:
         assert doc["smooth"]["psi"] >= 1
 
     @pytest.mark.parametrize(
-        "argv", list(PINNED_SHA256), ids=["logx111-workers1", "logx111-workers2", "logx1100-workers2", "report"]
+        "argv",
+        list(PINNED_SHA256),
+        ids=[
+            "logx111-workers1",
+            "logx111-workers2",
+            "logx1100-workers2",
+            "report",
+            "logx100-unconditional",
+            "logx100-grh",
+        ],
     )
     def test_pinned_sampling_stdout(self, capsys, argv):
         code, out, err = run_cli(capsys, list(argv))
