@@ -17,22 +17,16 @@ from .sieve import (
     ResourceLimitError,
     factorize,
     is_prime,
-    prime_count,
     primes_in_ap,
     sieve_primes,
 )
 from .arith import (
-    DivisorList,
-    big_omega,
     count_coprime_up_to,
     divisors,
-    euler_phi,
     tau,
 )
 from .omega import (
-    MomentSeries,
     OmegaStarTable,
-    moment,
     moment_scan,
     moment_sum,
     omega_star,
@@ -57,7 +51,6 @@ from .construction import (
     ExactEnumeration,
     PairCountReport,
     SampleStats,
-    accept_flags,
     build_params,
     champion_search,
     chebyshev_bounds,
@@ -65,7 +58,6 @@ from .construction import (
     count_representations,
     entropy_lower_bound,
     enumerate_D_exact,
-    harman_smoothness_check,
     log_d_moments,
     pair_count_report,
     sample_divisor,
@@ -76,9 +68,7 @@ from .smooth import (
     PomeranceRatio,
     SmoothCensus,
     log_psi_leading,
-    pi_smooth_count,
     pomerance_ratio,
-    psi_count,
     smooth_census,
 )
 

@@ -6,25 +6,17 @@ visible at the call site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .sieve import Factorization
 
 
-@dataclass
-class DivisorList:
-    n: int
-    divisors: list[int]
-
-
-def divisors(f: Factorization) -> DivisorList:
+def divisors(f: Factorization) -> list[int]:
     """All positive divisors of n, ascending."""
     divs = [1]
     for p, e in f.factors:
         powers = [p**i for i in range(e + 1)]
         divs = [d * q for d in divs for q in powers]
     divs.sort()
-    return DivisorList(n=f.n, divisors=divs)
+    return divs
 
 
 def tau(f: Factorization) -> int:
@@ -32,18 +24,6 @@ def tau(f: Factorization) -> int:
     for _, e in f.factors:
         out *= e + 1
     return out
-
-
-def euler_phi(f: Factorization) -> int:
-    out = f.n
-    for p, _ in f.factors:
-        out //= p
-        out *= p - 1
-    return out
-
-
-def big_omega(f: Factorization) -> int:
-    return sum(e for _, e in f.factors)
 
 
 def count_coprime_up_to(y: int, d: Factorization) -> int:

@@ -63,11 +63,14 @@ def _render(fmt: str, doc: dict[str, Any] | None, rows: list[dict[str, Any]] | N
 
 
 def _emit(path: str | None, text: str) -> None:
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"--out {path} cannot be written: {exc.strerror}") from None
 
 
 def _cmd_omega_star(args: argparse.Namespace) -> Output:
@@ -76,17 +79,17 @@ def _cmd_omega_star(args: argparse.Namespace) -> Output:
 
 
 def _cmd_moments(args: argparse.Namespace) -> Output:
-    series = moment_scan(_parse_list(args.x, int, "--x"), args.k)
-    doc = {"schema": SCHEMA, "k": series.k, "points": [{"x": x, "Mk": mk} for x, mk in series.points]}
+    points = moment_scan(_parse_list(args.x, int, "--x"), args.k)
+    doc = {"schema": SCHEMA, "k": args.k, "points": [{"x": x, "Mk": mk} for x, mk in points]}
     rows = [
         {
             "x": x,
-            "k": series.k,
+            "k": args.k,
             "Mk": mk,
             "log_x": math.log(x),
             "loglog_x": math.log(math.log(x)) if x >= 2 else math.nan,
         }
-        for x, mk in series.points
+        for x, mk in points
     ]
     return doc, rows
 
@@ -196,7 +199,7 @@ def _smooth_rows(x: int, ys: list[int]) -> list[dict[str, Any]]:
     rows = []
     for census in smooth_census(x, ys):
         counts = {"x": x, "y": census.y, "psi": census.psi, "pi_smooth": census.pi_smooth, "pi": census.pi_x}
-        rows.append({**counts, **pomerance_ratio(x, census.y, census=census)._asdict()})
+        rows.append({**counts, **pomerance_ratio(census)._asdict()})
     return rows
 
 
@@ -214,6 +217,8 @@ def _cmd_smooth(args: argparse.Namespace) -> Output:
 def _cmd_smooth_scan(args: argparse.Namespace) -> Output:
     x = _smooth_x(args)
     vs = _parse_list(args.v_list, float, "--v-list")
+    if min(vs) <= 0:
+        raise ValueError(f"smooth-scan --v-list entries must be positive; got {args.v_list!r}")
     return None, _smooth_rows(x, [max(1, round(v * math.log(x))) for v in vs])
 
 
@@ -227,7 +232,7 @@ def _cmd_report(args: argparse.Namespace) -> Output:
 
     table = omega_star_table(x)
     xs = [n for n in (x // 100, x // 10, x) if n >= 10]
-    series = moment_scan(sorted(set(xs)), 1, table=table)
+    points = moment_scan(sorted(set(xs)), 1, table=table)
     champion = champion_search(x, factorize(1), table=table)
 
     doc = {
@@ -252,7 +257,7 @@ def _cmd_report(args: argparse.Namespace) -> Output:
                     "loglog_x": math.log(math.log(px)),
                     "M1_minus_loglog_x": mk - math.log(math.log(px)),
                 }
-                for px, mk in series.points
+                for px, mk in points
             ],
         },
         "champion": {
@@ -287,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="omegastar",
         description="Shifted-prime divisor counts, moments, divisor-set sampling, and smooth censuses.",
     )
-    parser.add_argument("--seed", type=int, default=1, help="64-bit seed for sampled sections")
+    parser.add_argument("--seed", type=int, default=1, help="seed in [0, 2^64) for sampled sections")
     parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument(
@@ -357,6 +362,8 @@ def main(argv: list[str] | None = None) -> int:
     fmt = args.format or formats[0]
     args.workers = max(1, args.workers)
     try:
+        if not 0 <= args.seed < 2**64:
+            raise ValueError(f"--seed must lie in [0, 2^64); got {args.seed}")
         if fmt not in formats:
             supported = ", ".join(formats)
             raise ValueError(f"--format {fmt} is not supported by {args.subcommand} (supported: {supported})")

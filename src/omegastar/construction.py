@@ -59,9 +59,9 @@ class ConstructionParams:
     """Everything the randomized construction needs, derived from log x.
 
     epsilon = (log log x)^(-1/2); L = (u - epsilon) log x; k is the product of
-    the R primes <= L (minus the optional excluded prime); each prime enters a
-    random divisor with probability rho, which is (1/2 - eps)/(u - eps) in GRH
-    mode and (theta - eps)/(u - eps) unconditionally.
+    the R primes <= L; each prime enters a random divisor with probability
+    rho = (theta - eps)/(u - eps), with (theta, u) = (1/2, (3 + sqrt 5)/4) in
+    GRH mode and (0.4736, 1.2694) unconditionally.
     """
 
     log_x: float
@@ -74,8 +74,6 @@ class ConstructionParams:
     R: int
     k_primes: np.ndarray
     log_primes: np.ndarray
-    excluded_prime: int | None
-    delta_smooth: float
 
     @property
     def log_k(self) -> float:
@@ -171,19 +169,10 @@ class SampleStats:
         return self.sum_omega / self.trials
 
 
-def build_params(
-    log_x: float,
-    mode: str = "GRH",
-    theta: float = UNCONDITIONAL_THETA,
-    u: float = UNCONDITIONAL_U,
-    excluded_prime: int | None = None,
-    delta_smooth: float = 0.1,
-) -> ConstructionParams:
-    """Derive all construction parameters from log x.
+def build_params(log_x: float, mode: str = "GRH") -> ConstructionParams:
+    """Derive all construction parameters from log x and the mode.
 
-    In GRH mode theta is pinned to 1/2 and u to (3 + sqrt 5)/4 regardless of
-    the arguments.  The excluded prime models the single possible exceptional
-    conductor divisor; by default nothing is excluded.
+    log_x >= _MIN_LOG_X keeps epsilon <= 0.466, below both size exponents.
     """
     mode = mode.strip().upper()
     if mode not in MODES:
@@ -196,24 +185,10 @@ def build_params(
             "epsilon = (log log_x)^(-1/2) stays below the size exponent and the "
             "acceptance windows are meaningful"
         )
-    if not 0.0 < delta_smooth <= 1.0:
-        raise ValueError("delta_smooth must lie in (0, 1]")
+    theta, u = (0.5, GRH_U) if mode == "GRH" else (UNCONDITIONAL_THETA, UNCONDITIONAL_U)
     epsilon = 1.0 / math.sqrt(math.log(log_x))
-    if mode == "GRH":
-        theta = 0.5
-        u = GRH_U
-    else:
-        if not epsilon < theta < 1.0:
-            raise ValueError(f"need epsilon < theta < 1, got theta={theta}, epsilon={epsilon}")
-        if u <= theta:
-            raise ValueError(f"need u > theta, got u={u}, theta={theta}")
     L = (u - epsilon) * log_x
-    table = sieve_primes(int(L))
-    k_primes = table.primes
-    if excluded_prime is not None:
-        k_primes = k_primes[k_primes != excluded_prime]
-    if k_primes.size == 0:
-        raise ValueError(f"no primes below L = {L}")
+    k_primes = sieve_primes(int(L)).primes
     rho = (theta - epsilon) / (u - epsilon)
     return ConstructionParams(
         log_x=float(log_x),
@@ -226,8 +201,6 @@ def build_params(
         R=int(k_primes.size),
         k_primes=k_primes,
         log_primes=np.log(k_primes.astype(np.float64)),
-        excluded_prime=excluded_prime,
-        delta_smooth=delta_smooth,
     )
 
 
@@ -279,7 +252,7 @@ def count_representations(n: int, m_max: int, p_max: int) -> int:
     if n < 1:
         raise ValueError("n must be at least 1")
     count = 0
-    for d in divisors(factorize(n)).divisors:
+    for d in divisors(factorize(n)):
         p = d + 1
         if p <= p_max and n // d <= m_max and is_prime(p):
             count += 1
@@ -336,14 +309,6 @@ def sample_divisor(params: ConstructionParams, seed: int) -> DivisorSample:
         in_window_logd=bool(in_logd),
         in_window_omega=bool(in_omega),
     )
-
-
-def accept_flags(sample: DivisorSample, params: ConstructionParams) -> tuple[bool, bool]:
-    """(in_D, in_D'): the log d window is strict, |log d - target| < window;
-    the Omega window is inclusive, |Omega(d) - rho R| <= R^(2/3); D' requires
-    both."""
-    in_logd, in_omega = _window_flags(params, sample.log_d, sample.big_omega_d)
-    return bool(in_logd), bool(in_logd and in_omega)
 
 
 def _block_rows(R: int) -> int:
@@ -483,18 +448,6 @@ def enumerate_D_exact(params: ConstructionParams) -> ExactEnumeration:
     )
 
 
-def harman_smoothness_check(sample: DivisorSample, params: ConstructionParams) -> bool:
-    """True iff the largest prime in d is < d^delta_smooth (diagnostic only).
-
-    Vacuously true for d = 1; a single-prime d always fails for delta < 1.
-    """
-    chosen = np.flatnonzero(sample.indicators)
-    if chosen.size == 0:
-        return True
-    top = float(params.k_primes[chosen[-1]])
-    return math.log(top) < params.delta_smooth * sample.log_d
-
-
 def pair_count_report(x: int, k: Factorization, table: PrimeTable | None = None) -> PairCountReport:
     """A_d for every divisor d <= sqrt(k) of k, next to the exact total A.
 
@@ -504,6 +457,6 @@ def pair_count_report(x: int, k: Factorization, table: PrimeTable | None = None)
     _check_pair_x(x)
     if table is None or table.limit < x:
         table = sieve_primes(int(x))
-    small_d = [d for d in divisors(k).divisors if d * d <= k.n]
+    small_d = [d for d in divisors(k) if d * d <= k.n]
     per_d = [(d, count_A_d(x, x, k, d, table=table)) for d in small_d]
     return PairCountReport(x=x, k=k, per_d=per_d, total_A=total_pairs_A(x, k, table=table))

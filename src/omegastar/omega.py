@@ -27,17 +27,11 @@ class OmegaStarTable:
     counts: np.ndarray
 
 
-@dataclass
-class MomentSeries:
-    k: int
-    points: list[tuple[int, float]]
-
-
 def omega_star(n: int) -> int:
     """Number of divisors d of n such that d + 1 is prime."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return sum(1 for d in divisors(factorize(n)).divisors if is_prime(d + 1))
+    return sum(1 for d in divisors(factorize(n)) if is_prime(d + 1))
 
 
 def omega_star_table(x: int) -> OmegaStarTable:
@@ -85,13 +79,9 @@ def moment_sum(table: OmegaStarTable, k: int, upto: int | None = None) -> int:
     return sum(int(c) * v**k for v, c in enumerate(hist.tolist()) if c)
 
 
-def moment(table: OmegaStarTable, k: int) -> float:
-    """M_k(x) = (1/x) * sum of omega*(n)^k over n <= x, accumulated exactly."""
-    return moment_sum(table, k) / table.x
-
-
-def moment_scan(xs: list[int], k: int, table: OmegaStarTable | None = None) -> MomentSeries:
-    """M_k at each x in ascending xs, from one shared bulk table."""
+def moment_scan(xs: list[int], k: int, table: OmegaStarTable | None = None) -> list[tuple[int, float]]:
+    """(x, M_k(x)) at each x in ascending xs, from one shared bulk table;
+    M_k(x) = (1/x) * sum of omega*(n)^k over n <= x, accumulated exactly."""
     if not xs:
         raise ValueError("xs must be nonempty")
     if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -100,5 +90,4 @@ def moment_scan(xs: list[int], k: int, table: OmegaStarTable | None = None) -> M
         raise ValueError("xs entries must be >= 1")
     if table is None or table.x < xs[-1]:
         table = omega_star_table(xs[-1])
-    points = [(x, moment_sum(table, k, upto=x) / x) for x in xs]
-    return MomentSeries(k=k, points=points)
+    return [(x, moment_sum(table, k, upto=x) / x) for x in xs]

@@ -126,12 +126,6 @@ class Factorization:
     n: int
     factors: list[tuple[int, int]]
 
-    def rebuild(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 
@@ -200,17 +194,6 @@ def factorize(n: int) -> Factorization:
             for p in sorted(set(big)):
                 factors.append((p, big.count(p)))
     return Factorization(n=n, factors=factors)
-
-
-def prime_count(x: int, table: PrimeTable | None = None) -> int:
-    """pi(x): the number of primes <= x."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x < 2:
-        return 0
-    if table is not None and table.limit >= x:
-        return table.count(x)
-    return sieve_primes(int(x)).count()
 
 
 def primes_in_ap(x: int, d: int, a: int, table: PrimeTable | None = None) -> int:

@@ -101,30 +101,16 @@ def smooth_census(x: int, ys: list[int]) -> list[SmoothCensus]:
     return [SmoothCensus(x=x, y=y, psi=by_y[y][0], pi_smooth=by_y[y][1], pi_x=pi_x) for y in ys]
 
 
-def psi_count(x: int, y: int) -> int:
-    """Psi(x, y): exact count of y-smooth integers up to x."""
-    return smooth_census(x, [y])[0].psi
-
-
-def pi_smooth_count(x: int, y: int) -> int:
-    """pi(x, y): exact count of primes p <= x with p - 1 y-smooth."""
-    if x < 2:
-        raise ValueError("x must be at least 2")
-    return smooth_census(x, [y])[0].pi_smooth
-
-
-def pomerance_ratio(x: int, y: int, census: SmoothCensus | None = None) -> PomeranceRatio:
+def pomerance_ratio(census: SmoothCensus) -> PomeranceRatio:
     """(pi(x,y)/pi(x), Psi(x,y)/x, and their quotient).
 
     The conjecture that the two sides agree is asymptotic in y; finite values
     are reported, never asserted against a tolerance.
     """
-    if x < 2:
+    if census.x < 2:
         raise ValueError("x must be at least 2")
-    if census is None or (census.x, census.y) != (x, y):
-        census = smooth_census(x, [y])[0]
     lhs = census.pi_smooth / census.pi_x
-    rhs = census.psi / x
+    rhs = census.psi / census.x
     return PomeranceRatio(lhs=lhs, rhs=rhs, quotient=lhs / rhs)
 
 

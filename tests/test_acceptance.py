@@ -30,8 +30,8 @@ from omegastar.construction import (
 )
 from omegastar.arith import divisors
 from omegastar.omega import moment_scan, moment_sum, omega_star, omega_star_table
-from omegastar.sieve import factorize, prime_count, sieve_primes
-from omegastar.smooth import log_psi_leading, pi_smooth_count, psi_count
+from omegastar.sieve import factorize, sieve_primes
+from omegastar.smooth import log_psi_leading, smooth_census
 
 from conftest import grh_acceptance_bracket
 
@@ -123,7 +123,7 @@ def test_c05_domination_inequality():
             brute_A = sum(
                 int(np.count_nonzero(ms * (int(p) - 1) % k == 0)) for p in ps
             )
-            small_d = [d for d in divisors(fk).divisors if d * d <= k]
+            small_d = [d for d in divisors(fk) if d * d <= k]
             lhs = sum(count_A_d(x, x, fk, d, table=table) for d in small_d)
             crit.check(
                 lhs <= brute_A,
@@ -136,11 +136,11 @@ def test_c06_first_moment_band():
     crit = _Criterion(6, "M_1(x) - log log x band and exact identity", 60.0)
     xs = [10**5, 10**6, 10**7]
     table = omega_star_table(xs[-1])
-    series = moment_scan(xs, 1, table=table)
-    cs = [mk - math.log(math.log(x)) for x, mk in series.points]
+    points = moment_scan(xs, 1, table=table)
+    cs = [mk - math.log(math.log(x)) for x, mk in points]
     # band center 1.000 pinned from oracle run; width 0.15
     lo, hi = 1.000 - 0.075, 1.000 + 0.075
-    for (x, mk), c in zip(series.points, cs):
+    for (x, mk), c in zip(points, cs):
         crit.check(lo <= c <= hi, f"M1({x:.0e}) - loglog = {c:.6f} in [{lo}, {hi}]")
     crit.check(max(cs) - min(cs) <= 0.15, f"spread {max(cs) - min(cs):.6f} <= 0.15")
     x = 10**5
@@ -222,14 +222,13 @@ def test_c08_exact_enumeration_vs_entropy():
 
 def test_c09_smooth_counts():
     crit = _Criterion(9, "smooth censuses and the leading-order closed form", 30.0)
-    crit.check(psi_count(100, 5) == 34, "Psi(100, 5) = 34")
-    crit.check(pi_smooth_count(100, 2) == 4, "pi(100, 2) = 4")
+    crit.check(smooth_census(100, [5])[0].psi == 34, "Psi(100, 5) = 34")
+    crit.check(smooth_census(100, [2])[0].pi_smooth == 4, "pi(100, 2) = 4")
     for x in (10**3, 10**4):
-        crit.check(psi_count(x, x) == x, f"Psi({x}, {x}) = {x}")
-        crit.check(
-            pi_smooth_count(x, x) == prime_count(x),
-            f"pi({x}, {x}) = pi({x}) = {prime_count(x)}",
-        )
+        (census,) = smooth_census(x, [x])
+        pi_x = sieve_primes(x).count()
+        crit.check(census.psi == x, f"Psi({x}, {x}) = {x}")
+        crit.check(census.pi_smooth == pi_x, f"pi({x}, {x}) = pi({x}) = {pi_x}")
     worst = 0.0
     for v in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
         expected, err = quad(lambda t: math.log1p(v / t), 0, 1, epsabs=1e-12, limit=200)

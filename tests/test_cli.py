@@ -445,6 +445,36 @@ class TestExitCodes:
         assert "omegastar: error" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("target", ["missing/x", "."], ids=["missing-dir", "is-a-dir"])
+    def test_unwritable_out_exit_2(self, capsys, tmp_path, target):
+        path = str(tmp_path / target)
+        code, out, err = run_cli(capsys, ["--out", path, "omega-star", "--n", "5"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"omegastar: error: --out {path} cannot be written")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("v_list", ["-3,0,1", "0", "1,-0.5"])
+    def test_non_positive_v_exit_2_before_work(self, capsys, no_heavy_work, v_list):
+        code, out, err = run_cli(capsys, ["smooth-scan", "--x", "1000", f"--v-list={v_list}"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("omegastar: error: smooth-scan --v-list entries must be positive")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**65 - 1)])
+    def test_seed_outside_64_bits_exit_2_before_work(self, capsys, no_heavy_work, seed):
+        argv = ["--seed", seed, "sample-divisors", "--log-x", "111", "--trials", "10"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("omegastar: error: --seed must lie in [0, 2^64)")
+
+    @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+    def test_seed_range_ends_accepted(self, capsys, seed):
+        code, out, _ = run_cli(capsys, ["--seed", seed, "sample-divisors", "--log-x", "111", "--trials", "10"])
+        assert code == 0
+        assert json.loads(out)["seed"] == int(seed)
+
     def test_pairs_cap_checked_before_sieving(self, capsys, monkeypatch):
         from omegastar import construction
 

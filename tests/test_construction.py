@@ -7,7 +7,6 @@ import pytest
 from omegastar import construction, rng
 from omegastar.constants import GRH_U
 from omegastar.construction import (
-    accept_flags,
     build_params,
     champion_search,
     chebyshev_bounds,
@@ -15,14 +14,13 @@ from omegastar.construction import (
     count_representations,
     entropy_lower_bound,
     enumerate_D_exact,
-    harman_smoothness_check,
     log_d_moments,
     pair_count_report,
     sample_divisor,
     sample_stats,
     total_pairs_A,
 )
-from omegastar.arith import divisors, euler_phi
+from omegastar.arith import count_coprime_up_to, divisors
 from omegastar.omega import omega_star, omega_star_table
 from omegastar.sieve import ResourceLimitError, factorize, primes_in_ap
 
@@ -81,13 +79,6 @@ class TestBuildParams:
         with pytest.raises(ValueError):
             build_params(111.0, mode="sideways")
 
-    def test_excluding_a_listed_prime_drops_R_by_one(self, grh_111):
-        without = build_params(111.0, mode="grh", excluded_prime=89)
-        assert without.R == grh_111.R - 1
-        assert 89 not in without.k_primes.tolist()
-        unaffected = build_params(111.0, mode="grh", excluded_prime=97)  # above L
-        assert unaffected.R == grh_111.R
-
 
 class TestCountAd:
     def test_examples(self):
@@ -99,7 +90,7 @@ class TestCountAd:
     def test_brute_pair_oracle(self, oracle_primes_2000):
         for k in (2, 6, 30):
             fk = factorize(k)
-            for d in divisors(fk).divisors:
+            for d in divisors(fk):
                 for x, y in ((20, 20), (50, 30), (37, 50)):
                     expected = brute_pair_count_A_d(x, y, k, d, oracle_primes_2000)
                     assert count_A_d(x, y, fk, d) == expected, (x, y, k, d)
@@ -108,9 +99,10 @@ class TestCountAd:
         # the coarser m-count floor(x/k) phi(d) never exceeds the exact count
         for k in (6, 30, 210):
             fk = factorize(k)
-            for d in divisors(fk).divisors:
+            for d in divisors(fk):
+                phi_d = count_coprime_up_to(d, factorize(d))
                 for x in (100, 500, 2000):
-                    coarse = primes_in_ap(x, d, 1 % d) * (x // k) * euler_phi(factorize(d))
+                    coarse = primes_in_ap(x, d, 1 % d) * (x // k) * phi_d
                     assert count_A_d(x, x, fk, d) >= coarse
 
     def test_rejects_non_divisor(self):
@@ -136,7 +128,7 @@ class TestTotalPairs:
         for k in (6, 30, 210):
             fk = factorize(k)
             for x in (20, 100, 500):
-                small = [d for d in divisors(fk).divisors if d * d <= k]
+                small = [d for d in divisors(fk) if d * d <= k]
                 total = total_pairs_A(x, fk)
                 assert sum(count_A_d(x, x, fk, d) for d in small) <= total
 
@@ -201,9 +193,9 @@ class TestSampleDivisor:
         s = sample_divisor(grh_1100, 2024)
         assert s.big_omega_d == int(s.indicators.sum())
         assert abs(s.log_d - float(grh_1100.log_primes[s.indicators].sum())) <= 1e-9
-        in_d, in_dp = accept_flags(s, grh_1100)
-        assert in_d == s.in_window_logd
-        assert in_dp == (s.in_window_logd and s.in_window_omega)
+        p = grh_1100
+        assert s.in_window_logd == (abs(s.log_d - p.target_log_d) < p.window_log_d)
+        assert s.in_window_omega == (abs(s.big_omega_d - p.expected_omega) <= p.window_omega)
 
     def test_degenerate_rho_zero(self, grh_111):
         p0 = dataclasses.replace(grh_111, rho=0.0)
@@ -218,43 +210,43 @@ class TestSampleDivisor:
 
 
 class TestAcceptFlags:
+    """construction._window_flags on scalars: (in the log d window of D,
+    in the Omega window); D' is their conjunction."""
+
     def test_center_of_window(self, grh_1100):
-        s = sample_divisor(grh_1100, 1)
-        centered = dataclasses.replace(s, log_d=grh_1100.target_log_d)
-        assert accept_flags(centered, grh_1100)[0]
+        p = grh_1100
+        assert construction._window_flags(p, p.target_log_d, 0)[0]
 
     def test_three_window_deviation_fails(self, grh_1100):
-        dev = 3 * grh_1100.L / math.log(grh_1100.L) ** 2
-        s = dataclasses.replace(sample_divisor(grh_1100, 1), log_d=grh_1100.target_log_d + dev)
-        assert not accept_flags(s, grh_1100)[0]
+        p = grh_1100
+        dev = 3 * p.L / math.log(p.L) ** 2
+        assert not construction._window_flags(p, p.target_log_d + dev, 0)[0]
 
     def test_window_strictness_and_omega_inclusivity(self, grh_1100):
         p = grh_1100
-        base = sample_divisor(p, 1)
-        at_edge = dataclasses.replace(base, log_d=p.target_log_d + p.window_log_d)
-        assert not accept_flags(at_edge, p)[0]  # strict <
-        inside_omega = dataclasses.replace(
-            base,
-            log_d=p.target_log_d,
-            big_omega_d=int(math.floor(p.expected_omega + p.window_omega)),
-        )
-        assert accept_flags(inside_omega, p)[1]  # inclusive <=
-        outside_omega = dataclasses.replace(
-            inside_omega, big_omega_d=int(math.ceil(p.expected_omega + p.window_omega)) + 1
-        )
-        assert not accept_flags(outside_omega, p)[1]
+        at_edge = p.target_log_d + p.window_log_d
+        assert not construction._window_flags(p, at_edge, 0)[0]  # strict <
+        inside = int(math.floor(p.expected_omega + p.window_omega))
+        assert all(construction._window_flags(p, p.target_log_d, inside))  # inclusive <=
+        outside = int(math.ceil(p.expected_omega + p.window_omega)) + 1
+        in_logd, in_omega = construction._window_flags(p, p.target_log_d, outside)
+        assert in_logd and not in_omega
 
     def test_dprime_contained_in_d(self, grh_1100):
+        n_d = n_dprime = 0
         for i in range(500):
             s = sample_divisor(grh_1100, rng.substream_seed(77, i))
-            in_d, in_dp = accept_flags(s, grh_1100)
-            assert not in_dp or in_d
+            in_logd, in_omega = construction._window_flags(grh_1100, s.log_d, s.big_omega_d)
+            assert (in_logd, in_omega) == (s.in_window_logd, s.in_window_omega)
+            n_d += in_logd
+            n_dprime += in_logd and in_omega
+        assert 0 < n_dprime <= n_d
 
     def test_every_accepted_d_obeys_size_estimate(self, grh_1100):
         p = grh_1100
         for i in range(500):
             s = sample_divisor(p, rng.substream_seed(3, i))
-            if accept_flags(s, p)[0]:
+            if s.in_window_logd:
                 assert abs(s.log_d - (0.5 - p.epsilon) * p.log_x) < p.window_log_d
 
 
@@ -265,10 +257,9 @@ class TestSampleStats:
         total_logd = 0.0
         for i in range(300):
             s = sample_divisor(grh_1100, rng.substream_seed(11, i))
-            in_d, in_dp = accept_flags(s, grh_1100)
-            n_logd += in_d
+            n_logd += s.in_window_logd
             n_omega += s.in_window_omega
-            n_dp += in_dp
+            n_dp += s.in_window_logd and s.in_window_omega
             total_logd += s.log_d
         assert stats.n_in_logd == n_logd
         assert stats.n_in_omega == n_omega
@@ -449,65 +440,11 @@ class TestAcceptanceBracketOracle:
         assert 0.0 < bracket.hi - bracket.lo <= 1e-3
 
 
-class TestHarman:
-    def test_single_prime_divisor_fails(self, grh_111):
-        for idx in (0, grh_111.R - 1):
-            ind = np.zeros(grh_111.R, dtype=bool)
-            ind[idx] = True
-            s = sample_divisor(grh_111, 1)
-            s = dataclasses.replace(
-                s,
-                indicators=ind,
-                log_d=float(grh_111.log_primes[idx]),
-                big_omega_d=1,
-            )
-            assert not harman_smoothness_check(s, grh_111)
-
-    def test_smooth_ratio_passes(self, grh_1100):
-        s = sample_divisor(grh_1100, 9)
-        # top prime log is at most log L ~ 6.93 while accepted log d ~ 134
-        ratio = math.log(float(grh_1100.k_primes[-1])) / grh_1100.target_log_d
-        assert ratio < grh_1100.delta_smooth
-        if s.big_omega_d and accept_flags(s, grh_1100)[0]:
-            assert harman_smoothness_check(s, grh_1100)
-
-    def test_synthetic_ratio_below_threshold(self, grh_111):
-        # log(max prime) / log d = 0.05 passes a 0.1 threshold
-        ind = np.zeros(grh_111.R, dtype=bool)
-        ind[-1] = True
-        top_log = float(grh_111.log_primes[-1])
-        s = dataclasses.replace(
-            sample_divisor(grh_111, 1),
-            indicators=ind,
-            log_d=top_log / 0.05,
-            big_omega_d=1,
-        )
-        assert harman_smoothness_check(s, grh_111)
-        tight = dataclasses.replace(s, log_d=top_log / 0.2)  # ratio 0.2 > 0.1
-        assert not harman_smoothness_check(tight, grh_111)
-
-    def test_empty_divisor_vacuous(self, grh_111):
-        p0 = dataclasses.replace(grh_111, rho=0.0)
-        assert harman_smoothness_check(sample_divisor(p0, 1), p0)
-
-    def test_accepted_fraction_reported(self, grh_1100):
-        hits = total = 0
-        for i in range(2000):
-            s = sample_divisor(grh_1100, rng.substream_seed(31, i))
-            if accept_flags(s, grh_1100)[1]:
-                total += 1
-                hits += harman_smoothness_check(s, grh_1100)
-        assert total > 0
-        fraction = hits / total
-        assert 0.0 <= fraction <= 1.0
-        print(f"harman-smooth fraction among accepted samples: {fraction:.4f}")
-
-
 class TestPairCountReport:
     def test_sum_bounded_by_total(self, oracle_primes_2000):
         for k in (6, 30, 210):
             rep = pair_count_report(200, factorize(k))
             listed = [d for d, _ in rep.per_d]
-            assert listed == [d for d in divisors(factorize(k)).divisors if d * d <= k]
+            assert listed == [d for d in divisors(factorize(k)) if d * d <= k]
             assert sum(a for _, a in rep.per_d) <= rep.total_A
             assert rep.total_A == brute_pair_count_A(200, k, oracle_primes_2000)

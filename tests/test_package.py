@@ -1,6 +1,8 @@
 """Package surface: the exported names, import under a small memory
 ceiling, and the names the benchmark tracer needs."""
 
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -22,6 +24,16 @@ DELETED = (
     "apr_from_pomerance_report",
     "AprComparisonReport",
     "greatest_prime_factor",
+    "accept_flags",
+    "harman_smoothness_check",
+    "euler_phi",
+    "big_omega",
+    "DivisorList",
+    "moment",
+    "MomentSeries",
+    "prime_count",
+    "psi_count",
+    "pi_smooth_count",
 )
 
 
@@ -43,6 +55,15 @@ def test_all_holds_only_reexported_objects():
     for name in DELETED:
         assert name not in omegastar.__all__
         assert not hasattr(omegastar, name)
+    assert not hasattr(omegastar.Factorization, "rebuild")
+
+
+def test_settable_parameters():
+    # build_params derives theta and u from the mode; the ratio reads its census
+    assert tuple(inspect.signature(omegastar.build_params).parameters) == ("log_x", "mode")
+    assert tuple(inspect.signature(omegastar.pomerance_ratio).parameters) == ("census",)
+    fields = {f.name for f in dataclasses.fields(omegastar.ConstructionParams)}
+    assert not fields & {"excluded_prime", "delta_smooth"}
 
 
 def test_import_under_small_ceiling():

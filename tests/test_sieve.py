@@ -10,7 +10,6 @@ from omegastar.sieve import (
     _segment_flags,
     factorize,
     is_prime,
-    prime_count,
     primes_in_ap,
     sieve_primes,
 )
@@ -130,18 +129,18 @@ class TestFactorize:
     def test_primorial_19(self):
         f = factorize(9699690)
         assert f.factors == [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1)]
-        assert f.rebuild() == 9699690
+        assert math.prod(p**e for p, e in f.factors) == 9699690
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factorize(0)
 
     def test_roundtrip_and_primality_consistency(self):
-        # one sweep over [1, 1e5]: rebuild identity, listed primes prime,
+        # one sweep over [1, 1e5]: product identity, listed primes prime,
         # ascending order, and is_prime <=> single factor with exponent 1
         for n in range(1, 10**5 + 1):
             f = factorize(n)
-            assert f.rebuild() == n
+            assert math.prod(p**e for p, e in f.factors) == n
             ps = [p for p, _ in f.factors]
             assert ps == sorted(ps)
             assert all(is_prime(p) for p in ps)
@@ -152,7 +151,7 @@ class TestFactorize:
         # exhaustive [1, 1e5] is covered above; sample density beyond
         for n in range(10**5 + 1, 10**6 + 1, 293):
             f = factorize(n)
-            assert f.rebuild() == n
+            assert math.prod(p**e for p, e in f.factors) == n
 
     def test_large_semiprime(self):
         p, q = 1000003, 1000033
@@ -170,13 +169,13 @@ class TestFactorize:
 
 class TestPrimeCount:
     def test_examples(self):
-        assert prime_count(2) == 1
-        assert prime_count(100) == 25
-        assert prime_count(10**6) == 78498
+        assert sieve_primes(2).count() == 1
+        assert sieve_primes(100).count() == 25
+        assert sieve_primes(10**6).count() == 78498
 
     def test_small_edge(self):
-        assert prime_count(0) == 0
-        assert prime_count(1) == 0
+        assert sieve_primes(0).count() == 0
+        assert sieve_primes(1).count() == 0
 
 
 class TestPrimesInAp:
@@ -184,12 +183,12 @@ class TestPrimesInAp:
         assert primes_in_ap(20, 4, 1) == 3  # 5, 13, 17
         assert primes_in_ap(10, 2, 1) == 3  # 3, 5, 7
         for x in (10, 100, 1000):
-            assert primes_in_ap(x, 1, 0) == prime_count(x)
+            assert primes_in_ap(x, 1, 0) == sieve_primes(x).count()
 
     def test_residue_partition(self):
         table = sieve_primes(10**5)
         for x in (100, 1234, 10**5):
-            total = prime_count(x, table=table)
+            total = table.count(x)
             for d in range(1, 11):
                 assert sum(primes_in_ap(x, d, a, table=table) for a in range(d)) == total
 

@@ -5,14 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from omegastar import sieve, smooth
-from omegastar.sieve import factorize, is_prime, prime_count, sieve_primes
-from omegastar.smooth import (
-    log_psi_leading,
-    pi_smooth_count,
-    pomerance_ratio,
-    psi_count,
-    smooth_census,
-)
+from omegastar.sieve import factorize, is_prime, sieve_primes
+from omegastar.smooth import log_psi_leading, pomerance_ratio, smooth_census
 
 from conftest import division_census
 
@@ -20,30 +14,30 @@ from conftest import division_census
 class TestPsiCount:
     def test_full_range(self):
         for x in (1, 10, 100, 1000):
-            assert psi_count(x, x) == x
+            assert smooth_census(x, [x])[0].psi == x
 
     def test_powers_of_two(self):
-        assert psi_count(10, 2) == 4  # 1, 2, 4, 8
+        assert smooth_census(10, [2])[0].psi == 4  # 1, 2, 4, 8
 
     def test_five_smooth_to_100(self):
-        assert psi_count(100, 5) == 34
+        assert smooth_census(100, [5])[0].psi == 34
 
     def test_brute_oracle(self, gpf_oracle_1e5):
         for x in (50, 1234, 20000, 10**5):
             for y in (2, 3, 5, 10, 50):
                 expected = int(np.count_nonzero(gpf_oracle_1e5[1 : x + 1] <= y))
-                assert psi_count(x, y) == expected, (x, y)
+                assert smooth_census(x, [y])[0].psi == expected, (x, y)
 
     def test_segmentation_invariance(self, monkeypatch):
-        whole = psi_count(12345, 7)
+        whole = smooth_census(12345, [7])[0].psi
         monkeypatch.setattr(sieve, "_SEGMENT", 100)
-        assert psi_count(12345, 7) == whole
+        assert smooth_census(12345, [7])[0].psi == whole
 
     def test_complement_partition(self, gpf_oracle_1e5):
         for x in (3 * 10**4, 10**5):
             for y in (2, 10, 100):
                 rough = int(np.count_nonzero(gpf_oracle_1e5[1 : x + 1] > y))
-                assert psi_count(x, y) + rough == x
+                assert smooth_census(x, [y])[0].psi + rough == x
 
     def test_recursive_enumeration_1e8(self):
         # a hundred segments at 1e8, against recursive smooth enumeration
@@ -57,11 +51,11 @@ class TestPsiCount:
             return total
 
         smooth_primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
-        assert psi_count(10**4, 28) == count_smooth(10**4, smooth_primes)
-        assert psi_count(10**8, 28) == count_smooth(10**8, smooth_primes) == 63768
+        assert smooth_census(10**4, [28])[0].psi == count_smooth(10**4, smooth_primes)
+        assert smooth_census(10**8, [28])[0].psi == count_smooth(10**8, smooth_primes) == 63768
 
     def test_monotone_grid(self):
-        psis = [psi_count(x, y) for x in (100, 200, 400) for y in (3, 7, 19)]
+        psis = [smooth_census(x, [y])[0].psi for x in (100, 200, 400) for y in (3, 7, 19)]
         for i, x in enumerate((100, 200, 400)):
             row = psis[3 * i : 3 * i + 3]
             assert row == sorted(row)
@@ -73,20 +67,20 @@ class TestPsiCount:
 class TestPiSmooth:
     def test_full_range_is_prime_count(self):
         for x in (10**3, 10**4):
-            assert pi_smooth_count(x, x) == prime_count(x)
+            assert smooth_census(x, [x])[0].pi_smooth == sieve_primes(x).count()
 
     def test_power_of_two_shifts(self):
-        assert pi_smooth_count(100, 2) == 4  # p in {2, 3, 5, 17}
+        assert smooth_census(100, [2])[0].pi_smooth == 4  # p in {2, 3, 5, 17}
 
     def test_three_smooth_shifts(self):
         # p <= 100 with p-1 of the form 2^a 3^b
         expected = {2, 3, 5, 7, 13, 17, 19, 37, 73, 97}
-        assert pi_smooth_count(100, 3) == len(expected)
+        assert smooth_census(100, [3])[0].pi_smooth == len(expected)
 
     def test_fermat_style_scan_to_1e6(self):
         x = 10**6
         direct = sum(1 for a in range(0, 21) if 2**a + 1 <= x and is_prime(2**a + 1))
-        assert pi_smooth_count(x, 2) == direct == 6  # 2, 3, 5, 17, 257, 65537
+        assert smooth_census(x, [2])[0].pi_smooth == direct == 6  # 2, 3, 5, 17, 257, 65537
 
     def test_brute_oracle(self, gpf_oracle_1e5):
         table = sieve_primes(10**5)
@@ -94,29 +88,33 @@ class TestPiSmooth:
             ps = table.primes[: table.count(x)]
             for y in (2, 5, 20):
                 expected = int(np.count_nonzero(gpf_oracle_1e5[ps - 1] <= y))
-                assert pi_smooth_count(x, y) == expected, (x, y)
+                assert smooth_census(x, [y])[0].pi_smooth == expected, (x, y)
 
     def test_monotone_in_y(self):
-        vals = [pi_smooth_count(10**4, y) for y in (2, 3, 10, 100, 10**4)]
+        vals = [smooth_census(10**4, [y])[0].pi_smooth for y in (2, 3, 10, 100, 10**4)]
         assert vals == sorted(vals)
 
 
 class TestPomeranceRatio:
     def test_quotient_one_at_full_smoothness(self):
         for x in (100, 1000):
-            r = pomerance_ratio(x, x)
+            r = pomerance_ratio(smooth_census(x, [x])[0])
             assert r.lhs == 1.0 and r.rhs == 1.0 and r.quotient == 1.0
 
     def test_desk_scale_report(self):
-        r = pomerance_ratio(10**6, 100)
+        r = pomerance_ratio(smooth_census(10**6, [100])[0])
         assert 0.0 < r.quotient < math.inf
         print(f"pi(x,y)/pi(x) = {r.lhs:.6f}, Psi(x,y)/x = {r.rhs:.6f}, quotient = {r.quotient:.4f}")
 
     def test_monotone_in_y(self):
         x = 10**4
-        rs = [pomerance_ratio(x, y) for y in (2, 5, 17, 100)]
+        rs = [pomerance_ratio(c) for c in smooth_census(x, [2, 5, 17, 100])]
         assert [r.lhs for r in rs] == sorted(r.lhs for r in rs)
         assert [r.rhs for r in rs] == sorted(r.rhs for r in rs)
+
+    def test_rejects_x_below_2(self):
+        with pytest.raises(ValueError, match="x must be at least 2"):
+            pomerance_ratio(smooth_census(1, [1])[0])
 
 
 class TestLogPsiLeading:
@@ -147,9 +145,8 @@ class TestLogPsiLeading:
 class TestCensusInternals:
     def test_census_consistency(self):
         (c,) = smooth_census(10**4, [10])
-        assert c.psi == psi_count(10**4, 10)
-        assert c.pi_smooth == pi_smooth_count(10**4, 10)
-        assert c.pi_x == prime_count(10**4)
+        assert (c.psi, c.pi_smooth, c.pi_x) == division_census(10**4, 10)
+        assert c.pi_x == sieve_primes(10**4).count()
         assert c.pi_smooth <= c.pi_x <= c.x and c.psi <= c.x and c.psi >= 1
 
     def test_segment_boundary_carry(self, monkeypatch):
