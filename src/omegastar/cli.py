@@ -62,15 +62,28 @@ def _render(fmt: str, doc: dict[str, Any] | None, rows: list[dict[str, Any]] | N
     return "\n".join(lines) + "\n"
 
 
-def _emit(path: str | None, text: str) -> None:
-    if not path:
-        sys.stdout.write(text)
-        return
+def _write_out(path: str, text: str, mode: str = "w") -> None:
     try:
-        with open(path, "w") as fh:
+        with open(path, mode) as fh:
             fh.write(text)
     except OSError as exc:
         raise ValueError(f"--out {path} cannot be written: {exc.strerror}") from None
+
+
+def _check_out(path: str) -> None:
+    """Fail before any work if `path` cannot be written, and leave it as it
+    was: append mode truncates nothing, and a file the check makes is removed."""
+    existed = os.path.lexists(path)
+    _write_out(path, "", mode="a")
+    if not existed:
+        os.remove(path)
+
+
+def _emit(path: str | None, text: str) -> None:
+    if path:
+        _write_out(path, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_omega_star(args: argparse.Namespace) -> Output:
@@ -367,6 +380,8 @@ def main(argv: list[str] | None = None) -> int:
         if fmt not in formats:
             supported = ", ".join(formats)
             raise ValueError(f"--format {fmt} is not supported by {args.subcommand} (supported: {supported})")
+        if args.out:
+            _check_out(args.out)
         _emit(args.out, _render(fmt, *_HANDLERS[args.subcommand](args)))
         return 0
     except ResourceLimitError as exc:

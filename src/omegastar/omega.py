@@ -13,15 +13,21 @@ import numpy as np
 from .arith import divisors
 from .sieve import check_ceiling, factorize, is_prime, sieve_primes
 
-# Steps p - 1 with at least this many multiples in [1, x] get a slice update each.
+# Half-steps (p - 1)/2 with at least this many multiples in [1, x // 2] get a
+# slice update each.
 _SMALL_STEP_MULTIPLES = 64
+# omega*(n) <= tau(n) <= 1600 for n < 2^31 (tau reaches 1600 at the highly
+# composite n = 2,095,133,040), so uint16 holds every count below this bound;
+# only a raised OMEGASTAR_CEILING lets x reach it.
+_UINT16_BELOW = 2**31
 # Entries per np.bincount call in moment_sum.
 _HIST_BLOCK = 1 << 20
 
 
 @dataclass
 class OmegaStarTable:
-    """counts[n] = omega*(n) for 1 <= n <= x; counts[0] is an unused 0."""
+    """counts[n] = omega*(n) for 1 <= n <= x; counts[0] is an unused 0.
+    The dtype is uint16 below x = 2^31 and uint32 from there on."""
 
     x: int
     counts: np.ndarray
@@ -34,30 +40,54 @@ def omega_star(n: int) -> int:
     return sum(1 for d in divisors(factorize(n)) if is_prime(d + 1))
 
 
+def _table_dtype(x: int) -> type:
+    """Count dtype of omega_star_table(x): uint16 below 2^31, uint32 from 2^31 on."""
+    return np.uint16 if x < _UINT16_BELOW else np.uint32
+
+
+def _half_table(x: int, dtype: type) -> np.ndarray:
+    """h[m] = 1 + the number of half-steps t = (p - 1)/2 of odd primes
+    p <= x + 1 that divide m, for 1 <= m <= x // 2.
+
+    Half-steps t <= (x // 2) // _SMALL_STEP_MULTIPLES get one strided slice
+    update each.  Every larger half-step has fewer than _SMALL_STEP_MULTIPLES
+    multiples, so those are added by multiplier instead: pass j adds one to
+    j * t for all large t <= (x // 2) // j in a single fancy-index update,
+    whose indices are distinct for a fixed j.
+    """
+    half = x // 2
+    # (p - 1)/2 = p // 2 for odd p, halved in place: no second prime-sized array
+    steps = sieve_primes(x + 1).primes[1:]
+    steps //= 2
+    h = np.ones(half + 1, dtype=dtype)
+    split = np.searchsorted(steps, half // _SMALL_STEP_MULTIPLES, side="right")
+    for step in steps[:split].tolist():
+        h[step::step] += 1
+    large = steps[split:]
+    j = 1
+    while large.size:
+        h[j * large] += 1
+        j += 1
+        large = large[: np.searchsorted(large, half // j, side="right")]
+    return h
+
+
 def omega_star_table(x: int) -> OmegaStarTable:
     """Bulk omega* over [1, x]: for each prime p <= x + 1, every multiple of
-    p - 1 gains one count (p = 2 contributes to every n).
+    p - 1 gains one count.
 
-    Steps s = p - 1 <= x // _SMALL_STEP_MULTIPLES get one strided slice
-    update each.  Every larger step has fewer than _SMALL_STEP_MULTIPLES
-    multiples, so those are added by multiplier instead: pass j adds one to
-    j * s for all large steps s <= x // j in a single fancy-index update,
-    whose indices are distinct for a fixed j.
+    p = 2 gives the 1 that every n holds, and every other p - 1 is even, so
+    omega*(n) = 1 on odd n and omega*(2m) = h[m] from _half_table: the
+    strided work runs on an array half as long as the table, and the prime
+    array is freed before the table is expanded.
     """
     if x < 1:
         raise ValueError("x must be at least 1")
     check_ceiling(x, "omega* table size")
-    counts = np.zeros(x + 1, dtype=np.int32)
-    steps = sieve_primes(x + 1).primes - 1
-    split = np.searchsorted(steps, x // _SMALL_STEP_MULTIPLES, side="right")
-    for step in steps[:split].tolist():
-        counts[step::step] += 1
-    large = steps[split:]
-    j = 1
-    while large.size:
-        counts[j * large] += 1
-        j += 1
-        large = large[: np.searchsorted(large, x // j, side="right")]
+    h = _half_table(x, _table_dtype(x))
+    counts = np.ones(x + 1, dtype=h.dtype)
+    counts[0] = 0
+    counts[2::2] = h[1:]
     return OmegaStarTable(x=x, counts=counts)
 
 
@@ -82,6 +112,8 @@ def moment_sum(table: OmegaStarTable, k: int, upto: int | None = None) -> int:
 def moment_scan(xs: list[int], k: int, table: OmegaStarTable | None = None) -> list[tuple[int, float]]:
     """(x, M_k(x)) at each x in ascending xs, from one shared bulk table;
     M_k(x) = (1/x) * sum of omega*(n)^k over n <= x, accumulated exactly."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if not xs:
         raise ValueError("xs must be nonempty")
     if any(b <= a for a, b in zip(xs, xs[1:])):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from omegastar import cli
+from omegastar import cli, construction, omega
 from omegastar.cli import main
 
 
@@ -147,6 +147,19 @@ PINNED_SHA256 = {
     ),
 }
 
+# SHA-256 of the exact stdout of the omega* table commands at the scale of the
+# moments benchmark, taken from the full-length int32 kernel: the even-only
+# uint16 kernel must reproduce every byte.
+PINNED_TABLE_SHA256 = {
+    ("moments", "--x", "99000,990000,9900000", "--k", "1"): (
+        "ff4b82f04f46f4f2fc0f028fcb4776d77aff373c15e64fbe21b6398951c1fdc4"
+    ),
+    ("moments", "--x", "99000,990000,9900000", "--k", "3"): (
+        "6504d921fc2df12fca2e11c25d8d9def27fac784f6eda7d489e3ea65344e6170"
+    ),
+    ("champions", "--max-n", "1000000"): "a256ad022b6aed9ff21936dace5028dd532a9bf0f4837dec527c6ef750c9bbf1",
+}
+
 # SHA-256 of the exact stdout of the smooth censuses: the census benchmark's
 # command lines at seeds 7 and 43 (x = _draw_x(seed) in perfbench/workloads.py),
 # an unsorted y list with a duplicate, y above x, and the report's x and y.
@@ -174,6 +187,9 @@ def no_heavy_work(monkeypatch):
 
     for name in ("sample_stats", "omega_star_table", "smooth_census"):
         monkeypatch.setattr(cli, name, refuse)
+    # moments and champions reach the table through these modules' own bindings
+    monkeypatch.setattr(omega, "omega_star_table", refuse)
+    monkeypatch.setattr(construction, "omega_star_table", refuse)
 
 
 class TestBasicCommands:
@@ -328,12 +344,25 @@ class TestDeterminism:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SMOOTH_SHA256[argv]
 
+    @pytest.mark.parametrize("argv", list(PINNED_TABLE_SHA256), ids=["moments-k1", "moments-k3", "champions-1e6"])
+    def test_pinned_table_stdout(self, capsys, argv):
+        code, out, err = run_cli(capsys, list(argv))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TABLE_SHA256[argv]
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         code, out, _ = run_cli(capsys, ["--out", str(path), "constants"])
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["schema"] == "omegastar/1"
+
+    def test_output_file_replaces_earlier_output(self, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("earlier output that is longer than the new one\n")
+        code, _, _ = run_cli(capsys, ["--out", str(path), "omega-star", "--n", "12"])
+        assert code == 0
+        assert path.read_text() == "n,omega_star\n12,5\n"
 
     def test_report_defaults_meet_documented_bars(self, capsys):
         import time
@@ -454,6 +483,30 @@ class TestExitCodes:
         assert err.startswith(f"omegastar: error: --out {path} cannot be written")
         assert "Traceback" not in err
 
+    def test_unwritable_out_exit_2_before_work(self, capsys, tmp_path, no_heavy_work):
+        path = str(tmp_path / "missing" / "x")
+        code, out, err = run_cli(capsys, ["--out", path, "moments", "--x", "10000000"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"omegastar: error: --out {path} cannot be written")
+
+    def test_failed_run_keeps_out_file(self, capsys, tmp_path):
+        # the early --out check neither truncates a file nor leaves one behind
+        argv = ["--out", str(tmp_path / "out.csv"), "moments", "--x", "10", "--k", "0"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert err.startswith("omegastar: error: k must be at least 1")
+        assert not (tmp_path / "out.csv").exists()
+        (tmp_path / "out.csv").write_text("earlier output\n")
+        assert run_cli(capsys, argv)[0] == 2
+        assert (tmp_path / "out.csv").read_text() == "earlier output\n"
+
+    def test_moments_k_below_1_exit_2_before_work(self, capsys, no_heavy_work):
+        code, out, err = run_cli(capsys, ["moments", "--x", "10000000", "--k", "0"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("omegastar: error: k must be at least 1")
+
     @pytest.mark.parametrize("v_list", ["-3,0,1", "0", "1,-0.5"])
     def test_non_positive_v_exit_2_before_work(self, capsys, no_heavy_work, v_list):
         code, out, err = run_cli(capsys, ["smooth-scan", "--x", "1000", f"--v-list={v_list}"])
@@ -476,8 +529,6 @@ class TestExitCodes:
         assert json.loads(out)["seed"] == int(seed)
 
     def test_pairs_cap_checked_before_sieving(self, capsys, monkeypatch):
-        from omegastar import construction
-
         def no_sieve(*args, **kwargs):
             raise AssertionError("sieve_primes called before the pair-space cap was checked")
 

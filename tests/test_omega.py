@@ -10,7 +10,8 @@ from omegastar.omega import (
     omega_star,
     omega_star_table,
 )
-from omegastar.sieve import sieve_primes
+from omegastar.arith import tau
+from omegastar.sieve import factorize, sieve_primes
 
 from conftest import brute_omega_star
 
@@ -81,7 +82,9 @@ def bincount_moment_oracle(counts, k, upto):
 
 
 class TestSplitKernel:
-    """omega_star_table's small-step/large-step split against the per-prime oracle."""
+    """omega_star_table's even-only kernel against the full-length per-prime
+    oracle: half-steps t = (p - 1)/2 over [1, x // 2], split at
+    (x // 2) // B into slice updates and multiplier passes."""
 
     B = omega._SMALL_STEP_MULTIPLES
 
@@ -89,22 +92,55 @@ class TestSplitKernel:
         assert np.array_equal(omega_star_table(x).counts, slice_per_prime_oracle(x)), x
 
     def test_small_x(self):
-        # covers x = 1, 2, 3 and B - 1, B, B + 1; below B every step is large
-        for x in range(1, 3 * self.B):
+        # odd and even x up to 6B: x // 2 crosses B - 1, B, B + 1 and 2B, and
+        # below x = 2B every half-step is large
+        for x in range(1, 6 * self.B):
             self._check(x)
 
     def test_step_equal_to_split_point(self):
-        # p - 1 == x // B for the prime p = 1009: the boundary step is a small step
-        x = 1008 * self.B + self.B // 2
+        # (p - 1)/2 == (x // 2) // B for the prime p = 1009: the boundary
+        # half-step is a small step, at odd and even x
         assert sieve_primes(1009).primes[-1] == 1009
-        self._check(x)
+        for x in (2 * (504 * self.B + self.B // 2) + offset for offset in (-1, 0, 1)):
+            assert (x // 2) // self.B == (1009 - 1) // 2
+            self._check(x)
+
+    def test_split_point_edges(self):
+        # x // 2 at the ends of the range where (x // 2) // B == 504
+        for half in (504 * self.B, 505 * self.B - 1):
+            for x in (2 * half - 1, 2 * half, 2 * half + 1, 2 * half + 2):
+                self._check(x)
 
     def test_near_2_pow_20(self):
-        for x in (2**20 - 1, 2**20 + 1):
+        for x in (2**20 - 1, 2**20, 2**20 + 1, 2**21 - 1, 2**21, 2**21 + 1):
             self._check(x)
 
     def test_at_1e6(self, table_1e6):
+        assert table_1e6.counts.dtype == np.uint16
         assert np.array_equal(table_1e6.counts, slice_per_prime_oracle(10**6))
+
+    def test_uint32_path(self, monkeypatch):
+        monkeypatch.setattr(omega, "_UINT16_BELOW", 0)
+        for x in (1, 2, 999, 1000, 4 * self.B * self.B + 1):
+            table = omega_star_table(x)
+            assert table.counts.dtype == np.uint32
+            assert np.array_equal(table.counts, slice_per_prime_oracle(x)), x
+
+
+class TestTableDtype:
+    def test_uint16_below_2_pow_31(self):
+        for x in (1, 10**7, 2**31 - 1):
+            assert omega._table_dtype(x) is np.uint16
+
+    def test_uint32_from_2_pow_31(self):
+        for x in (2**31, 2**32):
+            assert omega._table_dtype(x) is np.uint32
+
+    def test_bound_fits_uint16(self):
+        # the tau record below 2^31, from factorize, not from a table
+        n = 2_095_133_040
+        assert n < 2**31
+        assert tau(factorize(n)) == 1600 < np.iinfo(np.uint16).max
 
 
 class TestBlockedMomentSum:
@@ -170,6 +206,15 @@ class TestMomentScan:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             moment_scan([10, 10], 1)
+
+    def test_rejects_bad_k_before_table(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("omega* table built before k was checked")
+
+        monkeypatch.setattr(omega, "omega_star_table", refuse)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                moment_scan([10**7], k)
 
 
 class TestReportedTrends:
