@@ -37,19 +37,6 @@ from .smooth import pomerance_ratio, smooth_census
 
 SCHEMA = "omegastar/1"
 
-# Output formats each subcommand can write, default first; any other exits 2.
-_FORMATS = {
-    "omega-star": ("csv", "json"),
-    "moments": ("csv", "json"),
-    "champions": ("csv", "json"),
-    "constants": ("json", "csv"),
-    "sample-divisors": ("json",),
-    "pairs": ("json", "csv"),
-    "smooth": ("csv", "json"),
-    "smooth-scan": ("csv",),
-    "report": ("json",),
-}
-
 # A handler returns (doc, rows): the JSON document and the CSV rows, flat
 # dicts whose keys are the header; None where the command has no such form.
 Output = tuple[dict[str, Any] | None, list[dict[str, Any]] | None]
@@ -287,19 +274,6 @@ def _cmd_report(args: argparse.Namespace) -> Output:
     return doc, None
 
 
-_HANDLERS = {
-    "omega-star": _cmd_omega_star,
-    "moments": _cmd_moments,
-    "champions": _cmd_champions,
-    "constants": _cmd_constants,
-    "sample-divisors": _cmd_sample_divisors,
-    "pairs": _cmd_pairs,
-    "smooth": _cmd_smooth,
-    "smooth-scan": _cmd_smooth_scan,
-    "report": _cmd_report,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omegastar",
@@ -316,38 +290,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    s = sub.add_parser("omega-star", help="omega*(n) for one n")
+    def command(name: str, handler, help: str, *formats: str) -> argparse.ArgumentParser:
+        # `formats` are those the subcommand can write, default first; any other exits 2.
+        s = sub.add_parser(name, help=help)
+        s.set_defaults(handler=handler, formats=formats)
+        return s
+
+    s = command("omega-star", _cmd_omega_star, "omega*(n) for one n", "csv", "json")
     s.add_argument("--n", type=int, required=True)
 
-    s = sub.add_parser("moments", help="M_k at one or more x (comma separated)")
+    s = command("moments", _cmd_moments, "M_k at one or more x (comma separated)", "csv", "json")
     s.add_argument("--x", type=str, required=True)
     s.add_argument("--k", type=int, default=1)
 
-    s = sub.add_parser("champions", help="maximize omega* over multiples of k up to max-n")
+    s = command("champions", _cmd_champions, "maximize omega* over multiples of k up to max-n", "csv", "json")
     s.add_argument("--max-n", type=int, required=True)
     s.add_argument("--k", type=int, default=1)
 
-    s = sub.add_parser("constants", help="optimized constants and identity residuals")
+    s = command("constants", _cmd_constants, "optimized constants and identity residuals", "json", "csv")
     s.add_argument("--theta", type=float, default=UNCONDITIONAL_THETA)
 
-    s = sub.add_parser("sample-divisors", help="seeded random-divisor acceptance experiment")
+    s = command("sample-divisors", _cmd_sample_divisors, "seeded random-divisor acceptance experiment", "json")
     s.add_argument("--log-x", type=float, required=True)
     s.add_argument("--mode", choices=("grh", "unconditional"), default="grh")
     s.add_argument("--trials", type=int, default=10**5)
 
-    s = sub.add_parser("pairs", help="A_d pair counts for divisors d <= sqrt(k), plus total A")
+    s = command("pairs", _cmd_pairs, "A_d pair counts for divisors d <= sqrt(k), plus total A", "json", "csv")
     s.add_argument("--x", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
 
-    s = sub.add_parser("smooth", help="Psi(x,y), pi(x,y), pi(x) and the density ratio")
+    s = command("smooth", _cmd_smooth, "Psi(x,y), pi(x,y), pi(x) and the density ratio", "csv", "json")
     s.add_argument("--x", type=int, required=True)
     s.add_argument("--y", type=int, required=True)
 
-    s = sub.add_parser("smooth-scan", help="smooth census at y = round(v log x) for each v")
+    s = command("smooth-scan", _cmd_smooth_scan, "smooth census at y = round(v log x) for each v", "csv")
     s.add_argument("--x", type=int, required=True)
     s.add_argument("--v-list", type=str, required=True)
 
-    s = sub.add_parser("report", help="consolidated JSON document")
+    s = command("report", _cmd_report, "consolidated JSON document", "json")
     s.add_argument("--x", type=int, default=10**6)
     s.add_argument("--log-x", type=float, default=1100.0)
     s.add_argument("--trials", type=int, default=10**5)
@@ -371,18 +351,17 @@ def _parse_list(text: str, kind: type, flag: str) -> list[Any]:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    formats = _FORMATS[args.subcommand]
-    fmt = args.format or formats[0]
+    fmt = args.format or args.formats[0]
     args.workers = max(1, args.workers)
     try:
         if not 0 <= args.seed < 2**64:
             raise ValueError(f"--seed must lie in [0, 2^64); got {args.seed}")
-        if fmt not in formats:
-            supported = ", ".join(formats)
+        if fmt not in args.formats:
+            supported = ", ".join(args.formats)
             raise ValueError(f"--format {fmt} is not supported by {args.subcommand} (supported: {supported})")
         if args.out:
             _check_out(args.out)
-        _emit(args.out, _render(fmt, *_HANDLERS[args.subcommand](args)))
+        _emit(args.out, _render(fmt, *args.handler(args)))
         return 0
     except ResourceLimitError as exc:
         print(f"omegastar: resource limit: {exc}", file=sys.stderr)

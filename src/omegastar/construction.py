@@ -33,6 +33,7 @@ from .sieve import (
     Factorization,
     PrimeTable,
     ResourceLimitError,
+    check_ceiling,
     factorize,
     is_prime,
     primes_in_ap,
@@ -92,10 +93,6 @@ class ConstructionParams:
     @property
     def window_omega(self) -> float:
         return float(self.R) ** (2.0 / 3.0)
-
-    @property
-    def expected_log_d(self) -> float:
-        return self.rho * self.log_k
 
     @property
     def expected_omega(self) -> float:
@@ -295,9 +292,9 @@ def _window_flags(params: ConstructionParams, log_d, big_omega_d):
 
 def sample_divisor(params: ConstructionParams, seed: int) -> DivisorSample:
     """Draw one random divisor of k: prime r enters with probability rho,
-    decided by the SplitMix64 unit stream of `seed`.  Deterministic given the
-    seed, bit-for-bit across platforms."""
-    u = rng.unit_stream(seed, params.R)
+    decided by row 0 of rng.unit_block for `seed` in [0, 2^64).
+    Deterministic given the seed, bit-for-bit across platforms."""
+    u = rng.unit_block(np.array([seed], dtype=np.uint64), params.R)[0]
     indicators = u < params.rho
     log_d = float((indicators * params.log_primes).sum())
     w = int(indicators.sum())
@@ -350,6 +347,7 @@ def sample_stats(params: ConstructionParams, trials: int, seed: int, workers: in
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    check_ceiling(trials, "trials")
     chunks = [(start, min(_CHUNK, trials - start)) for start in range(0, trials, _CHUNK)]
     threads = min(workers, os.cpu_count() or 1, len(chunks))
     if threads > 1:

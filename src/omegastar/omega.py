@@ -122,4 +122,10 @@ def moment_scan(xs: list[int], k: int, table: OmegaStarTable | None = None) -> l
         raise ValueError("xs entries must be >= 1")
     if table is None or table.x < xs[-1]:
         table = omega_star_table(xs[-1])
-    return [(x, moment_sum(table, k, upto=x) / x) for x in xs]
+    points = []
+    for x in xs:
+        try:
+            points.append((x, moment_sum(table, k, upto=x) / x))
+        except OverflowError:
+            raise ValueError(f"M_k(x) at k = {k}, x = {x} is too large for a float") from None
+    return points

@@ -44,21 +44,6 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def stream(seed: int, n: int) -> np.ndarray:
-    """First n raw 64-bit outputs of the stream for `seed`."""
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    return _mix64_inplace(np.uint64(seed & _MASK) + idx * np.uint64(GAMMA))
-
-
-def to_unit(raw: np.ndarray) -> np.ndarray:
-    """Map raw 64-bit outputs to floats in [0, 1)."""
-    return (raw >> np.uint64(11)).astype(np.float64) * _U53
-
-
-def unit_stream(seed: int, n: int) -> np.ndarray:
-    return to_unit(stream(seed, n))
-
-
 def substream_seed(seed: int, j: int) -> int:
     """Seed of substream j; substreams of one seed never share raw states for
     the index ranges used here."""
@@ -74,10 +59,10 @@ def substream_seeds(seed: int, start: int, count: int) -> np.ndarray:
 def unit_block(seeds: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix of unit floats: row i holds the first n draws of seeds[i].
 
-    Row i is bit-identical to unit_stream(int(seeds[i]), n).  The states are
-    mixed, shifted, cast and scaled in place in one uint64 matrix: a fresh
-    one, or `out` (uint64, shape (seeds.size, n)), whose memory the returned
-    float64 matrix then shares.  `seeds` is only read.
+    Entry (i, j - 1) is (mix64(seeds[i] + j * GAMMA) >> 11) * 2**-53, bit for
+    bit.  The states are mixed, shifted, cast and scaled in place in one
+    uint64 matrix: a fresh one, or `out` (uint64, shape (seeds.size, n)),
+    whose memory the returned float64 matrix then shares.  `seeds` is only read.
     """
     offs = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GAMMA)
     z = _mix64_inplace(np.add(seeds[:, None], offs[None, :], out=out))

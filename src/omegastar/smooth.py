@@ -5,7 +5,8 @@ An integer is y-smooth when its greatest prime factor P+(n) is at most y
 with p - 1 y-smooth.  One segmented sieve pass serves every y at once: it
 multiplies up the smooth part of each n over the primes in ascending order
 (exactness over Buchstab-style recursion), reading the counts off as the
-primes pass each y, with one set of primality flags shared by all.
+primes pass each y, with one set of primality flags shared by all.  Past
+sqrt(x), the cofactor left after the primes <= sqrt(x) is compared with y.
 """
 
 from __future__ import annotations
@@ -37,22 +38,25 @@ class PomeranceRatio(NamedTuple):
 
 
 def _census_segment(
-    lo: int, hi: int, mark: list[int], stages: list[list[int]], carry: list[bool]
+    lo: int, hi: int, mark: list[int], stages: list[tuple[list[int], int | None]], carry: list[bool]
 ) -> tuple[int, list[tuple[int, int]]]:
     """pi over [lo, hi), and (psi, pi_smooth) over [lo, hi) after each stage.
 
-    `mark` holds every prime <= isqrt(hi - 1), ascending.  Stage i adds the
-    primes of `stages[i]`, ascending and above those of earlier stages: `part`
-    is multiplied by p once for every p^e dividing n, so it stays the smooth
-    part of n, at most n, and n is smooth at stage i exactly when part == n.
-    `carry[i]` says whether lo - 1 is smooth at stage i; it is moved on to
-    hi - 1 in place.  n and part are uint32 while hi - 1 fits, else uint64.
+    `mark` holds every prime <= isqrt(hi - 1), ascending.  Stage i is a pair
+    (primes, cap); its primes are ascending and above those of earlier
+    stages.  `part` is multiplied by p once for every p^e dividing n, so it
+    stays the smooth part of n, at most n.  Cap None: every prime <= the
+    stage's y is in, and n is smooth exactly when part == n.  Cap y: every
+    prime in `mark` is in, so the cofactor n // part is 1 or one prime, and
+    n is smooth exactly when it is at most y.  `carry[i]` says whether
+    lo - 1 is smooth at stage i; it is moved on to hi - 1 in place.  n and
+    part are uint32 while hi - 1 fits, else uint64.
     """
     n = np.arange(lo, hi, dtype=np.uint32 if hi <= 2**32 else np.uint64)
     part = np.ones_like(n)
     prime = _segment_flags(lo, hi, mark).view(bool)
     counts = []
-    for i, primes in enumerate(stages):
+    for i, (primes, cap) in enumerate(stages):
         for p in primes:
             q = p
             while q < hi:
@@ -60,7 +64,7 @@ def _census_segment(
                 if start < hi:
                     part[start - lo :: q] *= p
                 q *= p
-        smooth = part == n
+        smooth = part == n if cap is None else n // part <= cap
         pi_smooth = int(np.count_nonzero(prime[1:] & smooth[:-1])) + bool(prime[0] and carry[i])
         counts.append((int(np.count_nonzero(smooth)), pi_smooth))
         carry[i] = bool(smooth[-1])
@@ -73,7 +77,9 @@ def smooth_census(x: int, ys: list[int]) -> list[SmoothCensus]:
 
     The distinct y values, ascending, are the stages of _census_segment;
     each keeps its own carry of n - 1's smoothness across segment
-    boundaries.  For x < 2^32 every segment works in uint32.
+    boundaries.  Only the primes <= isqrt(x) are walked, so the cost does not
+    grow with y; a y above isqrt(x) (capped at x) takes the cofactor test.
+    For x < 2^32 every segment works in uint32.
     """
     if x < 1:
         raise ValueError("x must be at least 1")
@@ -85,10 +91,9 @@ def smooth_census(x: int, ys: list[int]) -> list[SmoothCensus]:
 
     root = math.isqrt(x)
     order = sorted(set(ys))
-    base = _primes_upto(max(root, min(order[-1], x))).tolist()
-    mark = base[: bisect.bisect_right(base, root)]
-    cuts = [0] + [bisect.bisect_right(base, y) for y in order]
-    stages = [base[a:b] for a, b in zip(cuts, cuts[1:])]
+    mark = _primes_upto(root).tolist()
+    cuts = [0] + [bisect.bisect_right(mark, y) for y in order]
+    stages = [(mark[a:b], None if y <= root else min(y, x)) for a, b, y in zip(cuts, cuts[1:], order)]
 
     carry = [True] * len(order)  # n = 1 has no predecessor in range
     pi_x = 0

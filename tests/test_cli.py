@@ -404,6 +404,27 @@ class TestExitCodes:
         assert code == 3
         assert "ceiling" in err
 
+    def test_oversized_trials_exit_3_before_work(self, capsys, monkeypatch):
+        def no_chunk(*args, **kwargs):
+            raise AssertionError("a chunk ran before the trial count was checked")
+
+        monkeypatch.setenv("OMEGASTAR_CEILING", "1000")
+        monkeypatch.setattr(construction, "_chunk_stats", no_chunk)
+        code, out, err = run_cli(capsys, ["sample-divisors", "--log-x", "111", "--trials", "1001"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("omegastar: resource limit: trials = 1001")
+        assert "Traceback" not in err
+
+    def test_moments_large_k_exit_2(self, capsys):
+        # omega*(n) = 3 at n = 4, 6, 8, 10, so M_1000(10) is about 3^1000 / 2, past any float
+        code, out, err = run_cli(capsys, ["moments", "--x", "10", "--k", "1000"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("omegastar: error: ")
+        assert "k = 1000" in err and "x = 10" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [

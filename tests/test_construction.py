@@ -320,6 +320,16 @@ class TestSampleStats:
         assert requested == [3, 2]
         assert huge == one
 
+    def test_oversized_trials_refused_before_any_chunk(self, grh_111, monkeypatch):
+        # 2^31 + 1 trials would list half a million chunks and submit them all.
+        def no_chunk(*args, **kwargs):
+            raise AssertionError("a chunk ran before the trial count was checked")
+
+        monkeypatch.delenv("OMEGASTAR_CEILING", raising=False)
+        monkeypatch.setattr(construction, "_chunk_stats", no_chunk)
+        with pytest.raises(ResourceLimitError, match="trials"):
+            sample_stats(grh_111, 2**31 + 1, seed=5, workers=2)
+
     def test_sampling_mean_concentrates(self, grh_1100):
         mean, var = log_d_moments(grh_1100)
         trials = 10**5

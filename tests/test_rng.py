@@ -2,35 +2,53 @@ import numpy as np
 
 from omegastar import rng
 
+_MASK = (1 << 64) - 1
+
 
 def _scalar_stream(seed: int, n: int) -> list[int]:
-    return [rng.mix64((seed + i * rng.GAMMA) & ((1 << 64) - 1)) for i in range(1, n + 1)]
+    """First n raw outputs of the stream for `seed`, in pure Python integers."""
+    return [rng.mix64((seed + i * rng.GAMMA) & _MASK) for i in range(1, n + 1)]
+
+
+def _scalar_units(seed: int, n: int) -> list[float]:
+    return [(z >> 11) * 2.0**-53 for z in _scalar_stream(seed, n)]
+
+
+def _unit_row(seed: int, n: int) -> np.ndarray:
+    """The one-seed stream as sample_divisor draws it: row 0 of unit_block."""
+    return rng.unit_block(np.array([seed], dtype=np.uint64), n)[0]
 
 
 class TestSplitMix64:
     def test_vector_matches_scalar(self):
+        # Raw outputs i = 1 .. n are substreams 1 .. n of the seed.
         for seed in (0, 1, 42, 2**63, 2**64 - 1):
-            vec = rng.stream(seed, 64).tolist()
-            assert vec == _scalar_stream(seed, 64)
+            assert rng.substream_seeds(seed, 1, 64).tolist() == _scalar_stream(seed, 64)
+            assert _unit_row(seed, 64).tolist() == _scalar_units(seed, 64)
 
     def test_known_reference_values(self):
-        # SplitMix64 reference outputs for seed 0 (state advances by GAMMA
-        # before each output, mix64 finalizer)
-        assert rng.stream(0, 3).tolist() == [
+        # SplitMix64 reference outputs: the state advances by GAMMA before
+        # each output, which is the mix64 finalizer of the state.
+        assert rng.substream_seeds(0, 1, 3).tolist() == [
             rng.mix64(rng.GAMMA),
-            rng.mix64((2 * rng.GAMMA) & ((1 << 64) - 1)),
-            rng.mix64((3 * rng.GAMMA) & ((1 << 64) - 1)),
+            rng.mix64((2 * rng.GAMMA) & _MASK),
+            rng.mix64((3 * rng.GAMMA) & _MASK),
         ]
-        # regression pin: first output for seed 1234567
-        assert rng.stream(1234567, 1)[0] == rng.mix64((1234567 + rng.GAMMA) & ((1 << 64) - 1))
+        assert rng.mix64(rng.GAMMA) == 0xE220A8397B1DCDAF
+        # regression pin: the published first outputs for seed 1234567
+        expected = [6457827717110365317, 3203168211198807973, 9817491932198370423, 4593380528125082431]
+        assert _scalar_stream(1234567, 4) == expected
+        assert rng.substream_seeds(1234567, 1, 4).tolist() == expected
+        assert _unit_row(1234567, 4).tolist() == [(z >> 11) * 2.0**-53 for z in expected]
 
     def test_determinism(self):
-        a = rng.unit_stream(42, 1000)
-        b = rng.unit_stream(42, 1000)
-        assert np.array_equal(a, b)
+        seeds = rng.substream_seeds(42, 0, 8)
+        assert np.array_equal(rng.substream_seeds(42, 0, 8), seeds)
+        assert np.array_equal(_unit_row(42, 1000), _unit_row(42, 1000))
+        assert np.array_equal(rng.unit_block(seeds, 100), rng.unit_block(seeds, 100))
 
     def test_unit_range_and_mean(self):
-        u = rng.unit_stream(7, 10**5)
+        u = _unit_row(7, 10**5)
         assert float(u.min()) >= 0.0
         assert float(u.max()) < 1.0
         assert abs(float(u.mean()) - 0.5) < 0.01
@@ -39,9 +57,9 @@ class TestSplitMix64:
         seeds = rng.substream_seeds(99, 0, 16)
         block = rng.unit_block(seeds, 32)
         for i in range(16):
-            row = rng.unit_stream(int(seeds[i]), 32)
-            assert np.array_equal(block[i], row)
             assert int(seeds[i]) == rng.substream_seed(99, i)
+            assert np.array_equal(block[i], _unit_row(int(seeds[i]), 32))
+            assert block[i].tolist() == _scalar_units(int(seeds[i]), 32)
 
     def test_block_into_out_matches_fresh_block(self):
         seeds = rng.substream_seeds(5, 100, 9)
@@ -59,10 +77,11 @@ class TestSplitMix64:
         rng.unit_block(seeds[3:9], 5, out=np.empty((6, 5), dtype=np.uint64))
         assert np.array_equal(seeds, kept)
         assert np.array_equal(rng.substream_seeds(99, 0, 16), kept)
-        raw = rng.stream(7, 64)
-        assert raw.tolist() == _scalar_stream(7, 64)
-        rng.to_unit(raw)
-        assert raw.tolist() == _scalar_stream(7, 64)
+        one = np.array([7], dtype=np.uint64)
+        rng.unit_block(one, 64)
+        assert one.tolist() == [7]
+        assert _unit_row(7, 64).tolist() == _scalar_units(7, 64)
 
     def test_distinct_seeds_distinct_streams(self):
-        assert not np.array_equal(rng.stream(1, 16), rng.stream(2, 16))
+        assert not np.array_equal(rng.substream_seeds(1, 1, 16), rng.substream_seeds(2, 1, 16))
+        assert not np.array_equal(_unit_row(1, 16), _unit_row(2, 16))

@@ -209,14 +209,16 @@ class TestCensusOracle:
             assert _got(x, ys) == want, (x, ys, segment)
 
     def test_uint64_segment_straddling_2_to_32(self):
-        # one segment [2^32 - 2^10, 2^32 + 2^10): n and part must be uint64
+        # one segment [2^32 - 2^10, 2^32 + 2^10): n and part must be uint64.
+        # isqrt(hi - 1) = 2^16, so the y above it take the cofactor test; the
+        # prime 2^16 + 1 is the cofactor of 2^32 - 1 = 3 * 5 * 17 * 257 * 65537.
         lo, hi = 2**32 - 2**10, 2**32 + 2**10
-        ys = [2, 3, 1000, 2**16]
-        base = sieve._primes_upto(2**16 + 1).tolist()
-        stages = [[p for p in base if a < p <= b] for a, b in zip([0] + ys, ys)]
+        ys = [2, 3, 1000, 2**16, 2**16 + 1, 2**20, 2**40]
+        mark = sieve._primes_upto(2**16).tolist()
+        stages = [([p for p in mark if a < p <= b], None if b <= 2**16 else b) for a, b in zip([0] + ys, ys)]
         gpf = [factorize(n).factors[-1][0] for n in range(lo - 1, hi)]
         carry = [gpf[0] <= y for y in ys]
-        pi, counts = smooth._census_segment(lo, hi, base, stages, carry)
+        pi, counts = smooth._census_segment(lo, hi, mark, stages, carry)
         prime = [is_prime(n) for n in range(lo, hi)]
         assert pi == sum(prime)
         for y, (psi, pi_smooth), last in zip(ys, counts, carry):
@@ -225,3 +227,37 @@ class TestCensusOracle:
             assert pi_smooth == sum(p and s for p, s in zip(prime, smooth_flags)), y
             assert last == smooth_flags[-1]
         assert counts[0][0] == 1  # 2^32 alone is 2-smooth
+        assert counts[4][0] == counts[3][0] + 1  # 2^32 - 1 joins at y = 2^16 + 1
+
+
+class TestCensusAboveRoot:
+    """Only the primes <= isqrt(x) are walked; a y above isqrt(x) is read off
+    the cofactor n // part, which is 1 or a single prime."""
+
+    @pytest.mark.parametrize("x", [10**4, 10**4 + 1, 5 * 10**4 - 1, 4099])
+    @pytest.mark.parametrize("segment", [64, 1 << 20])
+    def test_y_around_root_against_division(self, monkeypatch, x, segment):
+        root = math.isqrt(x)
+        ys = [root - 1, root, root + 1, 2 * root, x // 2, x - 1, x, 3 * x]
+        expected = _expected(x, ys)
+        monkeypatch.setattr(sieve, "_SEGMENT", segment)
+        assert _got(x, ys) == expected
+
+    def test_mixed_ys_equal_separate_calls(self):
+        x = 3 * 10**4 + 11
+        ys = [x, 5, 173, math.isqrt(x) + 1, 2, math.isqrt(x), 10**9, 20000]
+        together = smooth_census(x, ys)
+        assert together == [smooth_census(x, [y])[0] for y in ys]
+
+    @pytest.mark.parametrize("x, ys", [(10**4, [10**4]), (99991, [3, 400, 10**6]), (2, [1, 2])])
+    def test_primes_only_up_to_root(self, monkeypatch, x, ys):
+        asked = []
+        real = smooth._primes_upto
+
+        def spy(n):
+            asked.append(n)
+            return real(n)
+
+        monkeypatch.setattr(smooth, "_primes_upto", spy)
+        smooth_census(x, ys)
+        assert asked and max(asked) <= math.isqrt(x)
