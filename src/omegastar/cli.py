@@ -32,7 +32,7 @@ from .construction import (
     sample_stats,
 )
 from .omega import moment_scan, omega_star, omega_star_table
-from .sieve import ResourceLimitError, factorize
+from .sieve import ResourceLimitError, check_ceiling, factorize
 from .smooth import pomerance_ratio, smooth_census
 
 SCHEMA = "omegastar/1"
@@ -228,6 +228,9 @@ def _cmd_report(args: argparse.Namespace) -> Output:
         raise ValueError(f"report --x must be at least 10, its smallest moment checkpoint; got {x}")
     if args.smooth_y < 1:
         raise ValueError(f"report --smooth-y must be at least 1; got {args.smooth_y}")
+    # the table's ceilings (its sieve runs to x + 1) cover the census's; refuse before the Monte Carlo
+    check_ceiling(x, "omega* table size")
+    check_ceiling(x + 1, "sieve limit")
     sampling_doc = _sampling_document(log_x, args.mode, trials, args.seed, args.workers)
 
     table = omega_star_table(x)

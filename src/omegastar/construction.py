@@ -260,17 +260,21 @@ def champion_search(
     N: int, k: Factorization, table: OmegaStarTable | None = None
 ) -> ChampionRecord:
     """Maximize omega*(n) over multiples n of k with k <= n <= N; ties break
-    toward the smallest n."""
+    toward the smallest n.  omega* is >= 2 on even n and 1 on odd n, so only
+    n = 2m are read, m a multiple of k / 2 (even k) or k (odd k, if 2k <= N)."""
     if k.n < 1:
         raise ValueError("k must be positive")
     if k.n > N:
         raise ValueError(f"k = {k.n} exceeds N = {N}: no multiples to scan")
     if table is None or table.x < N:
         table = omega_star_table(N)
-    multiples = table.counts[k.n : N + 1 : k.n]
+    step = k.n // 2 if k.n % 2 == 0 else k.n
+    multiples = table.counts[step : N // 2 + 1 : step]
+    if not multiples.size:
+        return ChampionRecord(n=k.n, omega_star_n=1, score=champion_score(k.n, 1))
     i = int(multiples.argmax())
     w = int(multiples[i])
-    n = (i + 1) * k.n
+    n = 2 * step * (i + 1)
     return ChampionRecord(n=n, omega_star_n=w, score=champion_score(n, w))
 
 

@@ -20,14 +20,16 @@ _SMALL_STEP_MULTIPLES = 64
 # composite n = 2,095,133,040), so uint16 holds every count below this bound;
 # only a raised OMEGASTAR_CEILING lets x reach it.
 _UINT16_BELOW = 2**31
-# Entries per np.bincount call in moment_sum.
-_HIST_BLOCK = 1 << 20
+# Entries per np.bincount call in moment_sum, whose intp copy of a block is 512 KiB.
+_HIST_BLOCK = 1 << 16
 
 
 @dataclass
 class OmegaStarTable:
-    """counts[n] = omega*(n) for 1 <= n <= x; counts[0] is an unused 0.
-    The dtype is uint16 below x = 2^31 and uint32 from there on."""
+    """The even half of omega* over [1, x]: counts[m] = omega*(2m) for
+    1 <= m <= x // 2, and counts[0] is unused.  Odd n are not stored, since
+    omega*(n) = 1 on every odd n.  The dtype is uint16 below x = 2^31 and
+    uint32 from there on, so the table takes about x bytes below 2^31."""
 
     x: int
     counts: np.ndarray
@@ -45,9 +47,13 @@ def _table_dtype(x: int) -> type:
     return np.uint16 if x < _UINT16_BELOW else np.uint32
 
 
-def _half_table(x: int, dtype: type) -> np.ndarray:
-    """h[m] = 1 + the number of half-steps t = (p - 1)/2 of odd primes
-    p <= x + 1 that divide m, for 1 <= m <= x // 2.
+def omega_star_table(x: int) -> OmegaStarTable:
+    """Bulk omega* over [1, x]: for each prime p <= x + 1, every multiple of
+    p - 1 gains one count.
+
+    p = 2 gives the 1 that every n holds, and every other p - 1 is even, so
+    only n = 2m need work: counts[m] = 1 + the number of half-steps
+    t = (p - 1)/2 of odd primes p <= x + 1 that divide m.
 
     Half-steps t <= (x // 2) // _SMALL_STEP_MULTIPLES get one strided slice
     update each.  Every larger half-step has fewer than _SMALL_STEP_MULTIPLES
@@ -55,57 +61,43 @@ def _half_table(x: int, dtype: type) -> np.ndarray:
     j * t for all large t <= (x // 2) // j in a single fancy-index update,
     whose indices are distinct for a fixed j.
     """
+    if x < 1:
+        raise ValueError("x must be at least 1")
+    check_ceiling(x, "omega* table size")
     half = x // 2
     # (p - 1)/2 = p // 2 for odd p, halved in place: no second prime-sized array
     steps = sieve_primes(x + 1).primes[1:]
     steps //= 2
-    h = np.ones(half + 1, dtype=dtype)
+    h = np.ones(half + 1, dtype=_table_dtype(x))
     split = np.searchsorted(steps, half // _SMALL_STEP_MULTIPLES, side="right")
     for step in steps[:split].tolist():
         h[step::step] += 1
     large = steps[split:]
     j = 1
     while large.size:
-        h[j * large] += 1
+        h[j * large if j > 1 else large] += 1
         j += 1
         large = large[: np.searchsorted(large, half // j, side="right")]
-    return h
-
-
-def omega_star_table(x: int) -> OmegaStarTable:
-    """Bulk omega* over [1, x]: for each prime p <= x + 1, every multiple of
-    p - 1 gains one count.
-
-    p = 2 gives the 1 that every n holds, and every other p - 1 is even, so
-    omega*(n) = 1 on odd n and omega*(2m) = h[m] from _half_table: the
-    strided work runs on an array half as long as the table, and the prime
-    array is freed before the table is expanded.
-    """
-    if x < 1:
-        raise ValueError("x must be at least 1")
-    check_ceiling(x, "omega* table size")
-    h = _half_table(x, _table_dtype(x))
-    counts = np.ones(x + 1, dtype=h.dtype)
-    counts[0] = 0
-    counts[2::2] = h[1:]
-    return OmegaStarTable(x=x, counts=counts)
+    return OmegaStarTable(x=x, counts=h)
 
 
 def moment_sum(table: OmegaStarTable, k: int, upto: int | None = None) -> int:
     """Exact integer sum of omega*(n)^k over n <= upto (default: the whole table).
 
-    The value histogram is accumulated over blocks of _HIST_BLOCK entries, so
-    the working memory beyond the table does not grow with upto.
+    The value histogram is accumulated over the even half in blocks of
+    _HIST_BLOCK entries, so the working memory beyond the table does not grow
+    with upto; the odd n <= upto add upto - upto // 2 entries of value 1.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     x = table.x if upto is None else upto
     if not 1 <= x <= table.x:
         raise ValueError(f"upto = {x} outside table range [1, {table.x}]")
-    values = table.counts[1 : x + 1]
-    hist = np.zeros(int(values.max()) + 1, dtype=np.int64)
-    for lo in range(0, x, _HIST_BLOCK):
-        hist += np.bincount(values[lo : lo + _HIST_BLOCK], minlength=hist.size)
+    even = table.counts[1 : x // 2 + 1]
+    hist = np.zeros(int(even.max(initial=1)) + 1, dtype=np.int64)
+    for lo in range(0, even.size, _HIST_BLOCK):
+        hist += np.bincount(even[lo : lo + _HIST_BLOCK], minlength=hist.size)
+    hist[1] += x - x // 2
     return sum(int(c) * v**k for v, c in enumerate(hist.tolist()) if c)
 
 

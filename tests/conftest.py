@@ -84,6 +84,15 @@ def brute_omega_star(n: int, prime_flags: np.ndarray | None = None) -> int:
     return count
 
 
+def expand_half_table(table) -> np.ndarray:
+    """omega*(0..x) from the half table of omega_star_table(x): 1 on odd n,
+    counts[n // 2] on even n, and an unused 0 at n = 0."""
+    full = np.ones(table.x + 1, dtype=table.counts.dtype)
+    full[0] = 0
+    full[2::2] = table.counts[1:]
+    return full
+
+
 def brute_pair_count_A(x: int, k: int, primes: list[int]) -> int:
     """Literal enumeration of pairs (m, p), m, p <= x, with k | m(p-1)."""
     ms = np.arange(1, x + 1, dtype=np.int64)

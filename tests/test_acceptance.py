@@ -33,7 +33,7 @@ from omegastar.omega import moment_scan, moment_sum, omega_star, omega_star_tabl
 from omegastar.sieve import factorize, sieve_primes
 from omegastar.smooth import log_psi_leading, smooth_census
 
-from conftest import grh_acceptance_bracket
+from conftest import expand_half_table, grh_acceptance_bracket
 
 
 class _Criterion:
@@ -85,8 +85,7 @@ def test_c02_grh_identities():
 def test_c03_omega_star_correctness():
     crit = _Criterion(3, "omega* bulk vs pointwise on [1, 1e5]", 10.0)
     x = 10**5
-    table = omega_star_table(x)
-    counts = table.counts
+    counts = expand_half_table(omega_star_table(x))
     mismatch = sum(1 for n in range(1, x + 1) if int(counts[n]) != omega_star(n))
     crit.check(mismatch == 0, f"pointwise divisor enumeration agrees at all {x} points")
     ns = np.arange(1, x + 1)
@@ -101,11 +100,11 @@ def test_c03_omega_star_correctness():
 
 def test_c04_bridging_identity():
     crit = _Criterion(4, "count_representations(n, n, n+1) = omega*(n)", 5.0)
-    table = omega_star_table(10**4)
+    counts = expand_half_table(omega_star_table(10**4))
     bad = [
         n
         for n in range(1, 10**4 + 1)
-        if count_representations(n, n, n + 1) != int(table.counts[n])
+        if count_representations(n, n, n + 1) != int(counts[n])
     ]
     crit.check(not bad, f"identity holds for all n <= 1e4 (violations: {bad[:5]})")
     crit.finish()

@@ -471,6 +471,25 @@ class TestExitCodes:
         assert err.startswith("omegastar: error: report --smooth-y must be at least 1")
 
     @pytest.mark.parametrize(
+        "x, refusal",
+        # the table's sieve runs to x + 1, so x = ceiling is refused as well
+        [("1001", "omega* table size = 1001"), ("1000", "sieve limit = 1001")],
+    )
+    def test_report_oversized_x_exit_3_before_work(self, capsys, monkeypatch, no_heavy_work, x, refusal):
+        monkeypatch.setenv("OMEGASTAR_CEILING", "1000")
+        code, out, err = run_cli(capsys, ["report", "--x", x, "--trials", "10", "--log-x", "111"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"omegastar: resource limit: {refusal} exceeds the memory ceiling 1000")
+        assert "Traceback" not in err
+
+    def test_report_x_below_ceiling_runs(self, capsys, monkeypatch):
+        monkeypatch.setenv("OMEGASTAR_CEILING", "1000")
+        code, out, err = run_cli(capsys, ["report", "--x", "999", "--trials", "10", "--log-x", "111"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["parameters"]["x"] == 999
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["smooth-scan", "--x", "0", "--v-list", "1"],

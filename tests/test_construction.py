@@ -24,7 +24,7 @@ from omegastar.arith import count_coprime_up_to, divisors
 from omegastar.omega import omega_star, omega_star_table
 from omegastar.sieve import ResourceLimitError, factorize, primes_in_ap
 
-from conftest import brute_pair_count_A, brute_pair_count_A_d, grh_acceptance_bracket
+from conftest import brute_pair_count_A, brute_pair_count_A_d, expand_half_table, grh_acceptance_bracket
 
 
 @pytest.fixture(scope="module")
@@ -154,13 +154,28 @@ class TestCountRepresentations:
 class TestChampion:
     def test_small_exhaustive(self):
         table = omega_star_table(300)
+        full = expand_half_table(table)
         for k in (1, 2, 6):
             rec = champion_search(300, factorize(k), table=table)
             mults = range(k, 301, k)
-            best = max(int(table.counts[n]) for n in mults)
-            first = next(n for n in mults if table.counts[n] == best)
+            best = max(int(full[n]) for n in mults)
+            first = next(n for n in mults if full[n] == best)
             assert (rec.n, rec.omega_star_n) == (first, best)
             assert rec.omega_star_n == omega_star(rec.n)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 7, 15])
+    def test_against_pointwise_omega_star(self, k):
+        # the record from pointwise omega*, never from a table: the first
+        # multiple of k to reach the maximum, at N = k, 2k - 1, 2k and a few
+        # larger N of both parities (odd k has no even multiple below 2k)
+        for N in sorted({k, 2 * k - 1, 2 * k, 2 * k + 1, 97, 98, 360, 361}):
+            if N < k:
+                continue
+            values = [(omega_star(n), -n) for n in range(k, N + 1, k)]
+            best, neg_n = max(values)
+            for table in (None, omega_star_table(N), omega_star_table(N + 1)):
+                rec = champion_search(N, factorize(k), table=table)
+                assert (rec.n, rec.omega_star_n) == (-neg_n, best), (k, N)
 
     def test_hundred(self):
         rec = champion_search(100, factorize(1))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from omegastar.omega import (
 from omegastar.arith import tau
 from omegastar.sieve import factorize, sieve_primes
 
-from conftest import brute_omega_star
+from conftest import brute_omega_star, expand_half_table
 
 
 @pytest.fixture(scope="module")
@@ -41,25 +42,30 @@ class TestOmegaStarPointwise:
 
 class TestOmegaStarTable:
     def test_table_of_ten(self):
-        assert omega_star_table(10).counts[1:].tolist() == [1, 2, 1, 3, 1, 3, 1, 3, 1, 3]
+        table = omega_star_table(10)
+        assert table.counts[1:].tolist() == [2, 3, 3, 3, 3]  # omega*(2), ..., omega*(10)
+        assert expand_half_table(table)[1:].tolist() == [1, 2, 1, 3, 1, 3, 1, 3, 1, 3]
 
     def test_table_of_one(self):
-        assert omega_star_table(1).counts[1:].tolist() == [1]
+        table = omega_star_table(1)
+        assert table.counts.size == 1  # counts[0] only: no even n <= 1
+        assert expand_half_table(table)[1:].tolist() == [1]
 
     def test_agrees_with_pointwise(self):
-        t = omega_star_table(3000)
+        full = expand_half_table(omega_star_table(3000))
         for n in range(1, 3001):
-            assert int(t.counts[n]) == omega_star(n), n
+            assert int(full[n]) == omega_star(n), n
 
     def test_parity_law(self, table_1e6):
-        counts = table_1e6.counts[1:]
+        # d in {1, 2} (p in {2, 3}) divide every even n: the stored half is >= 2
+        assert int(table_1e6.counts[1:].min()) >= 2
+        counts = expand_half_table(table_1e6)[1:]
         ns = np.arange(1, table_1e6.x + 1)
-        assert int(counts.min()) >= 1  # d = 1 (p = 2) divides everything
         assert np.all((counts == 1) == (ns % 2 == 1))
 
     def test_tau_domination(self):
         x = 10**5
-        counts = omega_star_table(x).counts
+        counts = expand_half_table(omega_star_table(x))
         tau_arr = np.zeros(x + 1, dtype=np.int32)
         for d in range(1, x + 1):
             tau_arr[d::d] += 1
@@ -76,7 +82,8 @@ def slice_per_prime_oracle(x):
 
 
 def bincount_moment_oracle(counts, k, upto):
-    """sum of omega*(n)^k over n <= upto from one whole-prefix histogram."""
+    """sum of omega*(n)^k over n <= upto from one whole-prefix histogram of
+    the full-length counts[n] = omega*(n)."""
     hist = np.bincount(counts[1 : upto + 1])
     return sum(int(c) * v**k for v, c in enumerate(hist.tolist()))
 
@@ -89,7 +96,9 @@ class TestSplitKernel:
     B = omega._SMALL_STEP_MULTIPLES
 
     def _check(self, x):
-        assert np.array_equal(omega_star_table(x).counts, slice_per_prime_oracle(x)), x
+        table = omega_star_table(x)
+        assert table.counts.size == x // 2 + 1
+        assert np.array_equal(expand_half_table(table), slice_per_prime_oracle(x)), x
 
     def test_small_x(self):
         # odd and even x up to 6B: x // 2 crosses B - 1, B, B + 1 and 2B, and
@@ -117,14 +126,33 @@ class TestSplitKernel:
 
     def test_at_1e6(self, table_1e6):
         assert table_1e6.counts.dtype == np.uint16
-        assert np.array_equal(table_1e6.counts, slice_per_prime_oracle(10**6))
+        assert np.array_equal(expand_half_table(table_1e6), slice_per_prime_oracle(10**6))
 
     def test_uint32_path(self, monkeypatch):
         monkeypatch.setattr(omega, "_UINT16_BELOW", 0)
         for x in (1, 2, 999, 1000, 4 * self.B * self.B + 1):
             table = omega_star_table(x)
             assert table.counts.dtype == np.uint32
-            assert np.array_equal(table.counts, slice_per_prime_oracle(x)), x
+            assert np.array_equal(expand_half_table(table), slice_per_prime_oracle(x)), x
+
+
+class TestHalfTableMemory:
+    """The table stores omega*(2m) only (its size is checked in
+    TestSplitKernel): about x bytes at uint16, and no array of x + 1 entries
+    beside it."""
+
+    def test_moment_scan_peak_below_2_25_x_bytes(self):
+        # the half table (x bytes), the int64 primes (0.53 x) and the
+        # multiplier passes' index arrays set the peak near 1.87 x; a
+        # full-length uint16 table beside the half took it to 3.00 x
+        x = 10**7
+        tracemalloc.start()
+        try:
+            moment_scan([10**5, 10**6, x], 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * x, peak / x
 
 
 class TestTableDtype:
@@ -145,11 +173,18 @@ class TestTableDtype:
 
 class TestBlockedMomentSum:
     def test_matches_whole_prefix_bincount(self):
+        # the half table holds upto // 2 entries: upto near 2 * block and
+        # 4 * block puts its end on either side of a block edge, at odd and
+        # even upto
         block = omega._HIST_BLOCK
-        table = omega_star_table(2 * block + 5)
-        for upto in (1, 2, block - 1, block, block + 1, 2 * block, 2 * block + 5):
+        x = 4 * block + 5
+        table = omega_star_table(x)
+        oracle = slice_per_prime_oracle(x)
+        uptos = [1, 2, 3, 4, 2 * block - 2, 2 * block - 1, 2 * block, 2 * block + 1, 2 * block + 2]
+        uptos += [2 * block + 3, 4 * block - 1, 4 * block, 4 * block + 1, x - 1, x]
+        for upto in uptos:
             for k in (1, 2, 3):
-                assert moment_sum(table, k, upto=upto) == bincount_moment_oracle(table.counts, k, upto)
+                assert moment_sum(table, k, upto=upto) == bincount_moment_oracle(oracle, k, upto), (upto, k)
 
 
 class TestMoments:
