@@ -353,12 +353,8 @@ def sample_stats(params: ConstructionParams, trials: int, seed: int, workers: in
         raise ValueError("trials must be at least 1")
     check_ceiling(trials, "trials")
     chunks = [(start, min(_CHUNK, trials - start)) for start in range(0, trials, _CHUNK)]
-    threads = min(workers, os.cpu_count() or 1, len(chunks))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: _chunk_stats(params, seed, *c), chunks))
-    else:
-        results = [_chunk_stats(params, seed, *c) for c in chunks]
+    with ThreadPoolExecutor(max_workers=max(1, min(workers, os.cpu_count() or 1, len(chunks)))) as pool:
+        results = list(pool.map(lambda c: _chunk_stats(params, seed, *c), chunks))
     n_logd = sum(r[0] for r in results)
     n_omega = sum(r[1] for r in results)
     n_dprime = sum(r[2] for r in results)
@@ -450,15 +446,14 @@ def enumerate_D_exact(params: ConstructionParams) -> ExactEnumeration:
     )
 
 
-def pair_count_report(x: int, k: Factorization, table: PrimeTable | None = None) -> PairCountReport:
+def pair_count_report(x: int, k: Factorization) -> PairCountReport:
     """A_d for every divisor d <= sqrt(k) of k, next to the exact total A.
 
     Each pair lands in A_d for at most one d, so the listed counts must sum to
     at most total_A.
     """
     _check_pair_x(x)
-    if table is None or table.limit < x:
-        table = sieve_primes(int(x))
+    table = sieve_primes(int(x))
     small_d = [d for d in divisors(k) if d * d <= k.n]
     per_d = [(d, count_A_d(x, x, k, d, table=table)) for d in small_d]
     return PairCountReport(x=x, k=k, per_d=per_d, total_A=total_pairs_A(x, k, table=table))

@@ -6,12 +6,13 @@ omega*(n) counts divisors d of n with d + 1 prime; it is >= 1 always, equals
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import divisors
-from .sieve import check_ceiling, factorize, is_prime, sieve_primes
+from .sieve import _TRIAL_PRIMES, check_ceiling, factorize, is_prime, sieve_primes
 
 # Half-steps (p - 1)/2 with at least this many multiples in [1, x // 2] get a
 # slice update each.
@@ -22,6 +23,7 @@ _SMALL_STEP_MULTIPLES = 64
 _UINT16_BELOW = 2**31
 # Entries per np.bincount call in moment_sum, whose intp copy of a block is 512 KiB.
 _HIST_BLOCK = 1 << 16
+_TOO_LARGE = "M_k(x) at k = {k}, x = {x} is too large for a float"
 
 
 @dataclass
@@ -112,6 +114,15 @@ def moment_scan(xs: list[int], k: int, table: OmegaStarTable | None = None) -> l
         raise ValueError("xs must be strictly ascending")
     if xs[0] < 1:
         raise ValueError("xs entries must be >= 1")
+    check_ceiling(xs[-1], "omega* table size")
+    # Before the table: M_k(x) >= omega*(n)^k / x at the largest primorial n <= x,
+    # so refuse a k that puts this a nat (against log rounding) past the float range.
+    n, r = 1, 0
+    for x in xs:
+        while n * _TRIAL_PRIMES[r] <= x:
+            n, r = n * _TRIAL_PRIMES[r], r + 1
+        if k * math.log(omega_star(n)) - math.log(x) > math.log(np.finfo(np.float64).max) + 1:
+            raise ValueError(_TOO_LARGE.format(k=k, x=x))
     if table is None or table.x < xs[-1]:
         table = omega_star_table(xs[-1])
     points = []
@@ -119,5 +130,5 @@ def moment_scan(xs: list[int], k: int, table: OmegaStarTable | None = None) -> l
         try:
             points.append((x, moment_sum(table, k, upto=x) / x))
         except OverflowError:
-            raise ValueError(f"M_k(x) at k = {k}, x = {x} is too large for a float") from None
+            raise ValueError(_TOO_LARGE.format(k=k, x=x)) from None
     return points

@@ -12,7 +12,7 @@ DEFAULT_CEILING = 2**31
 CEILING_ENV = "OMEGASTAR_CEILING"
 
 _TRIAL_LIMIT = 1 << 16
-# Integers per sieve segment in sieve_primes and smooth.smooth_census.
+# Integers per sieve segment in _primes_upto and smooth.smooth_census.
 _SEGMENT = 1 << 20
 
 
@@ -42,7 +42,7 @@ class PrimeTable:
 
     def count(self, x: int | None = None) -> int:
         """Number of primes <= x (defaults to the full table)."""
-        if x is None or x >= self.limit:
+        if x is None:
             return int(self.primes.size)
         return int(np.searchsorted(self.primes, x, side="right"))
 
@@ -64,24 +64,22 @@ def _segment_flags(lo: int, hi: int, base: list[int]) -> np.ndarray:
 
 
 def _primes_upto(n: int) -> np.ndarray:
-    """Ascending int64 primes <= n, the base primes coming from the same kernel."""
+    """Ascending int64 primes <= n, sieved _SEGMENT integers at a time with
+    base primes from this same driver; any segment size gives the same primes."""
     base = _primes_upto(math.isqrt(n)).tolist() if n >= 4 else []
-    return np.flatnonzero(_segment_flags(0, n + 1, base))
+    flags = np.empty(n + 1, dtype=np.uint8)
+    for lo in range(0, n + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, n + 1)
+        flags[lo:hi] = _segment_flags(lo, hi, base)
+    return np.flatnonzero(flags)
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Segmented sieve of Eratosthenes up to `limit` inclusive, _SEGMENT
-    integers at a time; any segment size gives the same primes."""
+    """Every prime <= `limit`, from the segmented driver _primes_upto."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     check_ceiling(limit, "sieve limit")
-
-    flags = np.empty(limit + 1, dtype=np.uint8)
-    base = _primes_upto(math.isqrt(limit)).tolist()
-    for lo in range(0, limit + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, limit + 1)
-        flags[lo:hi] = _segment_flags(lo, hi, base)
-    return PrimeTable(limit=limit, primes=np.flatnonzero(flags))
+    return PrimeTable(limit=limit, primes=_primes_upto(limit))
 
 
 _TRIAL_PRIMES = tuple(_primes_upto(_TRIAL_LIMIT).tolist())
@@ -207,7 +205,5 @@ def primes_in_ap(x: int, d: int, a: int, table: PrimeTable | None = None) -> int
     if table is None or table.limit < x:
         table = sieve_primes(int(x))
     ps = table.primes[: table.count(x)]
-    if d == 1:
-        return int(ps.size)
     return int(np.count_nonzero(ps % d == a))
 

@@ -38,9 +38,10 @@ class PomeranceRatio(NamedTuple):
 
 
 def _census_segment(
-    lo: int, hi: int, mark: list[int], stages: list[tuple[list[int], int | None]], carry: list[bool]
+    lo: int, hi: int, mark: list[int], stages: list[tuple[list[int], int | None]]
 ) -> tuple[int, list[tuple[int, int]]]:
-    """pi over [lo, hi), and (psi, pi_smooth) over [lo, hi) after each stage.
+    """pi over (lo, hi), and (psi, pi_smooth) over (lo, hi) after each stage;
+    the window holds lo only as the predecessor of lo + 1.
 
     `mark` holds every prime <= isqrt(hi - 1), ascending.  Stage i is a pair
     (primes, cap); its primes are ascending and above those of earlier
@@ -48,15 +49,14 @@ def _census_segment(
     stays the smooth part of n, at most n.  Cap None: every prime <= the
     stage's y is in, and n is smooth exactly when part == n.  Cap y: every
     prime in `mark` is in, so the cofactor n // part is 1 or one prime, and
-    n is smooth exactly when it is at most y.  `carry[i]` says whether
-    lo - 1 is smooth at stage i; it is moved on to hi - 1 in place.  n and
-    part are uint32 while hi - 1 fits, else uint64.
+    n is smooth exactly when it is at most y.  n and part are uint32 while
+    hi - 1 fits, else uint64.
     """
     n = np.arange(lo, hi, dtype=np.uint32 if hi <= 2**32 else np.uint64)
     part = np.ones_like(n)
     prime = _segment_flags(lo, hi, mark).view(bool)
     counts = []
-    for i, (primes, cap) in enumerate(stages):
+    for primes, cap in stages:
         for p in primes:
             q = p
             while q < hi:
@@ -65,21 +65,19 @@ def _census_segment(
                     part[start - lo :: q] *= p
                 q *= p
         smooth = part == n if cap is None else n // part <= cap
-        pi_smooth = int(np.count_nonzero(prime[1:] & smooth[:-1])) + bool(prime[0] and carry[i])
-        counts.append((int(np.count_nonzero(smooth)), pi_smooth))
-        carry[i] = bool(smooth[-1])
-    return int(np.count_nonzero(prime)), counts
+        counts.append((int(np.count_nonzero(smooth[1:])), int(np.count_nonzero(prime[1:] & smooth[:-1]))))
+    return int(np.count_nonzero(prime[1:])), counts
 
 
 def smooth_census(x: int, ys: list[int]) -> list[SmoothCensus]:
     """Psi(x, y), pi(x, y) and pi(x) for each y of `ys`, in the given order,
     from one pass over [1, x] in segments of sieve._SEGMENT.
 
-    The distinct y values, ascending, are the stages of _census_segment;
-    each keeps its own carry of n - 1's smoothness across segment
-    boundaries.  Only the primes <= isqrt(x) are walked, so the cost does not
+    The distinct y values, ascending, are the stages of _census_segment.  Its
+    windows [lo - 1, hi) overlap by one integer, so no state passes between
+    them.  Only the primes <= isqrt(x) are walked, so the cost does not
     grow with y; a y above isqrt(x) (capped at x) takes the cofactor test.
-    For x < 2^32 every segment works in uint32.
+    For x < 2^32 every window works in uint32.
     """
     if x < 1:
         raise ValueError("x must be at least 1")
@@ -95,11 +93,10 @@ def smooth_census(x: int, ys: list[int]) -> list[SmoothCensus]:
     cuts = [0] + [bisect.bisect_right(mark, y) for y in order]
     stages = [(mark[a:b], None if y <= root else min(y, x)) for a, b, y in zip(cuts, cuts[1:], order)]
 
-    carry = [True] * len(order)  # n = 1 has no predecessor in range
     pi_x = 0
     totals = np.zeros((len(order), 2), dtype=np.int64)  # (psi, pi_smooth) per stage
     for lo in range(1, x + 1, sieve._SEGMENT):
-        pi, counts = _census_segment(lo, min(lo + sieve._SEGMENT, x + 1), mark, stages, carry)
+        pi, counts = _census_segment(lo - 1, min(lo + sieve._SEGMENT, x + 1), mark, stages)
         pi_x += pi
         totals += counts
     by_y = dict(zip(order, totals.tolist()))

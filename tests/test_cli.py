@@ -425,6 +425,14 @@ class TestExitCodes:
         assert "k = 1000" in err and "x = 10" in err
         assert "Traceback" not in err
 
+    def test_moments_provably_overflowing_k_exit_2_before_work(self, capsys, no_heavy_work):
+        # omega*(19#) = omega*(9,699,690) = 54, so M_1000(10^7) >= 54^1000 / 10^7
+        code, out, err = run_cli(capsys, ["moments", "--x", "10000000", "--k", "1000"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("omegastar: error: ")
+        assert "k = 1000" in err and "x = 10000000" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

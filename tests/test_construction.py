@@ -332,7 +332,7 @@ class TestSampleStats:
         sample_stats(grh_1100, 300, seed=5, workers=10**6)
         assert requested == [3, 2]  # 3 chunks, then 2 cores
         one = sample_stats(grh_1100, 300, seed=5, workers=1)
-        assert requested == [3, 2]
+        assert requested == [3, 2, 1]  # one worker takes the same executor path
         assert huge == one
 
     def test_oversized_trials_refused_before_any_chunk(self, grh_111, monkeypatch):

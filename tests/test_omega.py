@@ -12,7 +12,7 @@ from omegastar.omega import (
     omega_star_table,
 )
 from omegastar.arith import tau
-from omegastar.sieve import factorize, sieve_primes
+from omegastar.sieve import ResourceLimitError, factorize, sieve_primes
 
 from conftest import brute_omega_star, expand_half_table
 
@@ -250,6 +250,30 @@ class TestMomentScan:
         for k in (0, -1):
             with pytest.raises(ValueError, match="k must be at least 1"):
                 moment_scan([10**7], k)
+
+    def test_ceiling_checked_before_the_overflow_bound(self, monkeypatch):
+        # the bound factors primorials up to x, so an oversized x must stop first
+        def refuse(n):
+            raise AssertionError("omega* computed before the ceiling was checked")
+
+        monkeypatch.setenv("OMEGASTAR_CEILING", "1000")
+        monkeypatch.setattr(omega, "omega_star", refuse)
+        with pytest.raises(ResourceLimitError, match="omega\\* table size"):
+            moment_scan([10**40], 1)
+
+    def test_overflow_bound_never_refuses_a_float(self):
+        # Around the threshold at each x, moment_scan refuses k exactly when
+        # the exact power sum over x leaves the float range.
+        for x in (10, 1000, 12345):
+            table = omega_star_table(x)
+            for k in range(1, 700):
+                try:
+                    moment_sum(table, k) / x
+                except OverflowError:
+                    with pytest.raises(ValueError, match=f"k = {k}, x = {x} "):
+                        moment_scan([x], k, table=table)
+                else:
+                    moment_scan([x], k, table=table)
 
 
 class TestReportedTrends:

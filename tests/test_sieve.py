@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from omegastar import sieve
+from omegastar import sieve, smooth
 from omegastar.sieve import (
     ResourceLimitError,
     _primes_upto,
@@ -13,6 +13,7 @@ from omegastar.sieve import (
     primes_in_ap,
     sieve_primes,
 )
+from omegastar.smooth import smooth_census
 
 from conftest import trial_division_is_prime, trial_division_primes
 
@@ -91,6 +92,23 @@ class TestSegmentKernel:
     def test_base_primes(self):
         for n in range(0, 300):
             assert _primes_upto(n).tolist() == trial_division_primes(n), n
+
+    def test_every_pass_sieves_in_segments(self, monkeypatch):
+        # sieve_primes, its base primes and the census all go through windows
+        # of at most _SEGMENT integers; a census window reaches one further back.
+        widths = []
+
+        def spy(lo, hi, base):
+            widths.append(hi - lo)
+            return _segment_flags(lo, hi, base)
+
+        monkeypatch.setattr(sieve, "_SEGMENT", 64)
+        monkeypatch.setattr(sieve, "_segment_flags", spy)
+        monkeypatch.setattr(smooth, "_segment_flags", spy)
+        primes = sieve_primes(10**4).primes.tolist()
+        smooth_census(10**4, [5])
+        assert widths and max(widths) <= 65
+        assert primes == trial_division_primes(10**4)
 
 
 class TestIsPrime:

@@ -184,9 +184,9 @@ def _got(x: int, ys: list[int]) -> list[tuple[int, int, int]]:
 
 
 class TestCensusOracle:
-    """The product kernel against the unsegmented division peel.  Each y
-    carries n - 1's smoothness across segment boundaries on its own, so small
-    segments with several y values check every carry separately."""
+    """The product kernel against the unsegmented division peel.  Each window
+    reaches one integer back, so n - 1 at a segment boundary is re-tested
+    there; small segments with several y values check every such overlap."""
 
     @pytest.mark.parametrize("segment", [1, 7, 64, 100])
     def test_every_x_below_300(self, monkeypatch, segment):
@@ -196,7 +196,7 @@ class TestCensusOracle:
         for (x, ys), want in zip(cases, expected):
             assert _got(x, ys) == want, (x, ys, segment)
 
-    # Segments of 1 and 7 at 10^5 + 7 would take half a minute; their carries
+    # Segments of 1 and 7 at 10^5 + 7 would take half a minute; their overlaps
     # are checked at every x < 300 and at 4099.
     @pytest.mark.parametrize(
         "x, segment", [(4099, 1), (4099, 7), (4099, 64), (4099, 100), (10**5 + 7, 64), (10**5 + 7, 100)]
@@ -209,7 +209,8 @@ class TestCensusOracle:
             assert _got(x, ys) == want, (x, ys, segment)
 
     def test_uint64_segment_straddling_2_to_32(self):
-        # one segment [2^32 - 2^10, 2^32 + 2^10): n and part must be uint64.
+        # one window [2^32 - 2^10 - 1, 2^32 + 2^10), counted over
+        # [2^32 - 2^10, 2^32 + 2^10): n and part must be uint64.
         # isqrt(hi - 1) = 2^16, so the y above it take the cofactor test; the
         # prime 2^16 + 1 is the cofactor of 2^32 - 1 = 3 * 5 * 17 * 257 * 65537.
         lo, hi = 2**32 - 2**10, 2**32 + 2**10
@@ -217,15 +218,13 @@ class TestCensusOracle:
         mark = sieve._primes_upto(2**16).tolist()
         stages = [([p for p in mark if a < p <= b], None if b <= 2**16 else b) for a, b in zip([0] + ys, ys)]
         gpf = [factorize(n).factors[-1][0] for n in range(lo - 1, hi)]
-        carry = [gpf[0] <= y for y in ys]
-        pi, counts = smooth._census_segment(lo, hi, mark, stages, carry)
+        pi, counts = smooth._census_segment(lo - 1, hi, mark, stages)
         prime = [is_prime(n) for n in range(lo, hi)]
         assert pi == sum(prime)
-        for y, (psi, pi_smooth), last in zip(ys, counts, carry):
+        for y, (psi, pi_smooth) in zip(ys, counts):
             smooth_flags = [g <= y for g in gpf]
             assert psi == sum(smooth_flags[1:]), y
             assert pi_smooth == sum(p and s for p, s in zip(prime, smooth_flags)), y
-            assert last == smooth_flags[-1]
         assert counts[0][0] == 1  # 2^32 alone is 2-smooth
         assert counts[4][0] == counts[3][0] + 1  # 2^32 - 1 joins at y = 2^16 + 1
 
