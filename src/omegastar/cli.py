@@ -232,6 +232,9 @@ def _cmd_report(args: argparse.Namespace) -> Output:
     check_ceiling(x, "omega* table size")
     check_ceiling(x + 1, "sieve limit")
     sampling_doc = _sampling_document(log_x, args.mode, trials, args.seed, args.workers)
+    # The census runs before the omega* table is built, so its transient
+    # segment arrays never sit on top of the table.
+    smooth_row = _smooth_rows(x, [args.smooth_y])[0]
 
     table = omega_star_table(x)
     xs = [n for n in (x // 100, x // 10, x) if n >= 10]
@@ -272,7 +275,7 @@ def _cmd_report(args: argparse.Namespace) -> Output:
             "grh_exponent": math.log(GOLDEN_RATIO),
         },
         "sampling": sampling_doc,
-        "smooth": _smooth_rows(x, [args.smooth_y])[0],
+        "smooth": smooth_row,
     }
     return doc, None
 

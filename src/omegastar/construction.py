@@ -53,6 +53,12 @@ _CHUNK = 4096
 # thresholding and reducing it stay in a per-core L2 cache.  Each row is
 # summed on its own, so block boundaries do not change any output bit.
 _BLOCK_WORDS = 1 << 16
+# 0x433 << 52 is the bit pattern of 2^52.  Added to a 53-bit draw k it gives
+# the bits of a normal float64 in [2^52, 2^54) that grows with k, so the
+# sampler thresholds its integer draws in the float64 compare loop that its
+# window tests load anyway: an integer compare would map more numpy code,
+# which counts in peak RSS.
+_ORDER_BITS = np.uint64(0x433 << 52)
 
 
 @dataclass(eq=False)
@@ -296,10 +302,10 @@ def _window_flags(params: ConstructionParams, log_d, big_omega_d):
 
 def sample_divisor(params: ConstructionParams, seed: int) -> DivisorSample:
     """Draw one random divisor of k: prime r enters with probability rho,
-    decided by row 0 of rng.unit_block for `seed` in [0, 2^64).
+    decided by thresholding row 0 of rng.unit_block for `seed` in [0, 2^64).
     Deterministic given the seed, bit-for-bit across platforms."""
-    u = rng.unit_block(np.array([seed], dtype=np.uint64), params.R)[0]
-    indicators = u < params.rho
+    draws = rng.unit_block(np.array([seed], dtype=np.uint64), params.R)[0]
+    indicators = draws < _threshold(params.rho)
     log_d = float((indicators * params.log_primes).sum())
     w = int(indicators.sum())
     in_logd, in_omega = _window_flags(params, log_d, w)
@@ -312,6 +318,12 @@ def sample_divisor(params: ConstructionParams, seed: int) -> DivisorSample:
     )
 
 
+def _threshold(rho: float) -> np.uint64:
+    """ceil(rho * 2^53): a 53-bit draw k has unit float k * 2^-53 < rho exactly
+    when k < this, since k * 2^-53 and rho * 2^53 are both exact."""
+    return np.uint64(math.ceil(math.ldexp(rho, 53)))
+
+
 def _block_rows(R: int) -> int:
     return max(1, _BLOCK_WORDS // R)
 
@@ -319,19 +331,30 @@ def _block_rows(R: int) -> int:
 def _chunk_stats(params: ConstructionParams, seed: int, start: int, count: int):
     seeds = rng.substream_seeds(seed, start, count)
     rows = _block_rows(params.R)
-    # One block matrix per chunk, reused by every block.  The allocator hands
-    # a freed 512 KiB matrix back to the OS, so a fresh one per block would be
-    # page-faulted in again each time.
+    # The threshold in the float64 form of the draws (see _ORDER_BITS).
+    threshold = (_threshold(params.rho) + _ORDER_BITS).view(np.float64)
+    # One block matrix and one indicator matrix per chunk, reused by every
+    # block.  The allocator hands a freed 512 KiB matrix back to the OS, so a
+    # fresh one per block would be page-faulted in again each time; a fresh
+    # indicator matrix per block raised the peak RSS of `sample` by about
+    # 0.1 MB.
     block = np.empty((min(rows, count), params.R), dtype=np.uint64)
+    indicators = np.empty(block.shape, dtype=bool)
     log_d = np.empty(count, dtype=np.float64)
-    w = np.empty(count, dtype=np.int64)
+    # Omega as float64 row sums of 0.0 and 1.0: exact, since none exceeds R.
+    w = np.empty(count, dtype=np.float64)
     for a in range(0, count, rows):
         b = min(a + rows, count)
-        u = rng.unit_block(seeds[a:b], params.R, out=block[: b - a])
-        ind = u < params.rho
-        # ind * log_primes, written over the draws it was made from.
-        log_d[a:b] = np.multiply(ind, params.log_primes, out=u).sum(axis=1)
-        w[a:b] = ind.sum(axis=1)
+        draws = rng.unit_block(seeds[a:b], params.R, out=block[: b - a])
+        draws += _ORDER_BITS
+        ind = np.less(draws.view(np.float64), threshold, out=indicators[: b - a])
+        # The indicators as 0.0 and 1.0, written over the draws they were
+        # made from; times log r they are the terms of log d.
+        terms = draws.view(np.float64)
+        np.copyto(terms, ind)
+        w[a:b] = terms.sum(axis=1)
+        terms *= params.log_primes
+        log_d[a:b] = terms.sum(axis=1)
     in_logd, in_omega = _window_flags(params, log_d, w)
     return (
         int(in_logd.sum()),

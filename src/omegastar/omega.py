@@ -23,6 +23,9 @@ _SMALL_STEP_MULTIPLES = 64
 _UINT16_BELOW = 2**31
 # Entries per np.bincount call in moment_sum, whose intp copy of a block is 512 KiB.
 _HIST_BLOCK = 1 << 16
+# Half-steps per fancy-index update in omega_star_table's multiplier passes, so
+# each update's int64 index array is 512 KiB rather than all large half-steps.
+_PASS_BLOCK = 1 << 16
 _TOO_LARGE = "M_k(x) at k = {k}, x = {x} is too large for a float"
 
 
@@ -60,8 +63,8 @@ def omega_star_table(x: int) -> OmegaStarTable:
     Half-steps t <= (x // 2) // _SMALL_STEP_MULTIPLES get one strided slice
     update each.  Every larger half-step has fewer than _SMALL_STEP_MULTIPLES
     multiples, so those are added by multiplier instead: pass j adds one to
-    j * t for all large t <= (x // 2) // j in a single fancy-index update,
-    whose indices are distinct for a fixed j.
+    j * t for all large t <= (x // 2) // j in fancy-index updates of
+    _PASS_BLOCK half-steps each, whose indices are distinct for a fixed j.
     """
     if x < 1:
         raise ValueError("x must be at least 1")
@@ -77,35 +80,42 @@ def omega_star_table(x: int) -> OmegaStarTable:
     large = steps[split:]
     j = 1
     while large.size:
-        h[j * large if j > 1 else large] += 1
+        for a in range(0, large.size, _PASS_BLOCK):
+            block = large[a : a + _PASS_BLOCK]
+            h[j * block if j > 1 else block] += 1
         j += 1
         large = large[: np.searchsorted(large, half // j, side="right")]
     return OmegaStarTable(x=x, counts=h)
 
 
-def moment_sum(table: OmegaStarTable, k: int, upto: int | None = None) -> int:
-    """Exact integer sum of omega*(n)^k over n <= upto (default: the whole table).
+def moment_sum(table: OmegaStarTable, k: int, upto: int | None = None, lo: int = 0) -> int:
+    """Exact integer sum of omega*(n)^k over lo < n <= upto (default: the
+    whole table).
 
-    The value histogram is accumulated over the even half in blocks of
-    _HIST_BLOCK entries, so the working memory beyond the table does not grow
-    with upto; the odd n <= upto add upto - upto // 2 entries of value 1.
+    The value histogram is accumulated over the even n in (lo, upto] in blocks
+    of _HIST_BLOCK entries, so the working memory beyond the table does not
+    grow with upto; the odd n there add (upto - upto // 2) - (lo - lo // 2)
+    entries of value 1.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     x = table.x if upto is None else upto
     if not 1 <= x <= table.x:
         raise ValueError(f"upto = {x} outside table range [1, {table.x}]")
-    even = table.counts[1 : x // 2 + 1]
+    if not 0 <= lo <= x:
+        raise ValueError(f"lo = {lo} outside [0, upto = {x}]")
+    even = table.counts[lo // 2 + 1 : x // 2 + 1]
     hist = np.zeros(int(even.max(initial=1)) + 1, dtype=np.int64)
-    for lo in range(0, even.size, _HIST_BLOCK):
-        hist += np.bincount(even[lo : lo + _HIST_BLOCK], minlength=hist.size)
-    hist[1] += x - x // 2
+    for a in range(0, even.size, _HIST_BLOCK):
+        hist += np.bincount(even[a : a + _HIST_BLOCK], minlength=hist.size)
+    hist[1] += (x - x // 2) - (lo - lo // 2)
     return sum(int(c) * v**k for v, c in enumerate(hist.tolist()) if c)
 
 
 def moment_scan(xs: list[int], k: int, table: OmegaStarTable | None = None) -> list[tuple[int, float]]:
     """(x, M_k(x)) at each x in ascending xs, from one shared bulk table;
-    M_k(x) = (1/x) * sum of omega*(n)^k over n <= x, accumulated exactly."""
+    M_k(x) = (1/x) * sum of omega*(n)^k over n <= x, accumulated exactly as
+    the sum of the intervals between consecutive checkpoints."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if not xs:
@@ -125,10 +135,13 @@ def moment_scan(xs: list[int], k: int, table: OmegaStarTable | None = None) -> l
             raise ValueError(_TOO_LARGE.format(k=k, x=x))
     if table is None or table.x < xs[-1]:
         table = omega_star_table(xs[-1])
-    points = []
+    # Each checkpoint bins only the n past the one before it.
+    points, total, lo = [], 0, 0
     for x in xs:
+        total += moment_sum(table, k, upto=x, lo=lo)
+        lo = x
         try:
-            points.append((x, moment_sum(table, k, upto=x) / x))
+            points.append((x, total / x))
         except OverflowError:
             raise ValueError(_TOO_LARGE.format(k=k, x=x)) from None
     return points

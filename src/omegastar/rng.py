@@ -6,9 +6,11 @@ Contract (stable across platforms and versions): a stream seeded with the
     out_i = mix64((seed + i * GAMMA) mod 2**64),  i = 1, 2, ...
 
 where GAMMA = 0x9E3779B97F4A7C15 and mix64 is the murmur-style finalizer
-below.  Unit floats are (out >> 11) * 2**-53.  Substream j of a seed is
-itself SplitMix64-seeded with mix64(seed + j * GAMMA), so disjoint index
-ranges give reproducible, order-independent parallel sampling.
+below.  A draw is the top 53 bits of an output, the integer out >> 11 in
+[0, 2**53); its unit float is (out >> 11) * 2**-53, exact in float64.
+Substream j of a seed is itself SplitMix64-seeded with
+mix64(seed + j * GAMMA), so disjoint index ranges give reproducible,
+order-independent parallel sampling.
 
 Scalar (pure int) and vectorized (numpy uint64) paths are bit-identical.
 """
@@ -21,7 +23,6 @@ GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
-_U53 = 2.0**-53
 
 
 def mix64(z: int) -> int:
@@ -57,15 +58,14 @@ def substream_seeds(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def unit_block(seeds: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Matrix of unit floats: row i holds the first n draws of seeds[i].
+    """Matrix of 53-bit draws: row i holds the first n draws of seeds[i].
 
-    Entry (i, j - 1) is (mix64(seeds[i] + j * GAMMA) >> 11) * 2**-53, bit for
-    bit.  The states are mixed, shifted, cast and scaled in place in one
-    uint64 matrix: a fresh one, or `out` (uint64, shape (seeds.size, n)),
-    whose memory the returned float64 matrix then shares.  `seeds` is only read.
+    Entry (i, j - 1) is mix64(seeds[i] + j * GAMMA) >> 11 as uint64; times
+    2**-53 it is the unit float of that draw.  The states are mixed and shifted
+    in place in one uint64 matrix: a fresh one, or `out` (uint64, shape
+    (seeds.size, n)), which is then returned.  `seeds` is only read.
     """
     offs = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GAMMA)
     z = _mix64_inplace(np.add(seeds[:, None], offs[None, :], out=out))
     z >>= np.uint64(11)
-    # Cast and scale in place: each float overwrites the word it came from.
-    return np.multiply(z, _U53, out=z.view(np.float64))
+    return z

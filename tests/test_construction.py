@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -265,6 +266,25 @@ class TestAcceptFlags:
                 assert abs(s.log_d - (0.5 - p.epsilon) * p.log_x) < p.window_log_d
 
 
+def _check_chunk_against_samples(p):
+    """_chunk_stats against sample_divisor at counts at or next to a row-block
+    boundary of the chunk kernel, and at a whole chunk."""
+    rows = construction._block_rows(p.R)
+    assert rows < construction._CHUNK
+    seed, start = 13, 3 * construction._CHUNK
+    samples = [sample_divisor(p, rng.substream_seed(seed, start + i)) for i in range(construction._CHUNK)]
+    for count in (1, rows - 1, rows, rows + 1, construction._CHUNK):
+        head = samples[:count]
+        expected = (
+            sum(s.in_window_logd for s in head),
+            sum(s.in_window_omega for s in head),
+            sum(s.in_window_logd and s.in_window_omega for s in head),
+            float(np.array([s.log_d for s in head]).sum()),
+            sum(s.big_omega_d for s in head),
+        )
+        assert construction._chunk_stats(p, seed, start, count) == expected, count
+
+
 class TestSampleStats:
     def test_bulk_matches_pointwise_samples(self, grh_1100):
         stats = sample_stats(grh_1100, 300, seed=11)
@@ -281,25 +301,41 @@ class TestSampleStats:
         assert stats.n_in_dprime == n_dp
         assert abs(stats.sum_log_d - total_logd) <= 1e-7
 
-    @pytest.mark.parametrize("log_x", [111.0, 1100.0], ids=["R24", "R172"])
+    @pytest.mark.parametrize("log_x", [111.0, 1100.0, 2000.0], ids=["R24", "R172", "R290"])
     def test_blocked_chunk_matches_scalar_samples(self, log_x):
-        # Each count sits at or next to a row-block boundary of the chunk
-        # kernel, or fills a whole chunk.
-        p = build_params(log_x, mode="grh")
-        rows = construction._block_rows(p.R)
-        assert rows < construction._CHUNK
-        seed, start = 13, 3 * construction._CHUNK
-        samples = [sample_divisor(p, rng.substream_seed(seed, start + i)) for i in range(construction._CHUNK)]
-        for count in (1, rows - 1, rows, rows + 1, construction._CHUNK):
-            head = samples[:count]
-            expected = (
-                sum(s.in_window_logd for s in head),
-                sum(s.in_window_omega for s in head),
-                sum(s.in_window_logd and s.in_window_omega for s in head),
-                float(np.array([s.log_d for s in head]).sum()),
-                sum(s.big_omega_d for s in head),
-            )
-            assert construction._chunk_stats(p, seed, start, count) == expected, count
+        _check_chunk_against_samples(build_params(log_x, mode="grh"))
+
+    def test_omega_count_past_255(self):
+        # At rho = 0.95 and R = 290 nearly every row holds more than 255
+        # ones, so an Omega count kept in a uint8 would wrap.
+        p = dataclasses.replace(build_params(2000.0, mode="grh"), rho=0.95)
+        assert p.R == 290
+        assert sample_divisor(p, rng.substream_seed(13, 0)).big_omega_d > 255
+        _check_chunk_against_samples(p)
+
+    def test_threshold_exact_at_boundary(self):
+        # k < _threshold(rho) must equal k * 2^-53 < rho at the threshold's
+        # edge, for the rho of both modes, for rho with rho * 2^53 an integer
+        # and for random rho; so must the float64 form of that compare.
+        gen = np.random.default_rng(20251018)
+        rhos = [build_params(lx, mode).rho for lx in (100.0, 111.0, 500.0, 1100.0) for mode in construction.MODES]
+        rhos += [j * 2.0**-53 for j in (1, 2, 2**52 - 1, 2**52, 3 * 2**50, 2**53 - 1)]
+        rhos += gen.random(100).tolist()  # multiples of 2^-53
+        rhos += (gen.random(100) / 3).tolist()  # bits below 2^-53
+        top = 2**53 - 1
+        for rho in rhos:
+            c = construction._threshold(rho)
+            assert c.dtype == np.uint64 and int(c) == math.ceil(Fraction(rho) * 2**53)
+            ks = sorted({k for k in (0, int(c) - 1, int(c), int(c) + 1, top) if 0 <= k <= top})
+            for k in ks:
+                assert bool(np.uint64(k) < c) == (k * 2.0**-53 < rho), (rho, k)
+            draws = np.array(ks, dtype=np.uint64)
+            assert np.array_equal(draws < c, draws * 2.0**-53 < rho), rho
+            # _chunk_stats compares the same integers as normal float64s.
+            ordered = (draws + construction._ORDER_BITS).view(np.float64)
+            limit = (c + construction._ORDER_BITS).view(np.float64)
+            assert np.all((2.0**52 <= ordered) & (ordered < 2.0**54)), rho
+            assert np.array_equal(ordered < limit, draws < c), rho
 
     def test_worker_count_does_not_change_results(self, grh_1100):
         one = sample_stats(grh_1100, 20000, seed=5, workers=1)

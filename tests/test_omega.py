@@ -128,6 +128,13 @@ class TestSplitKernel:
         assert table_1e6.counts.dtype == np.uint16
         assert np.array_equal(expand_half_table(table_1e6), slice_per_prime_oracle(10**6))
 
+    def test_multiplier_passes_in_blocks(self, monkeypatch):
+        # Blocks of 7 half-steps split every pass, with a short last block,
+        # and at x = 2^20 + 1 the j = 1 pass needs many blocks.
+        monkeypatch.setattr(omega, "_PASS_BLOCK", 7)
+        for x in (999, 1000, 4 * self.B * self.B + 1, 2**20 + 1):
+            self._check(x)
+
     def test_uint32_path(self, monkeypatch):
         monkeypatch.setattr(omega, "_UINT16_BELOW", 0)
         for x in (1, 2, 999, 1000, 4 * self.B * self.B + 1):
@@ -186,6 +193,29 @@ class TestBlockedMomentSum:
             for k in (1, 2, 3):
                 assert moment_sum(table, k, upto=upto) == bincount_moment_oracle(oracle, k, upto), (upto, k)
 
+    def test_interval_sums_add_up_to_the_whole(self):
+        # Cuts at odd and even n on both sides of a block edge: each interval
+        # (lo, upto] is the difference of two prefix oracles, and the
+        # intervals add up to the whole table.
+        block = omega._HIST_BLOCK
+        x = 4 * block + 5
+        table = omega_star_table(x)
+        oracle = slice_per_prime_oracle(x)
+        cuts = [0, 1, 2, 3, 2 * block - 1, 2 * block, 2 * block + 1, 2 * block + 2, 4 * block, x]
+        for k in (1, 2, 3):
+            parts = [moment_sum(table, k, upto=hi, lo=lo) for lo, hi in zip(cuts, cuts[1:])]
+            for (lo, hi), part in zip(zip(cuts, cuts[1:]), parts):
+                expected = bincount_moment_oracle(oracle, k, hi) - (bincount_moment_oracle(oracle, k, lo) if lo else 0)
+                assert part == expected, (lo, hi, k)
+            assert sum(parts) == moment_sum(table, k)
+            assert moment_sum(table, k, upto=2 * block + 1, lo=2 * block + 1) == 0
+
+    def test_rejects_lower_end_outside_range(self):
+        table = omega_star_table(100)
+        for lo, upto in ((-1, 10), (11, 10), (101, 100)):
+            with pytest.raises(ValueError, match="lo = "):
+                moment_sum(table, 1, upto=upto, lo=lo)
+
 
 class TestMoments:
     def test_m1_of_ten(self):
@@ -232,6 +262,24 @@ class TestMomentScan:
         xs = [10, 100, 1000]
         for x, mk in moment_scan(xs, 2, table=table_1e6):
             assert mk == moment_sum(omega_star_table(x), 2) / x
+
+    def test_fifty_checkpoints_match_one_sum_per_x(self, table_1e6, monkeypatch):
+        # Interval sums between checkpoints give the same points as one
+        # whole-prefix moment_sum per x, from one moment_sum call per x.
+        # An odd step alternates the parity of the checkpoints.
+        xs = [900_001 + 2041 * i for i in range(49)] + [10**6]
+        expected = {k: [(x, moment_sum(table_1e6, k, upto=x) / x) for x in xs] for k in (1, 2, 3)}
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["upto"])
+            return moment_sum(*args, **kwargs)
+
+        monkeypatch.setattr(omega, "moment_sum", counted)
+        for k in (1, 2, 3):
+            calls.clear()
+            assert moment_scan(xs, k, table=table_1e6) == expected[k]
+            assert calls == xs
 
     def test_m2_over_logx_stability(self, table_1e6):
         s = moment_scan([10**4, 10**5, 10**6], 2, table=table_1e6)

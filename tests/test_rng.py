@@ -10,6 +10,11 @@ def _scalar_stream(seed: int, n: int) -> list[int]:
     return [rng.mix64((seed + i * rng.GAMMA) & _MASK) for i in range(1, n + 1)]
 
 
+def _scalar_draws(seed: int, n: int) -> list[int]:
+    """First n 53-bit draws of the stream for `seed`, in pure Python integers."""
+    return [z >> 11 for z in _scalar_stream(seed, n)]
+
+
 def _scalar_units(seed: int, n: int) -> list[float]:
     return [(z >> 11) * 2.0**-53 for z in _scalar_stream(seed, n)]
 
@@ -19,12 +24,19 @@ def _unit_row(seed: int, n: int) -> np.ndarray:
     return rng.unit_block(np.array([seed], dtype=np.uint64), n)[0]
 
 
+def _assert_draws(draws: np.ndarray, seed: int, n: int) -> None:
+    """Each draw is the integer mix64(...) >> 11, and times 2^-53 the unit float."""
+    assert draws.dtype == np.uint64
+    assert draws.tolist() == _scalar_draws(seed, n)
+    assert (draws * 2.0**-53).tolist() == _scalar_units(seed, n)
+
+
 class TestSplitMix64:
     def test_vector_matches_scalar(self):
         # Raw outputs i = 1 .. n are substreams 1 .. n of the seed.
         for seed in (0, 1, 42, 2**63, 2**64 - 1):
             assert rng.substream_seeds(seed, 1, 64).tolist() == _scalar_stream(seed, 64)
-            assert _unit_row(seed, 64).tolist() == _scalar_units(seed, 64)
+            _assert_draws(_unit_row(seed, 64), seed, 64)
 
     def test_known_reference_values(self):
         # SplitMix64 reference outputs: the state advances by GAMMA before
@@ -39,7 +51,9 @@ class TestSplitMix64:
         expected = [6457827717110365317, 3203168211198807973, 9817491932198370423, 4593380528125082431]
         assert _scalar_stream(1234567, 4) == expected
         assert rng.substream_seeds(1234567, 1, 4).tolist() == expected
-        assert _unit_row(1234567, 4).tolist() == [(z >> 11) * 2.0**-53 for z in expected]
+        row = _unit_row(1234567, 4)
+        assert row.tolist() == [z >> 11 for z in expected]
+        assert (row * 2.0**-53).tolist() == [(z >> 11) * 2.0**-53 for z in expected]
 
     def test_determinism(self):
         seeds = rng.substream_seeds(42, 0, 8)
@@ -48,7 +62,10 @@ class TestSplitMix64:
         assert np.array_equal(rng.unit_block(seeds, 100), rng.unit_block(seeds, 100))
 
     def test_unit_range_and_mean(self):
-        u = _unit_row(7, 10**5)
+        draws = _unit_row(7, 10**5)
+        assert draws.dtype == np.uint64
+        assert 0 <= int(draws.min()) and int(draws.max()) < 2**53
+        u = draws * 2.0**-53
         assert float(u.min()) >= 0.0
         assert float(u.max()) < 1.0
         assert abs(float(u.mean()) - 0.5) < 0.01
@@ -59,7 +76,7 @@ class TestSplitMix64:
         for i in range(16):
             assert int(seeds[i]) == rng.substream_seed(99, i)
             assert np.array_equal(block[i], _unit_row(int(seeds[i]), 32))
-            assert block[i].tolist() == _scalar_units(int(seeds[i]), 32)
+            _assert_draws(block[i], int(seeds[i]), 32)
 
     def test_block_into_out_matches_fresh_block(self):
         seeds = rng.substream_seeds(5, 100, 9)
@@ -80,7 +97,7 @@ class TestSplitMix64:
         one = np.array([7], dtype=np.uint64)
         rng.unit_block(one, 64)
         assert one.tolist() == [7]
-        assert _unit_row(7, 64).tolist() == _scalar_units(7, 64)
+        _assert_draws(_unit_row(7, 64), 7, 64)
 
     def test_distinct_seeds_distinct_streams(self):
         assert not np.array_equal(rng.substream_seeds(1, 1, 16), rng.substream_seeds(2, 1, 16))
