@@ -219,7 +219,10 @@ def _cmd_smooth_scan(args: argparse.Namespace) -> Output:
     vs = _parse_list(args.v_list, float, "--v-list")
     if min(vs) <= 0:
         raise ValueError(f"smooth-scan --v-list entries must be positive; got {args.v_list!r}")
-    return None, _smooth_rows(x, [max(1, round(v * math.log(x))) for v in vs])
+    ys = [v * math.log(x) for v in vs]
+    if not all(map(math.isfinite, ys)):
+        raise ValueError(f"smooth-scan --v-list entries times log x must be finite; got {args.v_list!r}")
+    return None, _smooth_rows(x, [max(1, round(y)) for y in ys])
 
 
 def _cmd_report(args: argparse.Namespace) -> Output:

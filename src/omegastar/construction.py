@@ -191,6 +191,8 @@ def build_params(log_x: float, mode: str = "GRH") -> ConstructionParams:
     theta, u = (0.5, GRH_U) if mode == "GRH" else (UNCONDITIONAL_THETA, UNCONDITIONAL_U)
     epsilon = 1.0 / math.sqrt(math.log(log_x))
     L = (u - epsilon) * log_x
+    if math.isinf(L):
+        raise ResourceLimitError(f"sieve limit L = (u - epsilon) * log_x overflows a float at log_x = {log_x}")
     k_primes = sieve_primes(int(L)).primes
     rho = (theta - epsilon) / (u - epsilon)
     return ConstructionParams(

@@ -12,15 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import divisors
-from .sieve import _TRIAL_PRIMES, check_ceiling, factorize, is_prime, sieve_primes
+from .sieve import _TRIAL_PRIMES, ResourceLimitError, check_ceiling, factorize, is_prime, sieve_primes
 
 # Half-steps (p - 1)/2 with at least this many multiples in [1, x // 2] get a
 # slice update each.
 _SMALL_STEP_MULTIPLES = 64
-# omega*(n) <= tau(n) <= 1600 for n < 2^31 (tau reaches 1600 at the highly
-# composite n = 2,095,133,040), so uint16 holds every count below this bound;
-# only a raised OMEGASTAR_CEILING lets x reach it.
-_UINT16_BELOW = 2**31
+# omega*(n) <= tau(n), and the least n with tau(n) >= 2^16 is this one,
+# 2^7 * 3^3 * 5^3 * 7 * 11 * ... * 37, so uint16 holds every count below it.
+_UINT16_BELOW = 106_858_629_141_264_000
 # Entries per np.bincount call in moment_sum, whose intp copy of a block is 512 KiB.
 _HIST_BLOCK = 1 << 16
 # Half-steps per fancy-index update in omega_star_table's multiplier passes, so
@@ -33,8 +32,8 @@ _TOO_LARGE = "M_k(x) at k = {k}, x = {x} is too large for a float"
 class OmegaStarTable:
     """The even half of omega* over [1, x]: counts[m] = omega*(2m) for
     1 <= m <= x // 2, and counts[0] is unused.  Odd n are not stored, since
-    omega*(n) = 1 on every odd n.  The dtype is uint16 below x = 2^31 and
-    uint32 from there on, so the table takes about x bytes below 2^31."""
+    omega*(n) = 1 on every odd n.  The counts are uint16, so the table
+    takes about x bytes."""
 
     x: int
     counts: np.ndarray
@@ -45,11 +44,6 @@ def omega_star(n: int) -> int:
     if n < 1:
         raise ValueError("n must be at least 1")
     return sum(1 for d in divisors(factorize(n)) if is_prime(d + 1))
-
-
-def _table_dtype(x: int) -> type:
-    """Count dtype of omega_star_table(x): uint16 below 2^31, uint32 from 2^31 on."""
-    return np.uint16 if x < _UINT16_BELOW else np.uint32
 
 
 def omega_star_table(x: int) -> OmegaStarTable:
@@ -69,11 +63,13 @@ def omega_star_table(x: int) -> OmegaStarTable:
     if x < 1:
         raise ValueError("x must be at least 1")
     check_ceiling(x, "omega* table size")
+    if x >= _UINT16_BELOW:
+        raise ResourceLimitError(f"omega* table size = {x} reaches {_UINT16_BELOW}, where uint16 counts end")
     half = x // 2
     # (p - 1)/2 = p // 2 for odd p, halved in place: no second prime-sized array
     steps = sieve_primes(x + 1).primes[1:]
     steps //= 2
-    h = np.ones(half + 1, dtype=_table_dtype(x))
+    h = np.ones(half + 1, dtype=np.uint16)
     split = np.searchsorted(steps, half // _SMALL_STEP_MULTIPLES, side="right")
     for step in steps[:split].tolist():
         h[step::step] += 1

@@ -522,6 +522,38 @@ class TestExitCodes:
         assert "omegastar: error" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv", [["sample-divisors", "--log-x", "1.5e308"], ["report", "--log-x", "1.7e308"]], ids=lambda a: a[0]
+    )
+    def test_log_x_past_float_range_exit_3_before_sieve(self, capsys, monkeypatch, no_heavy_work, argv):
+        # L = (u - epsilon) log x overflows to inf here; --log-x 1e308 is refused by the sieve itself
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("sieve_primes called before L was checked")
+
+        monkeypatch.setattr(construction, "sieve_primes", no_sieve)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("omegastar: resource limit: sieve limit L = (u - epsilon) * log_x overflows")
+        assert "Traceback" not in err
+
+    def test_v_list_past_float_range_exit_2_before_work(self, capsys, no_heavy_work):
+        code, out, err = run_cli(capsys, ["smooth-scan", "--x", "10", "--v-list", "1e308"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("omegastar: error: smooth-scan --v-list entries times log x must be finite")
+
+    def test_champions_at_uint16_bound_exit_3_before_sieve(self, capsys, monkeypatch):
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("sieve_primes called before the uint16 bound was checked")
+
+        monkeypatch.setenv("OMEGASTAR_CEILING", str(2**62))
+        monkeypatch.setattr(omega, "sieve_primes", no_sieve)
+        code, out, err = run_cli(capsys, ["champions", "--max-n", str(omega._UINT16_BELOW)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"omegastar: resource limit: omega* table size = {omega._UINT16_BELOW} reaches")
+
     @pytest.mark.parametrize("target", ["missing/x", "."], ids=["missing-dir", "is-a-dir"])
     def test_unwritable_out_exit_2(self, capsys, tmp_path, target):
         path = str(tmp_path / target)

@@ -135,13 +135,6 @@ class TestSplitKernel:
         for x in (999, 1000, 4 * self.B * self.B + 1, 2**20 + 1):
             self._check(x)
 
-    def test_uint32_path(self, monkeypatch):
-        monkeypatch.setattr(omega, "_UINT16_BELOW", 0)
-        for x in (1, 2, 999, 1000, 4 * self.B * self.B + 1):
-            table = omega_star_table(x)
-            assert table.counts.dtype == np.uint32
-            assert np.array_equal(expand_half_table(table), slice_per_prime_oracle(x)), x
-
 
 class TestHalfTableMemory:
     """The table stores omega*(2m) only (its size is checked in
@@ -162,20 +155,59 @@ class TestHalfTableMemory:
         assert peak < 2.25 * x, peak / x
 
 
-class TestTableDtype:
-    def test_uint16_below_2_pow_31(self):
-        for x in (1, 10**7, 2**31 - 1):
-            assert omega._table_dtype(x) is np.uint16
+def least_n_with_tau_at_least(bound):
+    """The least n with tau(n) >= bound: such an n has non-increasing exponents
+    on consecutive primes, so a depth-first search over those exponent
+    vectors, pruned at the best n so far, finds it."""
+    primes = sieve_primes(200).primes.tolist()
+    best = math.prod(primes[: math.ceil(math.log2(bound))])  # tau = 2^r >= bound
 
-    def test_uint32_from_2_pow_31(self):
-        for x in (2**31, 2**32):
-            assert omega._table_dtype(x) is np.uint32
+    def search(i, n, t, top):
+        nonlocal best
+        if t >= bound:
+            best = min(best, n)
+            return
+        for e in range(1, top + 1):
+            n *= primes[i]
+            if n >= best:
+                break
+            search(i + 1, n, t * (e + 1), e)
+
+    search(0, 1, 1, 64)
+    return best
+
+
+class TestTableDtype:
+    N16 = omega._UINT16_BELOW
+
+    def test_uint16_bound_is_least_n_with_tau_2_pow_16(self):
+        assert least_n_with_tau_at_least(2**16) == self.N16 == 106_858_629_141_264_000
+        assert tau(factorize(self.N16)) == 2**16
+        # the search itself, on the highly composite records it must reproduce
+        assert [least_n_with_tau_at_least(b) for b in (2, 6, 100, 1600)] == [2, 12, 45360, 2_095_133_040]
 
     def test_bound_fits_uint16(self):
         # the tau record below 2^31, from factorize, not from a table
         n = 2_095_133_040
         assert n < 2**31
         assert tau(factorize(n)) == 1600 < np.iinfo(np.uint16).max
+
+    def test_counts_are_uint16(self, table_1e6):
+        for table in (omega_star_table(1), omega_star_table(999), table_1e6):
+            assert table.counts.dtype == np.uint16
+
+    def test_refused_from_the_bound_before_sieving(self, monkeypatch):
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("sieve_primes called")
+
+        monkeypatch.setenv("OMEGASTAR_CEILING", str(2**62))
+        monkeypatch.setattr(omega, "sieve_primes", no_sieve)
+        for x in (self.N16, self.N16 + 1, 2**62):
+            with pytest.raises(ResourceLimitError, match=f"omega\\* table size = {x} reaches {self.N16}"):
+                omega_star_table(x)
+        # one below the bound passes the check and goes on to the sieve
+        with pytest.raises(AssertionError, match="sieve_primes called"):
+            omega_star_table(self.N16 - 1)
 
 
 class TestBlockedMomentSum:

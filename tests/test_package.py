@@ -1,18 +1,21 @@
-"""Package surface: the exported names, import under a small memory
-ceiling, and the names the benchmark tracer needs."""
+"""Package surface: a root that holds only its version, the names each
+submodule keeps, import under a small memory ceiling, and the names the
+benchmark tracer needs."""
 
 import dataclasses
+import importlib
 import inspect
 import json
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import omegastar
+from omegastar import construction, sieve, smooth
 
 ROOT = Path(__file__).resolve().parent.parent
+SUBMODULES = ("sieve", "arith", "omega", "constants", "construction", "smooth", "rng", "cli")
 DELETED = (
     "log_integral",
     "carmichael_lambda",
@@ -49,29 +52,49 @@ def _run(code: str, *argv: str, **env: str) -> subprocess.CompletedProcess:
 
 
 def test_all_holds_only_reexported_objects():
-    assert omegastar.__all__
-    for name in omegastar.__all__:
-        assert not isinstance(getattr(omegastar, name), types.ModuleType), name
-    for name in DELETED:
-        assert name not in omegastar.__all__
-        assert not hasattr(omegastar, name)
-    assert not hasattr(omegastar.Factorization, "rebuild")
+    # the root holds its version and nothing else: every name is imported
+    # from its submodule, which other imports may have bound on the root
+    assert omegastar.__version__ == "0.1.0"
+    assert not hasattr(omegastar, "__all__")
+    public = {name for name in vars(omegastar) if not name.startswith("_")}
+    assert public <= set(SUBMODULES), public - set(SUBMODULES)
+    for name, value in vars(omegastar).items():
+        assert not inspect.isfunction(value) and not inspect.isclass(value), name
+    for short in SUBMODULES:
+        module = importlib.import_module(f"omegastar.{short}")
+        for name in DELETED:
+            assert not hasattr(module, name), f"{short}.{name}"
+    assert not hasattr(sieve.Factorization, "rebuild")
 
 
 def test_settable_parameters():
     # build_params derives theta and u from the mode; the ratio reads its census
-    assert tuple(inspect.signature(omegastar.build_params).parameters) == ("log_x", "mode")
-    assert tuple(inspect.signature(omegastar.pomerance_ratio).parameters) == ("census",)
-    fields = {f.name for f in dataclasses.fields(omegastar.ConstructionParams)}
+    assert tuple(inspect.signature(construction.build_params).parameters) == ("log_x", "mode")
+    assert tuple(inspect.signature(smooth.pomerance_ratio).parameters) == ("census",)
+    fields = {f.name for f in dataclasses.fields(construction.ConstructionParams)}
     assert not fields & {"excluded_prime", "delta_smooth"}
 
 
 def test_import_under_small_ceiling():
     # the trial-division primes are sieved at import time and must not go
     # through the memory ceiling
-    result = _run("import omegastar; print(len(omegastar.sieve._TRIAL_PRIMES))", OMEGASTAR_CEILING="100")
+    result = _run("import omegastar.sieve; print(len(omegastar.sieve._TRIAL_PRIMES))", OMEGASTAR_CEILING="100")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "6542"
+
+
+def test_root_import_loads_no_numpy():
+    # the root imports no submodule, so numpy waits for the first one
+    result = _run("import sys, omegastar; print('numpy' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_cli_import_loads_every_submodule():
+    code = "import json, sys, omegastar.cli; print(json.dumps(sorted(m for m in sys.modules if m.startswith('omegastar.'))))"
+    result = _run(code)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == sorted(f"omegastar.{m}" for m in SUBMODULES)
 
 
 def test_benchmark_tracer_installs():
