@@ -222,7 +222,10 @@ def _cmd_smooth_scan(args: argparse.Namespace) -> Output:
     ys = [v * math.log(x) for v in vs]
     if not all(map(math.isfinite, ys)):
         raise ValueError(f"smooth-scan --v-list entries times log x must be finite; got {args.v_list!r}")
-    return None, _smooth_rows(x, [max(1, round(y)) for y in ys])
+    ys = [round(y) for y in ys]
+    if min(ys) < 1:
+        raise ValueError(f"smooth-scan --v-list entries times log x must round to y >= 1; got {args.v_list!r}")
+    return None, _smooth_rows(x, ys)
 
 
 def _cmd_report(args: argparse.Namespace) -> Output:

@@ -12,7 +12,7 @@ DEFAULT_CEILING = 2**31
 CEILING_ENV = "OMEGASTAR_CEILING"
 
 _TRIAL_LIMIT = 1 << 16
-# Integers per sieve segment in _primes_upto and smooth.smooth_census.
+# Odd slots per segment of _primes_upto; integers per smooth.smooth_census window.
 _SEGMENT = 1 << 20
 
 
@@ -47,31 +47,47 @@ class PrimeTable:
         return int(np.searchsorted(self.primes, x, side="right"))
 
 
-def _segment_flags(lo: int, hi: int, base: list[int]) -> np.ndarray:
-    """uint8 primality flags for the integers in [lo, hi).
+def _segment_flags(lo: int, hi: int, base: list[int], out: np.ndarray) -> None:
+    """Write uint8 primality flags for the odd slots [lo, hi) into `out`.
 
-    `base` must hold every prime <= isqrt(hi - 1), ascending; each crosses
-    out its multiples from max(p^2, lo) on.  0 and 1 are not prime.
+    Slot i stands for the odd integer 2i + 1, so slot 0 (the integer 1) is
+    not prime.  `out` is a uint8 array of hi - lo entries, overwritten in
+    place.  `base` must hold every odd prime <= isqrt(2 hi - 1), ascending,
+    and no 2.  The odd multiples of p are p slots apart; each p crosses them
+    out from max(p^2, 2 lo + 1) on, starting at slot p // 2 mod p.
     """
-    flags = np.ones(hi - lo, dtype=np.uint8)
-    flags[: max(0, 2 - lo)] = 0
+    out.fill(1)
+    if lo == 0:
+        out[:1] = 0
     for p in base:
-        if p * p >= hi:
+        if p * p >= 2 * hi:
             break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        flags[start - lo :: p] = 0
-    return flags
+        start = max(p * p // 2, lo + (p // 2 - lo) % p)
+        if start < hi:  # a narrow window may hold no multiple of p
+            out[start - lo :: p] = 0
 
 
 def _primes_upto(n: int) -> np.ndarray:
-    """Ascending int64 primes <= n, sieved _SEGMENT integers at a time with
-    base primes from this same driver; any segment size gives the same primes."""
-    base = _primes_upto(math.isqrt(n)).tolist() if n >= 4 else []
-    flags = np.empty(n + 1, dtype=np.uint8)
-    for lo in range(0, n + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, n + 1)
-        flags[lo:hi] = _segment_flags(lo, hi, base)
-    return np.flatnonzero(flags)
+    """Ascending int64 primes <= n.
+
+    One uint8 array holds the (n + 1) // 2 odd slots 1, 3, 5, ...; it is
+    sieved in place _SEGMENT slots at a time, with odd base primes from this
+    same driver, and any segment size gives the same primes.  Slot 0 (the
+    integer 1) is set before the scan so that its entry becomes the prime 2.
+    """
+    base = _primes_upto(math.isqrt(n))[1:].tolist() if n >= 9 else []
+    flags = np.empty((n + 1) // 2, dtype=np.uint8)
+    for lo in range(0, flags.size, _SEGMENT):
+        hi = min(lo + _SEGMENT, flags.size)
+        _segment_flags(lo, hi, base, flags[lo:hi])
+    if n >= 2:
+        flags[0] = 1
+    primes = np.flatnonzero(flags.view(bool))
+    primes *= 2
+    primes += 1
+    if n >= 2:
+        primes[0] = 2
+    return primes
 
 
 def sieve_primes(limit: int) -> PrimeTable:

@@ -51,10 +51,23 @@ def _census_segment(
     prime in `mark` is in, so the cofactor n // part is 1 or one prime, and
     n is smooth exactly when it is at most y.  n and part are uint32 while
     hi - 1 fits, else uint64.
+
+    Only the odd integers in (lo, hi) are sieved, as the odd slots [a, b) of
+    sieve._segment_flags.  `pairs` holds the window offset 2i - lo of n = 2i
+    for each odd prime 2i + 1 there, so each stage reads pi_smooth off
+    smooth[pairs].  The prime 2, when in (lo, hi), adds one to pi and to
+    every pi_smooth, since its n = 1 is smooth for every y >= 1.
     """
+    a, b = (lo + 1) // 2, hi // 2
+    odd = np.empty(b - a, dtype=np.uint8)
+    _segment_flags(a, b, mark[1:], odd)
+    pairs = np.flatnonzero(odd.view(bool))
+    del odd  # freed before n and part are allocated
+    pairs *= 2
+    pairs += 2 * a - lo
+    two = int(lo < 2 < hi)
     n = np.arange(lo, hi, dtype=np.uint32 if hi <= 2**32 else np.uint64)
     part = np.ones_like(n)
-    prime = _segment_flags(lo, hi, mark).view(bool)
     counts = []
     for primes, cap in stages:
         for p in primes:
@@ -65,8 +78,9 @@ def _census_segment(
                     part[start - lo :: q] *= p
                 q *= p
         smooth = part == n if cap is None else n // part <= cap
-        counts.append((int(np.count_nonzero(smooth[1:])), int(np.count_nonzero(prime[1:] & smooth[:-1]))))
-    return int(np.count_nonzero(prime[1:])), counts
+        counts.append((int(np.count_nonzero(smooth[1:])), int(np.count_nonzero(smooth[pairs])) + two))
+        del smooth  # freed before the next stage builds its own
+    return pairs.size + two, counts
 
 
 def smooth_census(x: int, ys: list[int]) -> list[SmoothCensus]:

@@ -594,6 +594,20 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("omegastar: error: smooth-scan --v-list entries must be positive")
 
+    @pytest.mark.parametrize("x, v_list", [("10", "1e-300"), ("2", "0.5"), ("1000", "1,0.01")])
+    def test_v_rounding_below_y_1_exit_2_before_work(self, capsys, no_heavy_work, x, v_list):
+        # 0.5 log 2 = 0.35 and 0.01 log 1000 = 0.07 round to y = 0
+        code, out, err = run_cli(capsys, ["smooth-scan", "--x", x, "--v-list", v_list])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("omegastar: error: smooth-scan --v-list entries times log x must round to y >= 1")
+
+    def test_v_rounding_to_y_1_runs(self, capsys):
+        # log 2 = 0.69 rounds to y = 1: only n = 1 is 1-smooth, and it pairs with the prime 2
+        code, out, err = run_cli(capsys, ["smooth-scan", "--x", "2", "--v-list", "1"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith("2,1,1,1,1,")
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**65 - 1)])
     def test_seed_outside_64_bits_exit_2_before_work(self, capsys, no_heavy_work, seed):
         argv = ["--seed", seed, "sample-divisors", "--log-x", "111", "--trials", "10"]

@@ -1,4 +1,6 @@
+import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,7 +64,15 @@ class TestSievePrimes:
             sieve_primes(-1)
 
 
+def odd_base(limit: int) -> list[int]:
+    """The odd primes <= limit, as the kernel takes them."""
+    return [p for p in trial_division_primes(limit) if p > 2]
+
+
 class TestSegmentKernel:
+    """The kernel sieves odd slots: slot i stands for the integer 2i + 1.  The
+    odd integers of an integer window [lo, hi) are the slots [lo // 2, hi // 2)."""
+
     @pytest.mark.parametrize(
         "lo, hi",
         [
@@ -70,45 +80,81 @@ class TestSegmentKernel:
             (0, 3),
             (0, 200),
             (1, 150),
-            (2, 97),
-            (47, 51),  # straddles 7^2
-            (120, 122),  # straddles 11^2
-            (955, 970),  # straddles 31^2
-            (1368, 1370),  # straddles 37^2
-            (10**4 - 3, 10**4 + 250),
+            (2, 97),  # slots from 1
+            (47, 51),  # straddles 7^2, slot 24
+            (120, 122),  # 11^2, slot 60
+            (955, 970),  # straddles 31^2, slot 480
+            (1368, 1370),  # 37^2, slot 684
+            (10**4 - 3, 10**4 + 250),  # slots near 5,000
         ],
     )
     def test_window_against_trial_division(self, lo, hi):
-        base = _primes_upto(math.isqrt(hi - 1)).tolist()
-        flags = _segment_flags(lo, hi, base)
-        assert flags.dtype == np.uint8
-        assert flags.tolist() == [int(trial_division_is_prime(n)) for n in range(lo, hi)]
+        a, b = lo // 2, hi // 2
+        buf = np.full(b - a + 2, 7, dtype=np.uint8)
+        _segment_flags(a, b, odd_base(math.isqrt(2 * b - 1)), buf[1:-1])
+        assert buf[0] == buf[-1] == 7  # nothing written outside the slice handed in
+        assert buf[1:-1].tolist() == [int(trial_division_is_prime(2 * i + 1)) for i in range(a, b)]
 
     def test_one_wide_windows(self):
-        for n in range(0, 400):
-            base = _primes_upto(math.isqrt(n)).tolist()
-            assert bool(_segment_flags(n, n + 1, base)[0]) == trial_division_is_prime(n), n
+        out = np.empty(1, dtype=np.uint8)
+        for i in range(0, 400):
+            out[0] = 7
+            _segment_flags(i, i + 1, odd_base(math.isqrt(2 * i + 1)), out)
+            assert bool(out[0]) == trial_division_is_prime(2 * i + 1), i
 
     def test_base_primes(self):
         for n in range(0, 300):
             assert _primes_upto(n).tolist() == trial_division_primes(n), n
 
+    @pytest.mark.parametrize("segment", [1, 2, 7, 64])
+    def test_driver_every_n_below_3000(self, monkeypatch, segment):
+        want = trial_division_primes(2999)
+        monkeypatch.setattr(sieve, "_SEGMENT", segment)
+        for n in range(3000):
+            got = _primes_upto(n)
+            assert got.dtype == np.int64
+            assert got.tolist() == want[: bisect.bisect_right(want, n)], n
+
+    def test_driver_peak_below_1_25_n_bytes(self):
+        # the odd-slot flags (n / 2 bytes) and the int64 primes (0.63 n) are
+        # all; flags over every integer plus a copy per segment read 2.0 n
+        n = 10**6
+        tracemalloc.start()
+        try:
+            _primes_upto(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n, peak / n
+
     def test_every_pass_sieves_in_segments(self, monkeypatch):
-        # sieve_primes, its base primes and the census all go through windows
-        # of at most _SEGMENT integers; a census window reaches one further back.
-        widths = []
+        # sieve_primes, its base primes and the census all go through kernel
+        # windows of at most _SEGMENT slots, each written into a slice of
+        # that width; a census window spans at most _SEGMENT + 1 integers.
+        slots, windows = [], []
 
-        def spy(lo, hi, base):
-            widths.append(hi - lo)
-            return _segment_flags(lo, hi, base)
+        def spy(lo, hi, base, out):
+            assert out.shape == (hi - lo,) and out.dtype == np.uint8
+            assert all(p % 2 for p in base)
+            slots.append(hi - lo)
+            _segment_flags(lo, hi, base, out)
 
+        def census_spy(lo, hi, mark, stages):
+            windows.append(hi - lo)
+            return census_segment(lo, hi, mark, stages)
+
+        census_segment = smooth._census_segment
         monkeypatch.setattr(sieve, "_SEGMENT", 64)
         monkeypatch.setattr(sieve, "_segment_flags", spy)
         monkeypatch.setattr(smooth, "_segment_flags", spy)
+        monkeypatch.setattr(smooth, "_census_segment", census_spy)
         primes = sieve_primes(10**4).primes.tolist()
-        smooth_census(10**4, [5])
-        assert widths and max(widths) <= 65
+        driver = len(slots)
+        (c,) = smooth_census(10**4, [5])
+        assert slots and max(slots) <= 64
+        assert len(slots) > driver and windows and max(windows) <= 65
         assert primes == trial_division_primes(10**4)
+        assert c.pi_x == len(primes)
 
 
 class TestIsPrime:

@@ -8,7 +8,7 @@ from omegastar import sieve, smooth
 from omegastar.sieve import factorize, is_prime, sieve_primes
 from omegastar.smooth import log_psi_leading, pomerance_ratio, smooth_census
 
-from conftest import division_census
+from conftest import brute_gpf, division_census, trial_division_is_prime
 
 
 class TestPsiCount:
@@ -208,6 +208,17 @@ class TestCensusOracle:
         for ys, want in zip(cases, expected):
             assert _got(x, ys) == want, (x, ys, segment)
 
+    @pytest.mark.parametrize("lo, hi", [(lo, hi) for lo in range(6) for hi in (lo + 1, lo + 2, 60, 61)])
+    def test_window_against_full_flags(self, lo, hi):
+        # every start parity and both end parities against flags over the
+        # whole window, so the odd slots [(lo + 1) // 2, hi // 2), the prime
+        # 2 and each pair n - 1, n line up
+        root = math.isqrt(hi - 1)
+        ys = sorted({1, 2, 3, 5, max(root, 1), root + 1, 20, 100})
+        prime = [trial_division_is_prime(n) for n in range(lo, hi)]
+        gpf = [brute_gpf(n) for n in range(lo, hi)]  # n = lo is only a predecessor
+        check_census_window(lo, hi, ys, sieve._primes_upto(root).tolist(), prime, gpf)
+
     def test_uint64_segment_straddling_2_to_32(self):
         # one window [2^32 - 2^10 - 1, 2^32 + 2^10), counted over
         # [2^32 - 2^10, 2^32 + 2^10): n and part must be uint64.
@@ -216,17 +227,26 @@ class TestCensusOracle:
         lo, hi = 2**32 - 2**10, 2**32 + 2**10
         ys = [2, 3, 1000, 2**16, 2**16 + 1, 2**20, 2**40]
         mark = sieve._primes_upto(2**16).tolist()
-        stages = [([p for p in mark if a < p <= b], None if b <= 2**16 else b) for a, b in zip([0] + ys, ys)]
         gpf = [factorize(n).factors[-1][0] for n in range(lo - 1, hi)]
-        pi, counts = smooth._census_segment(lo - 1, hi, mark, stages)
-        prime = [is_prime(n) for n in range(lo, hi)]
-        assert pi == sum(prime)
-        for y, (psi, pi_smooth) in zip(ys, counts):
-            smooth_flags = [g <= y for g in gpf]
-            assert psi == sum(smooth_flags[1:]), y
-            assert pi_smooth == sum(p and s for p, s in zip(prime, smooth_flags)), y
+        prime = [is_prime(n) for n in range(lo - 1, hi)]
+        counts = check_census_window(lo - 1, hi, ys, mark, prime, gpf)
         assert counts[0][0] == 1  # 2^32 alone is 2-smooth
         assert counts[4][0] == counts[3][0] + 1  # 2^32 - 1 joins at y = 2^16 + 1
+
+
+def check_census_window(lo, hi, ys, mark, prime, gpf):
+    """_census_segment(lo, hi) for ascending ys against primality and
+    greatest-prime-factor lists over the whole window [lo, hi); the y past
+    isqrt(hi - 1) take the cofactor test.  Returns its counts."""
+    root = math.isqrt(hi - 1)
+    stages = [([p for p in mark if a < p <= b], None if b <= root else b) for a, b in zip([0] + ys, ys)]
+    pi, counts = smooth._census_segment(lo, hi, mark, stages)
+    assert pi == sum(prime[1:]), (lo, hi)
+    for y, (psi, pi_smooth) in zip(ys, counts):
+        smooth_flags = [g <= y for g in gpf]
+        assert psi == sum(smooth_flags[1:]), (lo, hi, y)
+        assert pi_smooth == sum(p and s for p, s in zip(prime[1:], smooth_flags)), (lo, hi, y)
+    return counts
 
 
 class TestCensusAboveRoot:
