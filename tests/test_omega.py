@@ -12,7 +12,7 @@ from omegastar.omega import (
     omega_star_table,
 )
 from omegastar.arith import tau
-from omegastar.sieve import ResourceLimitError, factorize, sieve_primes
+from omegastar.sieve import ResourceLimitError, factorize, is_prime, sieve_primes
 
 from conftest import brute_omega_star, expand_half_table
 
@@ -88,6 +88,12 @@ def bincount_moment_oracle(counts, k, upto):
     return sum(int(c) * v**k for v, c in enumerate(hist.tolist()))
 
 
+def check_against_oracle(x):
+    table = omega_star_table(x)
+    assert table.counts.size == x // 2 + 1
+    assert np.array_equal(expand_half_table(table), slice_per_prime_oracle(x)), x
+
+
 class TestSplitKernel:
     """omega_star_table's even-only kernel against the full-length per-prime
     oracle: half-steps t = (p - 1)/2 over [1, x // 2], split at
@@ -95,34 +101,30 @@ class TestSplitKernel:
 
     B = omega._SMALL_STEP_MULTIPLES
 
-    def _check(self, x):
-        table = omega_star_table(x)
-        assert table.counts.size == x // 2 + 1
-        assert np.array_equal(expand_half_table(table), slice_per_prime_oracle(x)), x
-
     def test_small_x(self):
         # odd and even x up to 6B: x // 2 crosses B - 1, B, B + 1 and 2B, and
         # below x = 2B every half-step is large
         for x in range(1, 6 * self.B):
-            self._check(x)
+            check_against_oracle(x)
 
     def test_step_equal_to_split_point(self):
         # (p - 1)/2 == (x // 2) // B for the prime p = 1009: the boundary
-        # half-step is a small step, at odd and even x
+        # half-step is a small step, at odd and even x (504 divides 720,720,
+        # so at the real wheel it is also a wheel step)
         assert sieve_primes(1009).primes[-1] == 1009
         for x in (2 * (504 * self.B + self.B // 2) + offset for offset in (-1, 0, 1)):
             assert (x // 2) // self.B == (1009 - 1) // 2
-            self._check(x)
+            check_against_oracle(x)
 
     def test_split_point_edges(self):
         # x // 2 at the ends of the range where (x // 2) // B == 504
         for half in (504 * self.B, 505 * self.B - 1):
             for x in (2 * half - 1, 2 * half, 2 * half + 1, 2 * half + 2):
-                self._check(x)
+                check_against_oracle(x)
 
     def test_near_2_pow_20(self):
         for x in (2**20 - 1, 2**20, 2**20 + 1, 2**21 - 1, 2**21, 2**21 + 1):
-            self._check(x)
+            check_against_oracle(x)
 
     def test_at_1e6(self, table_1e6):
         assert table_1e6.counts.dtype == np.uint16
@@ -133,7 +135,51 @@ class TestSplitKernel:
         # and at x = 2^20 + 1 the j = 1 pass needs many blocks.
         monkeypatch.setattr(omega, "_PASS_BLOCK", 7)
         for x in (999, 1000, 4 * self.B * self.B + 1, 2**20 + 1):
-            self._check(x)
+            check_against_oracle(x)
+
+
+class TestWheelAndNearBlocks:
+    """The small half-steps that divide _WHEEL are written over one period
+    and copied across the table by doubling; the small ones below
+    _NEAR_STEP off the wheel are added one _NEAR_BLOCK block at a time."""
+
+    B = omega._SMALL_STEP_MULTIPLES
+    W = omega._WHEEL
+
+    @pytest.mark.parametrize("wheel", [12, 60])
+    def test_small_wheels_every_x_below_6b(self, monkeypatch, wheel):
+        # x // 2 runs from below the wheel to many periods past it, so the
+        # doubling ends on a short last copy as well as on a whole one
+        monkeypatch.setattr(omega, "_WHEEL", wheel)
+        for x in range(1, 6 * self.B):
+            check_against_oracle(x)
+
+    @pytest.mark.parametrize("wheel", [12, 60])
+    def test_small_wheels_with_wheel_steps_past_2(self, monkeypatch, wheel):
+        # At the real split only t = 1 and 2 are small below x = 6B; at
+        # B = 4 the wheel also carries 3 and 6 (and 5, 15, 20, 30 for 60), and
+        # the steps off it go through the near-step blocks.
+        monkeypatch.setattr(omega, "_WHEEL", wheel)
+        monkeypatch.setattr(omega, "_SMALL_STEP_MULTIPLES", 4)
+        for x in range(1, 10 * wheel + 3):
+            check_against_oracle(x)
+
+    def test_near_blocks_off_step(self, monkeypatch):
+        # Blocks of 7 entries line up with no near step; 23 is the least
+        # half-step off the real wheel, and it becomes small at
+        # x // 2 = 23 * B.
+        monkeypatch.setattr(omega, "_NEAR_BLOCK", 7)
+        assert self.W % 23 and all(self.W % t == 0 for t in range(1, 23) if is_prime(2 * t + 1))
+        for half in (23 * self.B - 1, 23 * self.B, 2**15 + 3):
+            for x in (2 * half, 2 * half + 1):
+                check_against_oracle(x)
+
+    def test_half_next_to_one_and_two_periods(self):
+        # x // 2 at W - 1 (no copy), W (no copy), W + 1 (a one-entry copy)
+        # and 2W + 1 (a whole copy, then a one-entry one)
+        for half in (self.W - 1, self.W, self.W + 1, 2 * self.W + 1):
+            for x in (2 * half, 2 * half + 1):
+                check_against_oracle(x)
 
 
 class TestHalfTableMemory:

