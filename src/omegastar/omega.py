@@ -16,14 +16,10 @@ from .sieve import _TRIAL_PRIMES, ResourceLimitError, check_ceiling, factorize, 
 
 # Half-steps (p - 1)/2 with at least this many multiples in [1, x // 2] get a
 # slice update each.
-_SMALL_STEP_MULTIPLES = 256
+_SMALL_STEP_MULTIPLES = 128
 # 2^4 * 3^2 * 5 * 7 * 11 * 13: the small half-steps that divide it are
 # periodic mod _WHEEL, so one period of them is written and copied.
 _WHEEL = 720_720
-# Small half-steps below _NEAR_STEP that are off the wheel are added one block
-# of _NEAR_BLOCK entries (1 MiB of uint16) at a time.
-_NEAR_STEP = 256
-_NEAR_BLOCK = 1 << 19
 # omega*(n) <= tau(n), and the least n with tau(n) >= 2^16 is this one,
 # 2^7 * 3^3 * 5^3 * 7 * 11 * ... * 37, so uint16 holds every count below it.
 _UINT16_BELOW = 106_858_629_141_264_000
@@ -62,15 +58,11 @@ def omega_star_table(x: int) -> OmegaStarTable:
     t = (p - 1)/2 of odd primes p <= x + 1 that divide m.
 
     Half-steps t <= (x // 2) // _SMALL_STEP_MULTIPLES are small; each adds
-    one to the strided slice of its multiples, in one of three ways:
-
-    - t divides _WHEEL: t divides m exactly when it divides m mod _WHEEL, so
-      these steps are added to the first period counts[1 : _WHEEL + 1] only,
-      and that period is then copied across the table by doubling.
-    - t < _NEAR_STEP, off the wheel: one block of _NEAR_BLOCK entries at a
-      time, so the block stays in cache across these steps; in the block
-      that starts at a, the first multiple of t is at offset (-a) mod t.
-    - the rest: one slice over the whole table each.
+    one to the strided slice of its multiples.  Those that divide _WHEEL
+    are periodic: t divides m exactly when it divides m mod _WHEEL, so they
+    are added to the first period counts[1 : _WHEEL + 1] only, and that
+    period is then copied across the table by doubling.  Every other small
+    half-step gets one slice over the whole table.
 
     Every larger half-step has fewer than _SMALL_STEP_MULTIPLES multiples,
     so those are added by multiplier instead: pass j adds one to j * t for
@@ -88,9 +80,9 @@ def omega_star_table(x: int) -> OmegaStarTable:
     steps //= 2
     h = np.ones(half + 1, dtype=np.uint16)
     split = np.searchsorted(steps, half // _SMALL_STEP_MULTIPLES, side="right")
-    wheel, near, far = [], [], []
+    wheel, rest = [], []
     for step in steps[:split].tolist():
-        (wheel if _WHEEL % step == 0 else near if step < _NEAR_STEP else far).append(step)
+        (rest if _WHEEL % step else wheel).append(step)
     for step in wheel:
         h[step : _WHEEL + 1 : step] += 1
     # h[1 : filled + 1] holds whole periods, so its head is the next period
@@ -99,11 +91,7 @@ def omega_star_table(x: int) -> OmegaStarTable:
         k = min(filled, half - filled)
         h[1 + filled : 1 + filled + k] = h[1 : 1 + k]
         filled += k
-    for a in range(1, half + 1, _NEAR_BLOCK):
-        block = h[a : a + _NEAR_BLOCK]
-        for step in near:
-            block[-a % step :: step] += 1
-    for step in far:
+    for step in rest:
         h[step::step] += 1
     large = steps[split:]
     j = 1

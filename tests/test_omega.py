@@ -12,7 +12,7 @@ from omegastar.omega import (
     omega_star_table,
 )
 from omegastar.arith import tau
-from omegastar.sieve import ResourceLimitError, factorize, is_prime, sieve_primes
+from omegastar.sieve import ResourceLimitError, factorize, sieve_primes
 
 from conftest import brute_omega_star, expand_half_table
 
@@ -138,41 +138,23 @@ class TestSplitKernel:
             check_against_oracle(x)
 
 
-class TestWheelAndNearBlocks:
+class TestWheel:
     """The small half-steps that divide _WHEEL are written over one period
-    and copied across the table by doubling; the small ones below
-    _NEAR_STEP off the wheel are added one _NEAR_BLOCK block at a time."""
+    and copied across the table by doubling."""
 
-    B = omega._SMALL_STEP_MULTIPLES
     W = omega._WHEEL
 
     @pytest.mark.parametrize("wheel", [12, 60])
-    def test_small_wheels_every_x_below_6b(self, monkeypatch, wheel):
-        # x // 2 runs from below the wheel to many periods past it, so the
-        # doubling ends on a short last copy as well as on a whole one
-        monkeypatch.setattr(omega, "_WHEEL", wheel)
-        for x in range(1, 6 * self.B):
-            check_against_oracle(x)
-
-    @pytest.mark.parametrize("wheel", [12, 60])
     def test_small_wheels_with_wheel_steps_past_2(self, monkeypatch, wheel):
-        # At the real split only t = 1 and 2 are small below x = 6B; at
-        # B = 4 the wheel also carries 3 and 6 (and 5, 15, 20, 30 for 60), and
-        # the steps off it go through the near-step blocks.
+        # At the real B only t = 1 and 2 are small below x = 6B; at B = 4
+        # the wheel also carries 3 and 6 (and 5, 15, 20, 30 for 60), and
+        # the steps off it get whole-table slices.  x // 2 runs from below
+        # the wheel to five periods past it, and to 64 periods and 3 more
+        # at the last x, so the doubling ends on short and whole copies.
         monkeypatch.setattr(omega, "_WHEEL", wheel)
         monkeypatch.setattr(omega, "_SMALL_STEP_MULTIPLES", 4)
-        for x in range(1, 10 * wheel + 3):
+        for x in (*range(1, 10 * wheel + 3), 128 * wheel + 7):
             check_against_oracle(x)
-
-    def test_near_blocks_off_step(self, monkeypatch):
-        # Blocks of 7 entries line up with no near step; 23 is the least
-        # half-step off the real wheel, and it becomes small at
-        # x // 2 = 23 * B.
-        monkeypatch.setattr(omega, "_NEAR_BLOCK", 7)
-        assert self.W % 23 and all(self.W % t == 0 for t in range(1, 23) if is_prime(2 * t + 1))
-        for half in (23 * self.B - 1, 23 * self.B, 2**15 + 3):
-            for x in (2 * half, 2 * half + 1):
-                check_against_oracle(x)
 
     def test_half_next_to_one_and_two_periods(self):
         # x // 2 at W - 1 (no copy), W (no copy), W + 1 (a one-entry copy)
