@@ -12,7 +12,8 @@ DEFAULT_CEILING = 2**31
 CEILING_ENV = "OMEGASTAR_CEILING"
 
 _TRIAL_LIMIT = 1 << 16
-# Odd slots per segment of _primes_upto; integers per smooth.smooth_census window.
+# Odd slots per segment of _odd_slots, and per slice of smooth.smooth_census's
+# walk over the primes above sqrt(x).
 _SEGMENT = 1 << 20
 
 
@@ -67,13 +68,13 @@ def _segment_flags(lo: int, hi: int, base: list[int], out: np.ndarray) -> None:
             out[start - lo :: p] = 0
 
 
-def _primes_upto(n: int) -> np.ndarray:
-    """Ascending int64 primes <= n.
+def _odd_slots(n: int) -> np.ndarray:
+    """The (n + 1) // 2 uint8 primality slots of [1, n]: slot i >= 1 flags
+    the odd integer 2i + 1, and slot 0 flags the prime 2 (set when n >= 2,
+    since the integer 1 is not prime).
 
-    One uint8 array holds the (n + 1) // 2 odd slots 1, 3, 5, ...; it is
-    sieved in place _SEGMENT slots at a time, with odd base primes from this
-    same driver, and any segment size gives the same primes.  Slot 0 (the
-    integer 1) is set before the scan so that its entry becomes the prime 2.
+    One array is sieved in place _SEGMENT slots at a time, with odd base
+    primes from _primes_upto, and any segment size gives the same slots.
     """
     base = _primes_upto(math.isqrt(n))[1:].tolist() if n >= 9 else []
     flags = np.empty((n + 1) // 2, dtype=np.uint8)
@@ -82,12 +83,22 @@ def _primes_upto(n: int) -> np.ndarray:
         _segment_flags(lo, hi, base, flags[lo:hi])
     if n >= 2:
         flags[0] = 1
-    primes = np.flatnonzero(flags.view(bool))
+    return flags
+
+
+def _slot_primes(slots: np.ndarray) -> np.ndarray:
+    """Ascending int64 primes flagged in a prefix of an _odd_slots array."""
+    primes = np.flatnonzero(slots.view(bool))
     primes *= 2
     primes += 1
-    if n >= 2:
+    if primes.size and primes[0] == 1:
         primes[0] = 2
     return primes
+
+
+def _primes_upto(n: int) -> np.ndarray:
+    """Ascending int64 primes <= n: the one Eratosthenes driver."""
+    return _slot_primes(_odd_slots(n))
 
 
 def sieve_primes(limit: int) -> PrimeTable:

@@ -2,22 +2,32 @@
 
 An integer is y-smooth when its greatest prime factor P+(n) is at most y
 (P+(1) = 1).  Psi(x, y) counts y-smooth n <= x; pi(x, y) counts primes p <= x
-with p - 1 y-smooth.  One segmented sieve pass serves every y at once: it
-multiplies up the smooth part of each n over the primes in ascending order
-(exactness over Buchstab-style recursion), reading the counts off as the
-primes pass each y, with one set of primality flags shared by all.  Past
-sqrt(x), the cofactor left after the primes <= sqrt(x) is compared with y.
+with p - 1 y-smooth.  One census serves every y at once by sorting the
+smooth n by their largest prime factor: the n <= x with P+(n) = p are p * m
+for the m <= x // p with P+(m) <= p.  Psi(x, y) is n = 1 plus a prefix sum of
+their number over the primes p <= y, and pi(x, y) the same prefix sum over
+those n < x with n + 1 prime (and n = 1, which pairs with the prime 2).
+
+For p <= sqrt(x) the m are enumerated as a set grown prime by prime.  Past
+sqrt(x) every m <= x // p is below p, so p adds floor(x / p) to Psi and
+the even m with p * m + 1 prime to pi.  Primality, pi(x) and the primes
+themselves all come from the odd-slot flags of [1, x], which cost x / 2
+bytes, the same as the slot array of sieve.sieve_primes(x).  The rest stays
+small beside them, whatever y: the enumerated sets hold Psi(x / p, p)
+entries at most, the primes above sqrt(x) are walked in slices of the
+flags, and no list of all primes up to y is built.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import sieve
-from .sieve import _primes_upto, _segment_flags, check_ceiling
+from .sieve import _odd_slots, _slot_primes, check_ceiling
 
 import numpy as np
 
@@ -37,61 +47,76 @@ class PomeranceRatio(NamedTuple):
     quotient: float
 
 
-def _census_segment(
-    lo: int, hi: int, mark: list[int], stages: list[tuple[list[int], int | None]]
-) -> tuple[int, list[tuple[int, int]]]:
-    """pi over (lo, hi), and (psi, pi_smooth) over (lo, hi) after each stage;
-    the window holds lo only as the predecessor of lo + 1.
+def _grow(smooth: np.ndarray, cap: int, p: int) -> np.ndarray:
+    """The entries of `smooth` up to `cap`, with their multiples by powers of p
+    that stay up to `cap`."""
+    smooth = smooth[smooth <= cap]
+    grown = [smooth]
+    power = smooth[smooth <= cap // p] * p
+    while power.size:
+        grown.append(power)
+        power = power[power <= cap // p] * p
+    return np.concatenate(grown)
 
-    `mark` holds every prime <= isqrt(hi - 1), ascending.  Stage i is a pair
-    (primes, cap); its primes are ascending and above those of earlier
-    stages.  `part` is multiplied by p once for every p^e dividing n, so it
-    stays the smooth part of n, at most n.  Cap None: every prime <= the
-    stage's y is in, and n is smooth exactly when part == n.  Cap y: every
-    prime in `mark` is in, so the cofactor n // part is 1 or one prime, and
-    n is smooth exactly when it is at most y.  n and part are uint32 while
-    hi - 1 fits, else uint64.
 
-    Only the odd integers in (lo, hi) are sieved, as the odd slots [a, b) of
-    sieve._segment_flags.  `pairs` holds the window offset 2i - lo of n = 2i
-    for each odd prime 2i + 1 there, so each stage reads pi_smooth off
-    smooth[pairs].  The prime 2, when in (lo, hi), adds one to pi and to
-    every pi_smooth, since its n = 1 is smooth for every y >= 1.
+def _small_prime_counts(x: int, flags: np.ndarray, primes: list[int]) -> tuple[list[int], list[int]]:
+    """For each of `primes` (every prime from 2 on, ascending, each at most
+    isqrt(x) or 2): the n <= x with P+(n) = p, and those n < x with n + 1
+    prime, counted in two lists.
+
+    The m <= x // p with P+(m) <= p are kept as the odd m in `odd` and the
+    even m as m / 2 in `half`.  Going from one prime to the next drops the
+    entries above the new x // p and adds their multiples by powers of p;
+    an odd p keeps each m's parity.  n + 1 is even for odd n, so only even
+    n are looked up, at slot n / 2 of the odd-slot `flags`: slot m for
+    p = 2, whose m are 1 and the powers of 2, and slot hp for odd p.
     """
-    a, b = (lo + 1) // 2, hi // 2
-    odd = np.empty(b - a, dtype=np.uint8)
-    _segment_flags(a, b, mark[1:], odd)
-    pairs = np.flatnonzero(odd.view(bool))
-    del odd  # freed before n and part are allocated
-    pairs *= 2
-    pairs += 2 * a - lo
-    two = int(lo < 2 < hi)
-    n = np.arange(lo, hi, dtype=np.uint32 if hi <= 2**32 else np.uint64)
-    part = np.ones_like(n)
-    counts = []
-    for primes, cap in stages:
-        for p in primes:
-            q = p
-            while q < hi:
-                start = -(-lo // q) * q
-                if start < hi:
-                    part[start - lo :: q] *= p
-                q *= p
-        smooth = part == n if cap is None else n // part <= cap
-        counts.append((int(np.count_nonzero(smooth[1:])), int(np.count_nonzero(smooth[pairs])) + two))
-        del smooth  # freed before the next stage builds its own
-    return pairs.size + two, counts
+    if not primes:
+        return [], []
+    twos = 2 ** np.arange((x // 2).bit_length(), dtype=np.int64)  # the m for p = 2
+    psi, pi = [twos.size], [int(np.count_nonzero(flags[twos[twos <= (x - 1) // 2]]))]
+    odd, half = twos[:1], twos[:-1]
+    for p in primes[1:]:
+        odd = _grow(odd, x // p, p)
+        half = _grow(half, x // (2 * p), p)
+        # 2hp < x fails only at h = x / 2p
+        looked = half[half < x // (2 * p)] if x % (2 * p) == 0 else half
+        psi.append(odd.size + half.size)
+        pi.append(int(np.count_nonzero(flags[looked * p])))
+    return psi, pi
+
+
+def _large_prime_counts(x: int, flags: np.ndarray, a: int, b: int) -> tuple[int, int]:
+    """(Psi, pi) gained from the primes of the odd slots [a, b), all above
+    isqrt(x), walked sieve._SEGMENT slots at a time.
+
+    Each p adds x // p to Psi, one for every m <= x // p.  To pi it adds the
+    even m = 2j with p * m + 1 <= x prime, read at slot p * j; for each j
+    those p are a prefix of the slice's primes.
+    """
+    psi = pi = 0
+    for lo in range(a, b, sieve._SEGMENT):
+        ps = np.flatnonzero(flags[lo : min(lo + sieve._SEGMENT, b)].view(bool))
+        if not ps.size:
+            continue
+        ps *= 2
+        ps += 2 * lo + 1
+        psi += int((x // ps).sum())
+        js = np.arange(1, (x - 1) // (2 * int(ps[0])) + 1)
+        for j, k in zip(js.tolist(), np.searchsorted(ps, (x - 1) // (2 * js), side="right").tolist()):
+            pi += int(np.count_nonzero(flags[ps[:k] * j]))
+    return psi, pi
 
 
 def smooth_census(x: int, ys: list[int]) -> list[SmoothCensus]:
-    """Psi(x, y), pi(x, y) and pi(x) for each y of `ys`, in the given order,
-    from one pass over [1, x] in segments of sieve._SEGMENT.
+    """Psi(x, y), pi(x, y) and pi(x) for each y of `ys`, in the given order.
 
-    The distinct y values, ascending, are the stages of _census_segment.  Its
-    windows [lo - 1, hi) overlap by one integer, so no state passes between
-    them.  Only the primes <= isqrt(x) are walked, so the cost does not
-    grow with y; a y above isqrt(x) (capped at x) takes the cofactor test.
-    For x < 2^32 every window works in uint32.
+    The primes up to both max(ys) and isqrt(x) go through
+    _small_prime_counts; the primes above isqrt(x) and up to min(y, x)
+    through _large_prime_counts, one stretch of slots from each y to the
+    next.  Both read the one odd-slot flag array of [1, x].  Its slot 0
+    stands for the prime 2, so 2 is a small prime even for x < 4, where
+    isqrt(x) = 1.
     """
     if x < 1:
         raise ValueError("x must be at least 1")
@@ -101,19 +126,23 @@ def smooth_census(x: int, ys: list[int]) -> list[SmoothCensus]:
         raise ValueError("y must be at least 1")
     check_ceiling(x, "smooth census size")
 
-    root = math.isqrt(x)
     order = sorted(set(ys))
-    mark = _primes_upto(root).tolist()
-    cuts = [0] + [bisect.bisect_right(mark, y) for y in order]
-    stages = [(mark[a:b], None if y <= root else min(y, x)) for a, b, y in zip(cuts, cuts[1:], order)]
-
-    pi_x = 0
-    totals = np.zeros((len(order), 2), dtype=np.int64)  # (psi, pi_smooth) per stage
-    for lo in range(1, x + 1, sieve._SEGMENT):
-        pi, counts = _census_segment(lo - 1, min(lo + sieve._SEGMENT, x + 1), mark, stages)
-        pi_x += pi
-        totals += counts
-    by_y = dict(zip(order, totals.tolist()))
+    root = math.isqrt(x)
+    flags = _odd_slots(x)
+    small = _slot_primes(flags[: (root + 1) // 2]).tolist()
+    psi, pi = _small_prime_counts(x, flags, small[: bisect.bisect_right(small, order[-1])])
+    psi = list(itertools.accumulate(psi, initial=1))  # n = 1 is smooth for every y
+    pi = list(itertools.accumulate(pi, initial=int(x >= 2)))  # and pairs with the prime 2
+    by_y = {}
+    psi_large = pi_large = 0
+    lo = (root + 1) // 2
+    for y in order:
+        hi = max(lo, (min(y, x) + 1) // 2)
+        gained_psi, gained_pi = _large_prime_counts(x, flags, lo, hi)
+        psi_large, pi_large, lo = psi_large + gained_psi, pi_large + gained_pi, hi
+        i = bisect.bisect_right(small, y)
+        by_y[y] = (psi[i] + psi_large, pi[i] + pi_large)
+    pi_x = int(np.count_nonzero(flags))
     return [SmoothCensus(x=x, y=y, psi=by_y[y][0], pi_smooth=by_y[y][1], pi_x=pi_x) for y in ys]
 
 
@@ -128,12 +157,3 @@ def pomerance_ratio(census: SmoothCensus) -> PomeranceRatio:
     lhs = census.pi_smooth / census.pi_x
     rhs = census.psi / census.x
     return PomeranceRatio(lhs=lhs, rhs=rhs, quotient=lhs / rhs)
-
-
-def log_psi_leading(v: float) -> float:
-    """(1+v)log(1+v) - v log v: closed form of the integral of log(1 + v/t)
-    over t in [0, 1], the leading coefficient of log Psi(x, v log x) in units
-    of log x / log log x."""
-    if v <= 0:
-        raise ValueError("v must be positive")
-    return (1.0 + v) * math.log1p(v) - v * math.log(v)

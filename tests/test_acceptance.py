@@ -31,9 +31,10 @@ from omegastar.construction import (
 from omegastar.arith import divisors
 from omegastar.omega import moment_scan, moment_sum, omega_star, omega_star_table
 from omegastar.sieve import factorize, sieve_primes
-from omegastar.smooth import log_psi_leading, smooth_census
+from omegastar.smooth import smooth_census
 
 from conftest import expand_half_table, grh_acceptance_bracket
+from test_smooth import log_psi_leading
 
 
 class _Criterion:

@@ -37,6 +37,8 @@ DELETED = (
     "prime_count",
     "psi_count",
     "pi_smooth_count",
+    "log_psi_leading",
+    "_census_segment",
 )
 
 

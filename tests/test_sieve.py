@@ -137,8 +137,8 @@ class TestSegmentKernel:
     def test_every_pass_sieves_in_segments(self, monkeypatch):
         # sieve_primes, its base primes and the census all go through kernel
         # windows of at most _SEGMENT slots, each written into a slice of
-        # that width; a census window spans at most _SEGMENT + 1 integers.
-        slots, windows = [], []
+        # that width; the census sieves one slot array, over [1, x].
+        slots, arrays = [], []
 
         def spy(lo, hi, base, out):
             assert out.shape == (hi - lo,) and out.dtype == np.uint8
@@ -146,20 +146,19 @@ class TestSegmentKernel:
             slots.append(hi - lo)
             _segment_flags(lo, hi, base, out)
 
-        def census_spy(lo, hi, mark, stages):
-            windows.append(hi - lo)
-            return census_segment(lo, hi, mark, stages)
+        def slots_spy(n):
+            arrays.append(n)
+            return odd_slots(n)
 
-        census_segment = smooth._census_segment
+        odd_slots = smooth._odd_slots
         monkeypatch.setattr(sieve, "_SEGMENT", 64)
         monkeypatch.setattr(sieve, "_segment_flags", spy)
-        monkeypatch.setattr(smooth, "_segment_flags", spy)
-        monkeypatch.setattr(smooth, "_census_segment", census_spy)
+        monkeypatch.setattr(smooth, "_odd_slots", slots_spy)
         primes = sieve_primes(10**4).primes.tolist()
         driver = len(slots)
         (c,) = smooth_census(10**4, [5])
         assert slots and max(slots) <= 64
-        assert len(slots) > driver and windows and max(windows) <= 65
+        assert len(slots) > driver and arrays == [10**4]
         assert primes == trial_division_primes(10**4)
         assert c.pi_x == len(primes)
 

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from omegastar import sieve, smooth
-from omegastar.sieve import factorize, is_prime, sieve_primes
-from omegastar.smooth import log_psi_leading, pomerance_ratio, smooth_census
+from omegastar.sieve import is_prime, sieve_primes
+from omegastar.smooth import pomerance_ratio, smooth_census
 
-from conftest import brute_gpf, division_census, trial_division_is_prime
+from conftest import division_census, trial_division_is_prime
 
 
 class TestPsiCount:
@@ -117,6 +120,15 @@ class TestPomeranceRatio:
             pomerance_ratio(smooth_census(1, [1])[0])
 
 
+def log_psi_leading(v: float) -> float:
+    """(1+v)log(1+v) - v log v: closed form of the integral of log(1 + v/t)
+    over t in [0, 1], the leading coefficient of log Psi(x, v log x) in units
+    of log x / log log x."""
+    if v <= 0:
+        raise ValueError("v must be positive")
+    return (1.0 + v) * math.log1p(v) - v * math.log(v)
+
+
 class TestLogPsiLeading:
     def test_small_v_limit(self):
         assert log_psi_leading(1e-9) < 1e-7
@@ -184,9 +196,9 @@ def _got(x: int, ys: list[int]) -> list[tuple[int, int, int]]:
 
 
 class TestCensusOracle:
-    """The product kernel against the unsegmented division peel.  Each window
-    reaches one integer back, so n - 1 at a segment boundary is re-tested
-    there; small segments with several y values check every such overlap."""
+    """The census against the unsegmented division peel.  Small segments cut
+    the flag sieve and the walk over the primes above sqrt(x) into many
+    slices, so every slice boundary meets several y values."""
 
     @pytest.mark.parametrize("segment", [1, 7, 64, 100])
     def test_every_x_below_300(self, monkeypatch, segment):
@@ -196,8 +208,8 @@ class TestCensusOracle:
         for (x, ys), want in zip(cases, expected):
             assert _got(x, ys) == want, (x, ys, segment)
 
-    # Segments of 1 and 7 at 10^5 + 7 would take half a minute; their overlaps
-    # are checked at every x < 300 and at 4099.
+    # Segments of 1 and 7 at 10^5 + 7 would take long; their slice
+    # boundaries are checked at every x < 300 and at 4099.
     @pytest.mark.parametrize(
         "x, segment", [(4099, 1), (4099, 7), (4099, 64), (4099, 100), (10**5 + 7, 64), (10**5 + 7, 100)]
     )
@@ -208,50 +220,11 @@ class TestCensusOracle:
         for ys, want in zip(cases, expected):
             assert _got(x, ys) == want, (x, ys, segment)
 
-    @pytest.mark.parametrize("lo, hi", [(lo, hi) for lo in range(6) for hi in (lo + 1, lo + 2, 60, 61)])
-    def test_window_against_full_flags(self, lo, hi):
-        # every start parity and both end parities against flags over the
-        # whole window, so the odd slots [(lo + 1) // 2, hi // 2), the prime
-        # 2 and each pair n - 1, n line up
-        root = math.isqrt(hi - 1)
-        ys = sorted({1, 2, 3, 5, max(root, 1), root + 1, 20, 100})
-        prime = [trial_division_is_prime(n) for n in range(lo, hi)]
-        gpf = [brute_gpf(n) for n in range(lo, hi)]  # n = lo is only a predecessor
-        check_census_window(lo, hi, ys, sieve._primes_upto(root).tolist(), prime, gpf)
-
-    def test_uint64_segment_straddling_2_to_32(self):
-        # one window [2^32 - 2^10 - 1, 2^32 + 2^10), counted over
-        # [2^32 - 2^10, 2^32 + 2^10): n and part must be uint64.
-        # isqrt(hi - 1) = 2^16, so the y above it take the cofactor test; the
-        # prime 2^16 + 1 is the cofactor of 2^32 - 1 = 3 * 5 * 17 * 257 * 65537.
-        lo, hi = 2**32 - 2**10, 2**32 + 2**10
-        ys = [2, 3, 1000, 2**16, 2**16 + 1, 2**20, 2**40]
-        mark = sieve._primes_upto(2**16).tolist()
-        gpf = [factorize(n).factors[-1][0] for n in range(lo - 1, hi)]
-        prime = [is_prime(n) for n in range(lo - 1, hi)]
-        counts = check_census_window(lo - 1, hi, ys, mark, prime, gpf)
-        assert counts[0][0] == 1  # 2^32 alone is 2-smooth
-        assert counts[4][0] == counts[3][0] + 1  # 2^32 - 1 joins at y = 2^16 + 1
-
-
-def check_census_window(lo, hi, ys, mark, prime, gpf):
-    """_census_segment(lo, hi) for ascending ys against primality and
-    greatest-prime-factor lists over the whole window [lo, hi); the y past
-    isqrt(hi - 1) take the cofactor test.  Returns its counts."""
-    root = math.isqrt(hi - 1)
-    stages = [([p for p in mark if a < p <= b], None if b <= root else b) for a, b in zip([0] + ys, ys)]
-    pi, counts = smooth._census_segment(lo, hi, mark, stages)
-    assert pi == sum(prime[1:]), (lo, hi)
-    for y, (psi, pi_smooth) in zip(ys, counts):
-        smooth_flags = [g <= y for g in gpf]
-        assert psi == sum(smooth_flags[1:]), (lo, hi, y)
-        assert pi_smooth == sum(p and s for p, s in zip(prime[1:], smooth_flags)), (lo, hi, y)
-    return counts
-
 
 class TestCensusAboveRoot:
-    """Only the primes <= isqrt(x) are walked; a y above isqrt(x) is read off
-    the cofactor n // part, which is 1 or a single prime."""
+    """Only the primes <= isqrt(x) are listed and their smooth multiples
+    enumerated; a prime p above isqrt(x) adds x // p to Psi and is read
+    from the flags in slices."""
 
     @pytest.mark.parametrize("x", [10**4, 10**4 + 1, 5 * 10**4 - 1, 4099])
     @pytest.mark.parametrize("segment", [64, 1 << 20])
@@ -270,13 +243,112 @@ class TestCensusAboveRoot:
 
     @pytest.mark.parametrize("x, ys", [(10**4, [10**4]), (99991, [3, 400, 10**6]), (2, [1, 2])])
     def test_primes_only_up_to_root(self, monkeypatch, x, ys):
+        # every prime list is mapped from a prefix of odd slots that ends at
+        # or below isqrt(x): the census's own and the sieve's base primes
         asked = []
-        real = smooth._primes_upto
+        real = sieve._slot_primes
 
-        def spy(n):
-            asked.append(n)
-            return real(n)
+        def spy(slots):
+            asked.append(2 * slots.size - 1)  # the last odd integer covered
+            return real(slots)
 
-        monkeypatch.setattr(smooth, "_primes_upto", spy)
+        monkeypatch.setattr(sieve, "_slot_primes", spy)
+        monkeypatch.setattr(smooth, "_slot_primes", spy)
         smooth_census(x, ys)
         assert asked and max(asked) <= math.isqrt(x)
+
+
+def _gpf_counts(gpf: np.ndarray, x: int, ys: list[int]) -> list[tuple[int, int, int]]:
+    """(Psi(x, y), pi(x, y), pi(x)) for each y from a greatest-prime-factor
+    table over [0, x] (P+(1) = 1): n >= 2 is prime exactly when P+(n) = n."""
+    n = np.arange(x + 1)
+    prime = (gpf[: x + 1] == n) & (n >= 2)
+    out = []
+    for y in ys:
+        smooth_flags = gpf[1 : x + 1] <= y
+        out.append((int(smooth_flags.sum()), int((prime[2:] & smooth_flags[:-1]).sum()), int(prime.sum())))
+    return out
+
+
+_PRIMES_TO_320 = [q for q in range(2, 320) if trial_division_is_prime(q)]
+
+
+class TestCensusEdges:
+    """Edges at isqrt(x) and in the enumeration below it, against the
+    division peel and a greatest-prime-factor oracle."""
+
+    @pytest.mark.parametrize("segment", [1, 1 << 20])
+    def test_x_at_most_3(self, monkeypatch, gpf_oracle_1e5, segment):
+        # isqrt(x) = 1 here, so the prime 2 lies above the square root
+        monkeypatch.setattr(sieve, "_SEGMENT", segment)
+        want = {
+            1: {1: (1, 0, 0), 2: (1, 0, 0), 5: (1, 0, 0)},
+            2: {1: (1, 1, 1), 2: (2, 1, 1), 5: (2, 1, 1)},
+            3: {1: (1, 1, 2), 2: (2, 2, 2), 3: (3, 2, 2), 5: (3, 2, 2)},
+        }
+        for x, table in want.items():
+            ys = [5, 1, 2, 5] + ([3] if x == 3 else [])
+            assert _got(x, ys) == [table[y] for y in ys] == _expected(x, ys), x
+            assert _got(x, ys) == _gpf_counts(gpf_oracle_1e5, x, ys), x
+
+    @pytest.mark.parametrize("q", [q for q in _PRIMES_TO_320 if q * q < 10**5])
+    def test_prime_squares(self, gpf_oracle_1e5, q):
+        # isqrt(x) reaches the prime q at x = q^2: below it q is walked
+        # among the primes above isqrt(x), from it on enumerated below
+        for x in (q * q - 1, q * q, q * q + 1):
+            root = math.isqrt(x)
+            ys = [x, root + 1, 2, max(root - 1, 1), root, q, 2 * root]
+            assert _got(x, ys) == _gpf_counts(gpf_oracle_1e5, x, ys), x
+
+    @pytest.mark.parametrize("p", [q for q in _PRIMES_TO_320 if 2 * q**3 <= 10**5])
+    def test_cube_crossings(self, gpf_oracle_1e5, p):
+        # p^2 <= x // p exactly from x = p^3 on, and p^2 <= x // 2p from
+        # x = 2p^3 on: there p's powers first reach the odd and the even m
+        for x in (p**3 - 1, p**3, p**3 + 1, 2 * p**3 - 1, 2 * p**3, 2 * p**3 + 1):
+            ys = [p - 1, p, p + 1, math.isqrt(x), x]
+            assert _got(x, ys) == _gpf_counts(gpf_oracle_1e5, x, ys), x
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    x=st.integers(min_value=1, max_value=5000),
+    ys=st.lists(st.integers(min_value=1, max_value=6000), min_size=1, max_size=6),
+    repeat=st.booleans(),
+    segment=st.sampled_from([7, 64, 1 << 20]),
+)
+def test_census_property_against_division(x, ys, repeat, segment):
+    # unsorted y lists, a duplicate on demand, and y on both sides of x
+    if repeat:
+        ys = ys + ys[:1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sieve, "_SEGMENT", segment)
+        assert _got(x, ys) == _expected(x, ys)
+
+
+class TestCensusMemory:
+    """The flags of [1, x] take x / 2 bytes; the rest must stay small beside
+    them, whatever y."""
+
+    @staticmethod
+    def _peak(x: int, ys: list[int]) -> int:
+        tracemalloc.start()
+        try:
+            smooth_census(x, ys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_census_workload_peak(self):
+        # The windowed product census peaked at 10,193,117 traced bytes here;
+        # this one holds 4,975,000 bytes of flags and about 0.3 MB besides.
+        x = 9_950_000
+        peak = self._peak(x, [16, 32, 64])
+        assert peak < x // 2 + (1 << 20) < 10_193_117, peak
+
+    def test_no_prime_list_up_to_y(self):
+        # at y = x the primes above sqrt(x) are walked in slices; the int64
+        # list of all 1.86 million primes <= x would take 14.9 MB
+        x = 30_000_000
+        peak = self._peak(x, [x])
+        assert peak <= x // 2 + (1 << 23), peak
