@@ -220,6 +220,29 @@ class TestCensusOracle:
         for ys, want in zip(cases, expected):
             assert _got(x, ys) == want, (x, ys, segment)
 
+    @pytest.mark.parametrize("lo, hi", [(lo, hi) for lo in range(6) for hi in (lo + 1, lo + 2, 60, 61)])
+    def test_window_against_full_flags(self, monkeypatch, lo, hi):
+        # the stretch of odd slots [a + lo, a + hi) just above isqrt(x),
+        # walked in slices of every size over the flags of [1, x], against
+        # trial division one prime at a time; the census splits the walk at
+        # each y, so the stretches [a, a + lo) and [a + lo, a + hi) must add up
+        # x = 4118 = 2 * 29 * 71 with 67 and 71 in slots a + 1 and a + 3:
+        # p * m + 1 = x + 1 at p = 71, m = 58, which must not be read
+        for x in (4099, 4118):
+            flags = sieve._odd_slots(x)
+            a = (math.isqrt(x) + 1) // 2
+            primes = [2 * i + 1 for i in range(a + lo, a + hi) if trial_division_is_prime(2 * i + 1)]
+            assert primes == [2 * i + 1 for i in range(a + lo, a + hi) if flags[i]]
+            psi = sum(x // p for p in primes)
+            pi = sum(trial_division_is_prime(p * m + 1) for p in primes for m in range(2, (x - 1) // p + 1, 2))
+            for segment in (1, 2, 7, 1 << 20):
+                monkeypatch.setattr(sieve, "_SEGMENT", segment)
+                got = smooth._large_prime_counts(x, flags, a + lo, a + hi)
+                assert got == (psi, pi), (x, segment)
+                head = smooth._large_prime_counts(x, flags, a, a + lo)
+                whole = smooth._large_prime_counts(x, flags, a, a + hi)
+                assert (head[0] + got[0], head[1] + got[1]) == whole, (x, segment)
+
 
 class TestCensusAboveRoot:
     """Only the primes <= isqrt(x) are listed and their smooth multiples
