@@ -48,17 +48,11 @@ _MAX_PAIR_X = 10**5
 # Samples per Monte Carlo chunk.  Chunk boundaries set the summation order of
 # log d, so this size is part of the byte-identical output contract.
 _CHUNK = 4096
-# Draws per row block within a chunk.  A block of 2^16 // R rows keeps each
-# of its matrices near 512 KiB (381 x 172 at log x = 1100), so drawing,
-# thresholding and reducing it stay in a per-core L2 cache.  Each row is
-# summed on its own, so block boundaries do not change any output bit.
+# Draws per row block within a chunk.  A block of 2^16 // R rows keeps its
+# matrix near 512 KiB (381 x 172 at log x = 1100), so drawing, thresholding
+# and reducing it stay in a per-core L2 cache.  Each row is summed on its own,
+# so block boundaries do not change any output bit.
 _BLOCK_WORDS = 1 << 16
-# 0x433 << 52 is the bit pattern of 2^52.  Added to a 53-bit draw k it gives
-# the bits of a normal float64 in [2^52, 2^54) that grows with k, so the
-# sampler thresholds its integer draws in the float64 compare loop that its
-# window tests load anyway: an integer compare would map more numpy code,
-# which counts in peak RSS.
-_ORDER_BITS = np.uint64(0x433 << 52)
 
 
 @dataclass(eq=False)
@@ -333,27 +327,22 @@ def _block_rows(R: int) -> int:
 def _chunk_stats(params: ConstructionParams, seed: int, start: int, count: int):
     seeds = rng.substream_seeds(seed, start, count)
     rows = _block_rows(params.R)
-    # The threshold in the float64 form of the draws (see _ORDER_BITS).
-    threshold = (_threshold(params.rho) + _ORDER_BITS).view(np.float64)
-    # One block matrix and one indicator matrix per chunk, reused by every
-    # block.  The allocator hands a freed 512 KiB matrix back to the OS, so a
-    # fresh one per block would be page-faulted in again each time; a fresh
-    # indicator matrix per block raised the peak RSS of `sample` by about
-    # 0.1 MB.
+    threshold = _threshold(params.rho)
+    # One block matrix per chunk, reused by every block.  The allocator hands
+    # a freed 512 KiB matrix back to the OS, so a fresh one per block would be
+    # page-faulted in again each time.
     block = np.empty((min(rows, count), params.R), dtype=np.uint64)
-    indicators = np.empty(block.shape, dtype=bool)
     log_d = np.empty(count, dtype=np.float64)
     # Omega as float64 row sums of 0.0 and 1.0: exact, since none exceeds R.
     w = np.empty(count, dtype=np.float64)
     for a in range(0, count, rows):
         b = min(a + rows, count)
         draws = rng.unit_block(seeds[a:b], params.R, out=block[: b - a])
-        draws += _ORDER_BITS
-        ind = np.less(draws.view(np.float64), threshold, out=indicators[: b - a])
-        # The indicators as 0.0 and 1.0, written over the draws they were
-        # made from; times log r they are the terms of log d.
-        terms = draws.view(np.float64)
-        np.copyto(terms, ind)
+        # The indicators draws < threshold, as in sample_divisor, written over
+        # the draws as 0.0 and 1.0.  Input and output share memory; numpy
+        # gives overlapping operands the result they would have without the
+        # overlap.  Times log r they are the terms of log d.
+        terms = np.less(draws, threshold, out=draws.view(np.float64))
         w[a:b] = terms.sum(axis=1)
         terms *= params.log_primes
         log_d[a:b] = terms.sum(axis=1)

@@ -217,12 +217,16 @@ class TestSampleDivisor:
         p0 = dataclasses.replace(grh_111, rho=0.0)
         s = sample_divisor(p0, 5)
         assert s.big_omega_d == 0 and s.log_d == 0.0
+        # The chunk kernel at the lower edge of its compare, threshold 0.
+        _check_chunk_against_samples(p0)
 
     def test_degenerate_rho_one(self, grh_111):
         p1 = dataclasses.replace(grh_111, rho=1.0)
         s = sample_divisor(p1, 5)
         assert s.big_omega_d == p1.R
         assert abs(s.log_d - p1.log_k) <= 1e-9
+        # The chunk kernel at the upper edge of its compare, threshold 2^53.
+        _check_chunk_against_samples(p1)
 
 
 class TestAcceptFlags:
@@ -316,7 +320,8 @@ class TestSampleStats:
     def test_threshold_exact_at_boundary(self):
         # k < _threshold(rho) must equal k * 2^-53 < rho at the threshold's
         # edge, for the rho of both modes, for rho with rho * 2^53 an integer
-        # and for random rho; so must the float64 form of that compare.
+        # and for random rho; so must the compare _chunk_stats writes over
+        # its draws as 0.0 and 1.0.
         gen = np.random.default_rng(20251018)
         rhos = [build_params(lx, mode).rho for lx in (100.0, 111.0, 500.0, 1100.0) for mode in construction.MODES]
         rhos += [j * 2.0**-53 for j in (1, 2, 2**52 - 1, 2**52, 3 * 2**50, 2**53 - 1)]
@@ -331,11 +336,9 @@ class TestSampleStats:
                 assert bool(np.uint64(k) < c) == (k * 2.0**-53 < rho), (rho, k)
             draws = np.array(ks, dtype=np.uint64)
             assert np.array_equal(draws < c, draws * 2.0**-53 < rho), rho
-            # _chunk_stats compares the same integers as normal float64s.
-            ordered = (draws + construction._ORDER_BITS).view(np.float64)
-            limit = (c + construction._ORDER_BITS).view(np.float64)
-            assert np.all((2.0**52 <= ordered) & (ordered < 2.0**54)), rho
-            assert np.array_equal(ordered < limit, draws < c), rho
+            expected = (draws * 2.0**-53 < rho).astype(np.float64)
+            terms = np.less(draws, c, out=draws.view(np.float64))
+            assert np.array_equal(terms, expected), rho
 
     def test_worker_count_does_not_change_results(self, grh_1100):
         one = sample_stats(grh_1100, 20000, seed=5, workers=1)

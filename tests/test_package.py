@@ -39,6 +39,7 @@ DELETED = (
     "pi_smooth_count",
     "log_psi_leading",
     "_census_segment",
+    "_ORDER_BITS",
 )
 
 
