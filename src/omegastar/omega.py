@@ -25,9 +25,11 @@ _WHEEL = 720_720
 _UINT16_BELOW = 106_858_629_141_264_000
 # Entries per np.bincount call in moment_sum, whose intp copy of a block is 512 KiB.
 _HIST_BLOCK = 1 << 16
-# Half-steps per fancy-index update in omega_star_table's multiplier passes, so
-# each update's int64 index array is 512 KiB rather than all large half-steps.
-_PASS_BLOCK = 1 << 16
+# Multiplier passes j <= this add the slot flags of the large half-steps in
+# one dense strided slice; later passes index the few live half-steps.  The
+# dense pass writes 2j bytes apart, so from about j = 32 each entry touches
+# its own cache line and costs more than the sparse update of the half-steps.
+_DENSE_PASSES = 16
 _TOO_LARGE = "M_k(x) at k = {k}, x = {x} is too large for a float"
 
 
@@ -55,7 +57,9 @@ def omega_star_table(x: int) -> OmegaStarTable:
 
     p = 2 gives the 1 that every n holds, and every other p - 1 is even, so
     only n = 2m need work: counts[m] = 1 + the number of half-steps
-    t = (p - 1)/2 of odd primes p <= x + 1 that divide m.
+    t = (p - 1)/2 of odd primes p <= x + 1 that divide m.  These are read
+    straight from the sieve's odd-slot flags: slot t >= 1 flags 2t + 1, so
+    it is set exactly when t is such a half-step.
 
     Half-steps t <= (x // 2) // _SMALL_STEP_MULTIPLES are small; each adds
     one to the strided slice of its multiples.  Those that divide _WHEEL
@@ -66,8 +70,10 @@ def omega_star_table(x: int) -> OmegaStarTable:
 
     Every larger half-step has fewer than _SMALL_STEP_MULTIPLES multiples,
     so those are added by multiplier instead: pass j adds one to j * t for
-    all large t <= (x // 2) // j in fancy-index updates of _PASS_BLOCK
-    half-steps each, whose indices are distinct for a fixed j.
+    all large t <= (x // 2) // j.  For j <= _DENSE_PASSES that is one
+    strided slice, counts[j * t] += slots[t] over every large t; later
+    passes index only the large half-steps still in range, whose multiples
+    are distinct for a fixed j.
     """
     if x < 1:
         raise ValueError("x must be at least 1")
@@ -75,15 +81,13 @@ def omega_star_table(x: int) -> OmegaStarTable:
     if x >= _UINT16_BELOW:
         raise ResourceLimitError(f"omega* table size = {x} reaches {_UINT16_BELOW}, where uint16 counts end")
     half = x // 2
-    # (p - 1)/2 = p // 2 for odd p, halved in place: no second prime-sized array
-    steps = sieve_primes(x + 1).primes[1:]
-    steps //= 2
+    # (x + 2) // 2 = half + 1 slots: slot t for every t <= half
+    slots = sieve_primes(x + 1).slots
     h = np.ones(half + 1, dtype=np.uint16)
-    split = np.searchsorted(steps, half // _SMALL_STEP_MULTIPLES, side="right")
-    wheel, rest = [], []
-    for step in steps[:split].tolist():
-        (rest if _WHEEL % step else wheel).append(step)
-    for step in wheel:
+    split = half // _SMALL_STEP_MULTIPLES
+    small = np.flatnonzero(slots[1 : split + 1].view(bool)) + 1
+    on_wheel = _WHEEL % small == 0
+    for step in small[on_wheel].tolist():
         h[step : _WHEEL + 1 : step] += 1
     # h[1 : filled + 1] holds whole periods, so its head is the next period
     filled = _WHEEL
@@ -91,14 +95,18 @@ def omega_star_table(x: int) -> OmegaStarTable:
         k = min(filled, half - filled)
         h[1 + filled : 1 + filled + k] = h[1 : 1 + k]
         filled += k
-    for step in rest:
+    for step in small[~on_wheel].tolist():
         h[step::step] += 1
-    large = steps[split:]
-    j = 1
+    lo = split + 1
+    for j in range(1, min(_DENSE_PASSES, half // lo) + 1):
+        hi = half // j
+        h[j * lo : j * hi + 1 : j] += slots[lo : hi + 1]
+    j = _DENSE_PASSES + 1
+    large = np.flatnonzero(slots[lo : half // j + 1].view(bool))
+    large += lo
+    del slots  # x / 2 bytes that the sparse passes no longer read
     while large.size:
-        for a in range(0, large.size, _PASS_BLOCK):
-            block = large[a : a + _PASS_BLOCK]
-            h[j * block if j > 1 else block] += 1
+        h[j * large] += 1
         j += 1
         large = large[: np.searchsorted(large, half // j, side="right")]
     return OmegaStarTable(x=x, counts=h)
@@ -108,10 +116,10 @@ def moment_sum(table: OmegaStarTable, k: int, upto: int | None = None, lo: int =
     """Exact integer sum of omega*(n)^k over lo < n <= upto (default: the
     whole table).
 
-    The value histogram is accumulated over the even n in (lo, upto] in blocks
-    of _HIST_BLOCK entries, so the working memory beyond the table does not
-    grow with upto; the odd n there add (upto - upto // 2) - (lo - lo // 2)
-    entries of value 1.
+    The odd n in (lo, upto] add (upto - upto // 2) - (lo - lo // 2) entries
+    of value 1.  At k = 1 the even n add the plain int64 sum of their counts.
+    At k >= 2 their value histogram is accumulated in blocks of _HIST_BLOCK
+    entries, so the working memory beyond the table does not grow with upto.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -121,10 +129,13 @@ def moment_sum(table: OmegaStarTable, k: int, upto: int | None = None, lo: int =
     if not 0 <= lo <= x:
         raise ValueError(f"lo = {lo} outside [0, upto = {x}]")
     even = table.counts[lo // 2 + 1 : x // 2 + 1]
+    odd = (x - x // 2) - (lo - lo // 2)
+    if k == 1:
+        return int(even.sum(dtype=np.int64)) + odd
     hist = np.zeros(int(even.max(initial=1)) + 1, dtype=np.int64)
     for a in range(0, even.size, _HIST_BLOCK):
         hist += np.bincount(even[a : a + _HIST_BLOCK], minlength=hist.size)
-    hist[1] += (x - x // 2) - (lo - lo // 2)
+    hist[1] += odd
     return sum(int(c) * v**k for v, c in enumerate(hist.tolist()) if c)
 
 

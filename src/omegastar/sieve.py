@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -36,10 +37,16 @@ def check_ceiling(n: int, what: str) -> None:
 
 @dataclass
 class PrimeTable:
-    """The ascending array of all primes <= `limit`."""
+    """The primes <= `limit`, held as the _odd_slots(limit) flags `slots`
+    (about limit / 2 bytes); the ascending int64 `primes` array is built
+    from them on first use."""
 
     limit: int
-    primes: np.ndarray
+    slots: np.ndarray
+
+    @functools.cached_property
+    def primes(self) -> np.ndarray:
+        return _slot_primes(self.slots)
 
     def count(self, x: int | None = None) -> int:
         """Number of primes <= x (defaults to the full table)."""
@@ -102,11 +109,12 @@ def _primes_upto(n: int) -> np.ndarray:
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Every prime <= `limit`, from the segmented driver _primes_upto."""
+    """Every prime <= `limit`, as the odd-slot flags of the segmented driver
+    _odd_slots; the table's `primes` array is mapped from them when first read."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     check_ceiling(limit, "sieve limit")
-    return PrimeTable(limit=limit, primes=_primes_upto(limit))
+    return PrimeTable(limit=limit, slots=_odd_slots(limit))
 
 
 _TRIAL_PRIMES = tuple(_primes_upto(_TRIAL_LIMIT).tolist())

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from omegastar import omega
+from omegastar import omega, sieve
 from omegastar.omega import (
     moment_scan,
     moment_sum,
@@ -130,12 +130,15 @@ class TestSplitKernel:
         assert table_1e6.counts.dtype == np.uint16
         assert np.array_equal(expand_half_table(table_1e6), slice_per_prime_oracle(10**6))
 
-    def test_multiplier_passes_in_blocks(self, monkeypatch):
-        # Blocks of 7 half-steps split every pass, with a short last block,
-        # and at x = 2^20 + 1 the j = 1 pass needs many blocks.
-        monkeypatch.setattr(omega, "_PASS_BLOCK", 7)
+    def test_dense_and_sparse_multiplier_passes(self, monkeypatch):
+        # The dense/sparse boundary at 0 (every pass sparse, j = 1 too), 1,
+        # 2 and B (every pass dense: j < B, since the least large
+        # half-step exceeds (x // 2) / B).
         for x in (999, 1000, 4 * self.B * self.B + 1, 2**20 + 1):
-            check_against_oracle(x)
+            oracle = slice_per_prime_oracle(x)
+            for dense in (0, 1, 2, self.B):
+                monkeypatch.setattr(omega, "_DENSE_PASSES", dense)
+                assert np.array_equal(expand_half_table(omega_star_table(x)), oracle), (x, dense)
 
 
 class TestWheel:
@@ -170,9 +173,10 @@ class TestHalfTableMemory:
     beside it."""
 
     def test_moment_scan_peak_below_2_25_x_bytes(self):
-        # the half table (x bytes), the int64 primes (0.53 x) and the
-        # multiplier passes' index arrays set the peak near 1.87 x; a
-        # full-length uint16 table beside the half took it to 3.00 x
+        # the uint16 half table (x bytes) beside the sieve's uint8 odd-slot
+        # flags (x / 2 bytes) sets the peak near 1.54 x (1.63 x with int64
+        # primes beside the table); a full-length uint16 table beside the
+        # half took it to 3.00 x
         x = 10**7
         tracemalloc.start()
         try:
@@ -181,6 +185,20 @@ class TestHalfTableMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2.25 * x, peak / x
+
+    def test_slots_are_never_mapped_to_primes(self, monkeypatch):
+        # The table and the scan read the sieve's slot flags: only the
+        # sieve's own base primes, up to isqrt(x + 1), are mapped from slots.
+        real = sieve._slot_primes
+
+        def base_only(slots):
+            if 2 * slots.size - 1 > math.isqrt(10**6 + 1):
+                raise AssertionError(f"{slots.size} slots mapped to primes")
+            return real(slots)
+
+        monkeypatch.setattr(sieve, "_slot_primes", base_only)
+        assert omega_star_table(10**6).counts.size == 5 * 10**5 + 1
+        assert moment_scan([10**4, 10**5, 10**6], 1)[-1] == (10**6, 3_626_869 / 10**6)
 
 
 def least_n_with_tau_at_least(bound):

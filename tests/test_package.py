@@ -40,6 +40,7 @@ DELETED = (
     "log_psi_leading",
     "_census_segment",
     "_ORDER_BITS",
+    "_PASS_BLOCK",
 )
 
 

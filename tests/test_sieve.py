@@ -8,6 +8,7 @@ import pytest
 from omegastar import sieve, smooth
 from omegastar.sieve import (
     ResourceLimitError,
+    _odd_slots,
     _primes_upto,
     _segment_flags,
     factorize,
@@ -235,6 +236,35 @@ class TestFactorize:
     def test_squarefree_flag(self):
         assert factorize(30).is_squarefree()
         assert not factorize(12).is_squarefree()
+
+
+class TestPrimeTable:
+    """sieve_primes holds the driver's odd-slot flags; the int64 primes are
+    mapped from them on first read and kept."""
+
+    NS = (0, 1, 2, 3, 8, 9, 10**4, 10**5)
+
+    def test_slots_are_the_driver_flags(self):
+        for n in self.NS:
+            t = sieve_primes(n)
+            assert t.slots.dtype == np.uint8
+            assert np.array_equal(t.slots, _odd_slots(n)), n
+
+    def test_primes_built_once_from_the_slots(self):
+        for n in self.NS:
+            t = sieve_primes(n)
+            assert t.primes.dtype == np.int64
+            assert np.array_equal(t.primes, sieve._slot_primes(_odd_slots(n))), n
+            assert t.primes.tolist() == trial_division_primes(n), n
+            assert t.primes is t.primes
+
+    def test_count(self):
+        for n in self.NS:
+            t = sieve_primes(n)
+            want = trial_division_primes(n)
+            assert t.count() == len(want), n
+            for x in (-1, 0, 1, 2, 3, n // 2, n, n + 5):
+                assert t.count(x) == bisect.bisect_right(want, x), (n, x)
 
 
 class TestPrimeCount:
