@@ -18,9 +18,11 @@ from . import __version__
 from .arith import tau
 from .constants import (
     GOLDEN_RATIO,
+    GRH_C,
+    GRH_U,
     UNCONDITIONAL_THETA,
     apr_conjecture_bound,
-    grh_constants,
+    grh_residuals,
     maximize_f_theta,
 )
 from .construction import (
@@ -95,7 +97,7 @@ def _cmd_moments(args: argparse.Namespace) -> Output:
 
 
 def _cmd_champions(args: argparse.Namespace) -> Output:
-    record = champion_search(args.max_n, factorize(args.k))
+    record = champion_search(args.max_n, args.k)
     row = {"n": record.n, "omega_star": record.omega_star_n, "score": record.score}
     # JSON has no NaN: the score, undefined below n = 3, is null there.
     score = None if math.isnan(record.score) else record.score
@@ -104,7 +106,6 @@ def _cmd_champions(args: argparse.Namespace) -> Output:
 
 def _constants_document(theta: float) -> dict[str, Any]:
     opt = maximize_f_theta(theta)
-    g = grh_constants()
     return {
         "theta": theta,
         "u_star": opt.u_star,
@@ -113,12 +114,12 @@ def _constants_document(theta: float) -> dict[str, Any]:
         "apr_bound_at_theta": apr_conjecture_bound(theta),
         "apr_bound_limit": math.log(2.0),
         "grh": {
-            "u": g.u,
-            "golden": g.golden,
-            "C": g.C,
-            "log_golden": math.log(g.golden),
+            "u": GRH_U,
+            "golden": GOLDEN_RATIO,
+            "C": GRH_C,
+            "log_golden": math.log(GOLDEN_RATIO),
             "inverse_golden_squared": 1.0 / GOLDEN_RATIO**2,
-            "residuals": g.residuals(),
+            "residuals": grh_residuals(),
         },
     }
 
@@ -181,17 +182,16 @@ def _cmd_sample_divisors(args: argparse.Namespace) -> Output:
 
 
 def _cmd_pairs(args: argparse.Namespace) -> Output:
-    x = args.x
-    k = factorize(args.k)
-    report = pair_count_report(x, k)
+    x, k = args.x, args.k
+    report = pair_count_report(x, factorize(k))
     doc = {
         "schema": SCHEMA,
         "x": x,
-        "k": k.n,
+        "k": k,
         "per_d": [{"d": d, "A_d": a_d} for d, a_d in report.per_d],
         "total_A": report.total_A,
     }
-    rows = [{"x": x, "k": k.n, "d": d, "A_d": a_d, "total_A": report.total_A} for d, a_d in report.per_d]
+    rows = [{"x": x, "k": k, "d": d, "A_d": a_d, "total_A": report.total_A} for d, a_d in report.per_d]
     return doc, rows
 
 
@@ -245,7 +245,7 @@ def _cmd_report(args: argparse.Namespace) -> Output:
     table = omega_star_table(x)
     xs = [n for n in (x // 100, x // 10, x) if n >= 10]
     points = moment_scan(sorted(set(xs)), 1, table=table)
-    champion = champion_search(x, factorize(1), table=table)
+    champion = champion_search(x, 1, table=table)
 
     doc = {
         "schema": "omegastar-report/1",

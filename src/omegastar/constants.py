@@ -18,6 +18,8 @@ GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 # maximizing t is (3 + sqrt 5)/4; theta = 0.4736 is the unconditional exponent
 # from Harman's sieve results, with maximizing t ~ 1.2694.
 GRH_U = (3.0 + math.sqrt(5.0)) / 4.0
+# The GRH exponent constant C = (u + 1/2) log golden = 0.87052...
+GRH_C = (GRH_U + 0.5) * math.log(GOLDEN_RATIO)
 UNCONDITIONAL_THETA = 0.4736
 UNCONDITIONAL_U = 1.2694
 
@@ -35,26 +37,18 @@ class OptimumReport:
     f_over_log2: float
 
 
-@dataclass
-class GrhConstants:
-    """u = (3 + sqrt 5)/4 and the golden-ratio identities it satisfies:
-    2u/(2u - 1) = sqrt(2u) = (1 + sqrt 5)/2, whence C = (u + 1/2) log golden."""
-
-    u: float
-    golden: float
-    C: float
-
-    def residuals(self) -> dict[str, float]:
-        first_form = 0.5 * math.log(2 * self.u) + (self.u - 0.5) * math.log(
-            2 * self.u / (2 * self.u - 1)
-        )
-        return {
-            "ratio_identity": abs(2 * self.u / (2 * self.u - 1) - self.golden),
-            "sqrt_identity": abs(math.sqrt(2 * self.u) - self.golden),
-            "half_sum": abs((self.u + 0.5) - (5 + math.sqrt(5)) / 4),
-            "C_identity": abs(self.C - (self.u + 0.5) * math.log(self.golden)),
-            "C_first_form": abs(self.C - first_form),
-        }
+def grh_residuals() -> dict[str, float]:
+    """How far GRH_U, GOLDEN_RATIO and GRH_C miss the identities
+    2u/(2u - 1) = sqrt(2u) = (1 + sqrt 5)/2 and C = (u + 1/2) log golden."""
+    u, golden = GRH_U, GOLDEN_RATIO
+    first_form = 0.5 * math.log(2 * u) + (u - 0.5) * math.log(2 * u / (2 * u - 1))
+    return {
+        "ratio_identity": abs(2 * u / (2 * u - 1) - golden),
+        "sqrt_identity": abs(math.sqrt(2 * u) - golden),
+        "half_sum": abs((u + 0.5) - (5 + math.sqrt(5)) / 4),
+        "C_identity": abs(GRH_C - (u + 0.5) * math.log(golden)),
+        "C_first_form": abs(GRH_C - first_form),
+    }
 
 
 def f_theta(theta: float, t: float) -> float:
@@ -86,11 +80,6 @@ def maximize_f_theta(theta: float) -> OptimumReport:
     u_star = 0.5 * (a + b)
     f_max = f_theta(theta, u_star)
     return OptimumReport(theta=theta, u_star=u_star, f_max=f_max, f_over_log2=f_max / math.log(2.0))
-
-
-def grh_constants() -> GrhConstants:
-    u = GRH_U
-    return GrhConstants(u=u, golden=GOLDEN_RATIO, C=(u + 0.5) * math.log(GOLDEN_RATIO))
 
 
 def apr_conjecture_bound(theta: float) -> float:

@@ -44,7 +44,6 @@ MODES = ("GRH", "UNCONDITIONAL")
 
 _MIN_LOG_X = 100.0
 _MAX_EXACT_R = 24
-_MAX_PAIR_X = 10**5
 # Samples per Monte Carlo chunk.  Chunk boundaries set the summation order of
 # log d, so this size is part of the byte-identical output contract.
 _CHUNK = 4096
@@ -120,8 +119,6 @@ class ChampionRecord:
 
 @dataclass
 class PairCountReport:
-    x: int
-    k: Factorization
     per_d: list[tuple[int, int]]
     total_A: int
 
@@ -138,7 +135,6 @@ class SampleStats:
     """Aggregates over seeded divisor samples; counts are exact integers."""
 
     trials: int
-    seed: int
     n_in_logd: int
     n_in_omega: int
     n_in_dprime: int
@@ -207,12 +203,11 @@ def count_A_d(x: int, y: int, k: Factorization, d: int, table: PrimeTable | None
     """#{(m, p) : m <= y, p <= x prime, p = 1 (mod d), gcd(m, k) = k/d}.
 
     Counted without enumerating pairs: the p-count and m-count factor, because
-    gcd(m, k) = k/d forces m = (k/d) m' with m' <= y d / k coprime to d.
+    gcd((k/d) m', k) = (k/d) gcd(m', d), so gcd(m, k) = k/d exactly when
+    m = (k/d) m' with m' <= y d / k coprime to d.  That holds for any k.
     """
     if x < 0 or y < 0:
         raise ValueError("x and y must be nonnegative")
-    if not k.is_squarefree():
-        raise ValueError(f"k = {k.n} is not squarefree")
     if d < 1 or k.n % d != 0:
         raise ValueError(f"d = {d} does not divide k = {k.n}")
     p_count = primes_in_ap(x, d, 1 % d, table=table)
@@ -220,22 +215,14 @@ def count_A_d(x: int, y: int, k: Factorization, d: int, table: PrimeTable | None
     return p_count * m_count
 
 
-def _check_pair_x(x: int) -> None:
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x > _MAX_PAIR_X:
-        raise ValueError(f"total pair counts are capped at x <= {_MAX_PAIR_X} (quadratic pair space)")
-
-
 def total_pairs_A(x: int, k: Factorization, table: PrimeTable | None = None) -> int:
     """Exact number of pairs (m, p) with m, p <= x and k | m(p-1).
 
-    Iterates p and counts the multiples of k/gcd(p-1, k); quadratic pair space
-    is capped at desk scale.
+    Counts, for each prime p, the multiples of k/gcd(p-1, k): linear in pi(x),
+    so x is bounded by the sieve's memory ceiling alone.
     """
-    _check_pair_x(x)
-    if k.n < 1:
-        raise ValueError("k must be positive")
+    if x < 0:
+        raise ValueError("x must be nonnegative")
     if table is None or table.limit < x:
         table = sieve_primes(int(x))
     ps = table.primes[: table.count(x)]
@@ -258,22 +245,20 @@ def count_representations(n: int, m_max: int, p_max: int) -> int:
     return count
 
 
-def champion_search(
-    N: int, k: Factorization, table: OmegaStarTable | None = None
-) -> ChampionRecord:
+def champion_search(N: int, k: int, table: OmegaStarTable | None = None) -> ChampionRecord:
     """Maximize omega*(n) over multiples n of k with k <= n <= N; ties break
     toward the smallest n.  omega* is >= 2 on even n and 1 on odd n, so only
     n = 2m are read, m a multiple of k / 2 (even k) or k (odd k, if 2k <= N)."""
-    if k.n < 1:
-        raise ValueError("k must be positive")
-    if k.n > N:
-        raise ValueError(f"k = {k.n} exceeds N = {N}: no multiples to scan")
+    if k < 1:
+        raise ValueError(f"k = {k} must be positive")
+    if k > N:
+        raise ValueError(f"k = {k} exceeds N = {N}: no multiples to scan")
     if table is None or table.x < N:
         table = omega_star_table(N)
-    step = k.n // 2 if k.n % 2 == 0 else k.n
+    step = k // 2 if k % 2 == 0 else k
     multiples = table.counts[step : N // 2 + 1 : step]
     if not multiples.size:
-        return ChampionRecord(n=k.n, omega_star_n=1, score=champion_score(k.n, 1))
+        return ChampionRecord(n=k, omega_star_n=1, score=champion_score(k, 1))
     i = int(multiples.argmax())
     w = int(multiples[i])
     n = 2 * step * (i + 1)
@@ -376,7 +361,6 @@ def sample_stats(params: ConstructionParams, trials: int, seed: int, workers: in
     sum_omega = sum(r[4] for r in results)
     return SampleStats(
         trials=trials,
-        seed=seed,
         n_in_logd=n_logd,
         n_in_omega=n_omega,
         n_in_dprime=n_dprime,
@@ -461,13 +445,17 @@ def enumerate_D_exact(params: ConstructionParams) -> ExactEnumeration:
 
 
 def pair_count_report(x: int, k: Factorization) -> PairCountReport:
-    """A_d for every divisor d <= sqrt(k) of k, next to the exact total A.
+    """A_d for every divisor d <= sqrt(k) of a squarefree k, next to the
+    exact total A.
 
     Each pair lands in A_d for at most one d, so the listed counts must sum to
-    at most total_A.
+    at most total_A.  Both k and x are checked before the sieve runs.
     """
-    _check_pair_x(x)
+    if not k.is_squarefree():
+        raise ValueError(f"k = {k.n} is not squarefree")
+    if x < 0:
+        raise ValueError("x must be nonnegative")
     table = sieve_primes(int(x))
     small_d = [d for d in divisors(k) if d * d <= k.n]
     per_d = [(d, count_A_d(x, x, k, d, table=table)) for d in small_d]
-    return PairCountReport(x=x, k=k, per_d=per_d, total_A=total_pairs_A(x, k, table=table))
+    return PairCountReport(per_d=per_d, total_A=total_pairs_A(x, k, table=table))

@@ -81,9 +81,10 @@ def _odd_slots(n: int) -> np.ndarray:
     since the integer 1 is not prime).
 
     One array is sieved in place _SEGMENT slots at a time, with odd base
-    primes from _primes_upto, and any segment size gives the same slots.
+    primes from the slots of [1, isqrt(n)], and any segment size gives the
+    same slots.
     """
-    base = _primes_upto(math.isqrt(n))[1:].tolist() if n >= 9 else []
+    base = _slot_primes(_odd_slots(math.isqrt(n)))[1:].tolist() if n >= 9 else []
     flags = np.empty((n + 1) // 2, dtype=np.uint8)
     for lo in range(0, flags.size, _SEGMENT):
         hi = min(lo + _SEGMENT, flags.size)
@@ -103,21 +104,19 @@ def _slot_primes(slots: np.ndarray) -> np.ndarray:
     return primes
 
 
-def _primes_upto(n: int) -> np.ndarray:
-    """Ascending int64 primes <= n: the one Eratosthenes driver."""
-    return _slot_primes(_odd_slots(n))
-
-
 def sieve_primes(limit: int) -> PrimeTable:
     """Every prime <= `limit`, as the odd-slot flags of the segmented driver
-    _odd_slots; the table's `primes` array is mapped from them when first read."""
+    _odd_slots; the table's `primes` array is mapped from them when first read.
+    The only entry to the driver from outside this module."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     check_ceiling(limit, "sieve limit")
     return PrimeTable(limit=limit, slots=_odd_slots(limit))
 
 
-_TRIAL_PRIMES = tuple(_primes_upto(_TRIAL_LIMIT).tolist())
+# Sieved at import straight from the driver: sieve_primes would refuse it
+# under a small OMEGASTAR_CEILING.
+_TRIAL_PRIMES = tuple(_slot_primes(_odd_slots(_TRIAL_LIMIT)).tolist())
 
 # Strong-pseudoprime witnesses 2..37 prove primality for all n below psi_12
 # (Sorenson-Webster), the least composite strong pseudoprime to all twelve,

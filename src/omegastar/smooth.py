@@ -11,8 +11,8 @@ those n < x with n + 1 prime (and n = 1, which pairs with the prime 2).
 For p <= sqrt(x) the m are enumerated as a set grown prime by prime.  Past
 sqrt(x) every m <= x // p is below p, so p adds floor(x / p) to Psi and
 the even m with p * m + 1 prime to pi.  Primality, pi(x) and the primes
-themselves all come from the odd-slot flags of [1, x], which cost x / 2
-bytes, the same as the slot array of sieve.sieve_primes(x).  The rest stays
+themselves all come from the odd-slot flags of sieve.sieve_primes(x), which
+cost x / 2 bytes; its int64 primes array is never read.  The rest stays
 small beside them, whatever y: the enumerated sets hold Psi(x / p, p)
 entries at most, the primes above sqrt(x) are walked in slices of the
 flags, and no list of all primes up to y is built.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import sieve
-from .sieve import _odd_slots, _slot_primes, check_ceiling
+from .sieve import _slot_primes, sieve_primes
 
 import numpy as np
 
@@ -114,9 +114,9 @@ def smooth_census(x: int, ys: list[int]) -> list[SmoothCensus]:
     The primes up to both max(ys) and isqrt(x) go through
     _small_prime_counts; the primes above isqrt(x) and up to min(y, x)
     through _large_prime_counts, one stretch of slots from each y to the
-    next.  Both read the one odd-slot flag array of [1, x].  Its slot 0
-    stands for the prime 2, so 2 is a small prime even for x < 4, where
-    isqrt(x) = 1.
+    next.  Both read the one odd-slot flag array of sieve_primes(x).  Its
+    slot 0 stands for the prime 2, so 2 is a small prime even for x < 4,
+    where isqrt(x) = 1.
     """
     if x < 1:
         raise ValueError("x must be at least 1")
@@ -124,11 +124,10 @@ def smooth_census(x: int, ys: list[int]) -> list[SmoothCensus]:
         raise ValueError("ys must be nonempty")
     if min(ys) < 1:
         raise ValueError("y must be at least 1")
-    check_ceiling(x, "smooth census size")
 
     order = sorted(set(ys))
     root = math.isqrt(x)
-    flags = _odd_slots(x)
+    flags = sieve_primes(x).slots
     small = _slot_primes(flags[: (root + 1) // 2]).tolist()
     psi, pi = _small_prime_counts(x, flags, small[: bisect.bisect_right(small, order[-1])])
     psi = list(itertools.accumulate(psi, initial=1))  # n = 1 is smooth for every y

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import math
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from omegastar import cli, construction, omega
+from omegastar import cli, construction, omega, sieve
 from omegastar.cli import main
 
 
@@ -190,6 +193,16 @@ def no_heavy_work(monkeypatch):
     # moments and champions reach the table through these modules' own bindings
     monkeypatch.setattr(omega, "omega_star_table", refuse)
     monkeypatch.setattr(construction, "omega_star_table", refuse)
+
+
+@pytest.fixture
+def no_sieving(monkeypatch):
+    """A stand-in for the one prime-flag driver that fails if it is called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("prime flags sieved before the arguments were checked")
+
+    monkeypatch.setattr(sieve, "_odd_slots", refuse)
 
 
 class TestBasicCommands:
@@ -622,12 +635,96 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["seed"] == int(seed)
 
-    def test_pairs_cap_checked_before_sieving(self, capsys, monkeypatch):
-        def no_sieve(*args, **kwargs):
-            raise AssertionError("sieve_primes called before the pair-space cap was checked")
+    def test_pairs_above_ceiling_exit_3_before_sieving(self, capsys, monkeypatch, no_sieving):
+        monkeypatch.setenv("OMEGASTAR_CEILING", "1000")
+        code, out, err = run_cli(capsys, ["pairs", "--x", "1001", "--k", "6"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("omegastar: resource limit: sieve limit = 1001 exceeds the memory ceiling 1000")
 
-        monkeypatch.setattr(construction, "sieve_primes", no_sieve)
-        code, out, err = run_cli(capsys, ["pairs", "--x", "100001", "--k", "6"])
+    def test_pairs_non_squarefree_k_exit_2_before_sieving(self, capsys, no_sieving):
+        code, out, err = run_cli(capsys, ["pairs", "--x", "100", "--k", "12"])
         assert code == 2
         assert out == ""
-        assert "omegastar: error" in err
+        assert err == "omegastar: error: k = 12 is not squarefree\n"
+
+    def test_smooth_above_ceiling_exit_3_before_sieving(self, capsys, monkeypatch, no_sieving):
+        monkeypatch.setenv("OMEGASTAR_CEILING", "1000")
+        code, out, err = run_cli(capsys, ["smooth", "--x", "1001", "--y", "10"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("omegastar: resource limit: sieve limit = 1001 exceeds the memory ceiling 1000")
+
+    @pytest.mark.parametrize(
+        "k, refusal",
+        [
+            (0, "k = 0 must be positive"),
+            (2**63, f"k = {2**63} exceeds N = 1000: no multiples to scan"),
+            # (2^31 - 1)(2^31 - 19), a 62-bit semiprime that Pollard rho would split
+            (4611685975477714963, "k = 4611685975477714963 exceeds N = 1000: no multiples to scan"),
+        ],
+        ids=["zero", "2^63", "semiprime"],
+    )
+    def test_champions_k_refused_without_factorizing(self, capsys, monkeypatch, no_heavy_work, k, refusal):
+        def no_factorize(*args, **kwargs):
+            raise AssertionError("champions factorized its k")
+
+        monkeypatch.setattr(cli, "factorize", no_factorize)
+        code, out, err = run_cli(capsys, ["champions", "--max-n", "1000", "--k", str(k)])
+        assert code == 2
+        assert out == ""
+        assert err == f"omegastar: error: {refusal}\n"
+
+
+def _recount_pairs(x: int, k: int) -> tuple[int, dict[int, int]]:
+    """total_A and every A_d by a sum over m <= x, not over p: m pairs with
+    the primes p = 1 (mod k / gcd(m, k)), the A_d terms with gcd(m, k) = k / d.
+    The primes come from a plain Eratosthenes sieve."""
+    flags = np.ones(x + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(x) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    shifted = np.flatnonzero(flags) - 1
+    g = np.gcd(np.arange(1, x + 1), k)
+    primes_1_mod = {q: int(np.count_nonzero(shifted % q == 0)) for q in range(1, k + 1) if k % q == 0}
+    total = sum(primes_1_mod[k // e] * int(np.count_nonzero(g == e)) for e in primes_1_mod)
+    per_d = {d: primes_1_mod[d] * int(np.count_nonzero(g == k // d)) for d in primes_1_mod}
+    return total, per_d
+
+
+def test_pairs_match_a_recount_over_m(capsys):
+    # x = 200000 lay above the old pair-space cap of 10^5
+    code, out, err = run_cli(capsys, ["pairs", "--x", "200000", "--k", "30"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    total, per_d = _recount_pairs(200000, 30)
+    assert doc["total_A"] == total
+    assert [row["d"] for row in doc["per_d"]] == [1, 2, 3, 5]
+    assert all(row["A_d"] == per_d[row["d"]] for row in doc["per_d"])
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    """The command lines of README's CLI block, comments dropped."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+README_CLI = _readme_cli_lines()
+
+
+@pytest.mark.parametrize(
+    "argv", README_CLI, ids=lambda argv: next(a for a in argv[1:] if not a.startswith("-") and not a.isdigit())
+)
+def test_readme_cli_line_runs(capsys, argv):
+    assert argv[0] == "omegastar"
+    code, out, err = run_cli(capsys, argv[1:])
+    assert (code, err) == (0, "")
+    assert out
+
+
+def test_readme_omega_star_example_prints_5(capsys):
+    assert ["omegastar", "omega-star", "--n", "12"] in README_CLI
+    code, out, _ = run_cli(capsys, ["omega-star", "--n", "12"])
+    assert (code, out) == (0, "n,omega_star\n12,5\n")

@@ -5,10 +5,11 @@ import pytest
 
 from omegastar.constants import (
     GOLDEN_RATIO,
+    GRH_C,
     GRH_U,
     apr_conjecture_bound,
     f_theta,
-    grh_constants,
+    grh_residuals,
     maximize_f_theta,
 )
 
@@ -86,25 +87,21 @@ class TestMaximize:
 
 class TestGrhConstants:
     def test_golden_identities(self):
-        g = grh_constants()
-        r = g.residuals()
+        r = grh_residuals()
         assert r["ratio_identity"] <= 1e-12
         assert r["sqrt_identity"] <= 1e-12
         assert r["half_sum"] <= 1e-12
 
     def test_C_value(self):
-        g = grh_constants()
-        assert abs(g.C - (g.u + 0.5) * math.log(GOLDEN_RATIO)) <= 1e-12
-        assert g.residuals()["C_first_form"] <= 1e-12
-        assert abs(g.C - 0.8705) <= 1e-4
+        assert abs(GRH_C - (GRH_U + 0.5) * math.log(GOLDEN_RATIO)) <= 1e-12
+        assert grh_residuals()["C_first_form"] <= 1e-12
+        assert abs(GRH_C - 0.8705) <= 1e-4
 
     def test_exponent_constant_is_log_golden(self):
-        g = grh_constants()
-        assert abs(math.log(g.golden) - 0.48121182505960347) <= 1e-15
+        assert abs(math.log(GOLDEN_RATIO) - 0.48121182505960347) <= 1e-15
 
     def test_inverse_golden_squared_is_inverse_2u(self):
-        g = grh_constants()
-        assert abs(1.0 / (2 * g.u) - 1.0 / g.golden**2) <= 1e-15
+        assert abs(1.0 / (2 * GRH_U) - 1.0 / GOLDEN_RATIO**2) <= 1e-15
 
 
 class TestAprBound:

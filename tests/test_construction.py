@@ -89,7 +89,8 @@ class TestCountAd:
         assert count_A_d(20, 20, k6, 6) == 21  # {7, 13, 19} x 7 coprime m
 
     def test_brute_pair_oracle(self, oracle_primes_2000):
-        for k in (2, 6, 30):
+        # 12 is not squarefree: gcd((k/d) m', k) = (k/d) gcd(m', d) holds for any k
+        for k in (2, 6, 12, 30):
             fk = factorize(k)
             for d in divisors(fk):
                 for x, y in ((20, 20), (50, 30), (37, 50)):
@@ -111,8 +112,9 @@ class TestCountAd:
             count_A_d(20, 20, factorize(6), 4)
 
     def test_rejects_non_squarefree(self):
-        with pytest.raises(ValueError):
-            count_A_d(20, 20, factorize(12), 2)
+        # refused once, by the report that lists the A_d, not per d
+        with pytest.raises(ValueError, match="k = 12 is not squarefree"):
+            pair_count_report(20, factorize(12))
 
 
 class TestTotalPairs:
@@ -133,9 +135,12 @@ class TestTotalPairs:
                 total = total_pairs_A(x, fk)
                 assert sum(count_A_d(x, x, fk, d) for d in small) <= total
 
-    def test_desk_scale_cap(self):
-        with pytest.raises(ValueError):
-            total_pairs_A(10**6, factorize(6))
+    def test_x_bounded_by_ceiling_alone(self, monkeypatch, oracle_primes_2000):
+        # the count is linear in pi(x): no pair-space cap below the ceiling
+        monkeypatch.setenv("OMEGASTAR_CEILING", "1000")
+        assert total_pairs_A(1000, factorize(6)) == brute_pair_count_A(1000, 6, oracle_primes_2000)
+        with pytest.raises(ResourceLimitError, match="sieve limit = 1001"):
+            total_pairs_A(1001, factorize(6))
 
 
 class TestCountRepresentations:
@@ -157,7 +162,7 @@ class TestChampion:
         table = omega_star_table(300)
         full = expand_half_table(table)
         for k in (1, 2, 6):
-            rec = champion_search(300, factorize(k), table=table)
+            rec = champion_search(300, k, table=table)
             mults = range(k, 301, k)
             best = max(int(full[n]) for n in mults)
             first = next(n for n in mults if full[n] == best)
@@ -175,27 +180,27 @@ class TestChampion:
             values = [(omega_star(n), -n) for n in range(k, N + 1, k)]
             best, neg_n = max(values)
             for table in (None, omega_star_table(N), omega_star_table(N + 1)):
-                rec = champion_search(N, factorize(k), table=table)
+                rec = champion_search(N, k, table=table)
                 assert (rec.n, rec.omega_star_n) == (-neg_n, best), (k, N)
 
     def test_hundred(self):
-        rec = champion_search(100, factorize(1))
+        rec = champion_search(100, 1)
         assert rec.omega_star_n == 8
         assert rec.n == 60  # smallest of the tied record-holders {60, 72}
 
     def test_only_multiple(self):
-        rec = champion_search(10, factorize(7))
+        rec = champion_search(10, 7)
         assert (rec.n, rec.omega_star_n) == (7, 1)
         assert rec.score == 0.0  # log(1) = 0
 
     def test_score_normalization(self):
-        rec = champion_search(100, factorize(1))
+        rec = champion_search(100, 1)
         expected = math.log(8) * math.log(math.log(60)) / math.log(60)
         assert abs(rec.score - expected) <= 1e-15
 
     def test_k_beyond_range(self):
         with pytest.raises(ValueError):
-            champion_search(10, factorize(11))
+            champion_search(10, 11)
 
 
 class TestSampleDivisor:
@@ -452,9 +457,8 @@ class TestEntropyBound:
 
     def test_scale_against_limit_constant(self):
         # R H(rho) in units of C log x / log log x creeps toward 1 from below
-        from omegastar.constants import grh_constants
+        from omegastar.constants import GRH_C as C
 
-        C = grh_constants().C
         ratios = []
         for log_x in (10**4, 10**6):
             p = build_params(float(log_x), mode="grh")

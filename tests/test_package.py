@@ -41,6 +41,11 @@ DELETED = (
     "_census_segment",
     "_ORDER_BITS",
     "_PASS_BLOCK",
+    "_primes_upto",
+    "GrhConstants",
+    "grh_constants",
+    "_MAX_PAIR_X",
+    "_check_pair_x",
 )
 
 
@@ -77,6 +82,20 @@ def test_settable_parameters():
     assert tuple(inspect.signature(smooth.pomerance_ratio).parameters) == ("census",)
     fields = {f.name for f in dataclasses.fields(construction.ConstructionParams)}
     assert not fields & {"excluded_prime", "delta_smooth"}
+    # no field echoes an input its caller already holds
+    assert "seed" not in {f.name for f in dataclasses.fields(construction.SampleStats)}
+    assert [f.name for f in dataclasses.fields(construction.PairCountReport)] == ["per_d", "total_A"]
+    assert tuple(inspect.signature(construction.champion_search).parameters) == ("N", "k", "table")
+
+
+def test_only_sieve_builds_prime_flags():
+    # every other module takes its prime flags from sieve.sieve_primes
+    for path in sorted((ROOT / "src" / "omegastar").glob("*.py")):
+        if path.name == "sieve.py":
+            continue
+        source = path.read_text()
+        for name in ("_odd_slots", "_segment_flags"):
+            assert name not in source, f"{path.name} names {name}"
 
 
 def test_import_under_small_ceiling():

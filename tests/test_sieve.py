@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from omegastar import sieve, smooth
+from omegastar import sieve
 from omegastar.sieve import (
     ResourceLimitError,
     _odd_slots,
-    _primes_upto,
     _segment_flags,
+    _slot_primes,
     factorize,
     is_prime,
     primes_in_ap,
@@ -105,7 +105,7 @@ class TestSegmentKernel:
 
     def test_base_primes(self):
         for n in range(0, 300):
-            assert _primes_upto(n).tolist() == trial_division_primes(n), n
+            assert _slot_primes(_odd_slots(n)).tolist() == trial_division_primes(n), n
 
     @pytest.mark.parametrize("segment", [1, 2, 7, 64])
     def test_driver_every_n_below_3000(self, monkeypatch, segment):
@@ -118,7 +118,7 @@ class TestSegmentKernel:
         for n in range(3000):
             key = ((n + 1) // 2, math.isqrt(n), n >= 2)
             if key not in runs:
-                runs[key] = _primes_upto(n)
+                runs[key] = _slot_primes(_odd_slots(n))
             got = runs[key]
             assert got.dtype == np.int64
             assert got.tolist() == want[: bisect.bisect_right(want, n)], n
@@ -129,7 +129,7 @@ class TestSegmentKernel:
         n = 10**6
         tracemalloc.start()
         try:
-            _primes_upto(n)
+            _slot_primes(_odd_slots(n))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -138,7 +138,8 @@ class TestSegmentKernel:
     def test_every_pass_sieves_in_segments(self, monkeypatch):
         # sieve_primes, its base primes and the census all go through kernel
         # windows of at most _SEGMENT slots, each written into a slice of
-        # that width; the census sieves one slot array, over [1, x].
+        # that width; the census sieves what sieve_primes(x) sieves: one slot
+        # array over [1, x], and those of its base primes.
         slots, arrays = [], []
 
         def spy(lo, hi, base, out):
@@ -151,15 +152,16 @@ class TestSegmentKernel:
             arrays.append(n)
             return odd_slots(n)
 
-        odd_slots = smooth._odd_slots
+        odd_slots = sieve._odd_slots
         monkeypatch.setattr(sieve, "_SEGMENT", 64)
         monkeypatch.setattr(sieve, "_segment_flags", spy)
-        monkeypatch.setattr(smooth, "_odd_slots", slots_spy)
+        monkeypatch.setattr(sieve, "_odd_slots", slots_spy)
         primes = sieve_primes(10**4).primes.tolist()
-        driver = len(slots)
+        driver, driver_arrays = len(slots), arrays[:]
         (c,) = smooth_census(10**4, [5])
         assert slots and max(slots) <= 64
-        assert len(slots) > driver and arrays == [10**4]
+        assert len(slots) == 2 * driver
+        assert driver_arrays[0] == 10**4 and arrays == 2 * driver_arrays
         assert primes == trial_division_primes(10**4)
         assert c.pi_x == len(primes)
 

@@ -229,7 +229,7 @@ class TestCensusOracle:
         # x = 4118 = 2 * 29 * 71 with 67 and 71 in slots a + 1 and a + 3:
         # p * m + 1 = x + 1 at p = 71, m = 58, which must not be read
         for x in (4099, 4118):
-            flags = sieve._odd_slots(x)
+            flags = sieve_primes(x).slots
             a = (math.isqrt(x) + 1) // 2
             primes = [2 * i + 1 for i in range(a + lo, a + hi) if trial_division_is_prime(2 * i + 1)]
             assert primes == [2 * i + 1 for i in range(a + lo, a + hi) if flags[i]]
