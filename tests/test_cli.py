@@ -181,6 +181,19 @@ PINNED_SMOOTH_SHA256 = {
 }
 
 
+# SHA-256 of the exact stdout of `pairs` at k = 30030 = 2 3 5 7 11 13, whose 64
+# divisors give 32 counts A_d, and at x = 1, where no prime is counted.
+PINNED_PAIRS_SHA256 = {
+    ("--format", "json", "pairs", "--x", "100000", "--k", "30030"): (
+        "b82e871522d2d59d61ebf44592378f41a78d8610506dbda4c9be7bc75f9195b5"
+    ),
+    ("--format", "csv", "pairs", "--x", "100000", "--k", "30030"): (
+        "8e8172723f0ea392f44e0e44823fbb8e1c0097b60e7e002ffe42774ebf6811dd"
+    ),
+    ("pairs", "--x", "1", "--k", "6"): "0ea091dbc20663e1e803da6c4e0c13b53d3dc1aefbda1b58898bb7b3bf3dd139",
+}
+
+
 @pytest.fixture
 def no_heavy_work(monkeypatch):
     """Stand-ins that fail if the Monte Carlo, the omega* table or a smooth census runs."""
@@ -362,6 +375,12 @@ class TestDeterminism:
         code, out, err = run_cli(capsys, list(argv))
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TABLE_SHA256[argv]
+
+    @pytest.mark.parametrize("argv", list(PINNED_PAIRS_SHA256), ids=["k30030-json", "k30030-csv", "x1-no-primes"])
+    def test_pinned_pairs_stdout(self, capsys, argv):
+        code, out, err = run_cli(capsys, list(argv))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_PAIRS_SHA256[argv]
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
