@@ -1,9 +1,11 @@
 """Pair counting and the randomized divisor-set construction.
 
 Two families of objects live here.  The pair-counting side works with genuine
-small integers: counts A_d of pairs (m, p) with p = 1 (mod d) and
-gcd(m, k) = k/d, the total count A of pairs with k | m(p-1), representation
-counts for n = m(p-1), and champion scans for record omega* values.
+small integers: one report of the counts A_d of pairs (m, p) with
+p = 1 (mod d) and gcd(m, k) = k/d, and the total count A of pairs with
+k | m(p-1), all read from one histogram of gcd(p - 1, k) over the primes;
+representation counts for n = m(p-1); and champion scans for record omega*
+values.
 
 The randomized side is parameterized by log x directly (every quantity
 depends on x only through log x, so realistic regimes like log x ~ 1100 are
@@ -31,12 +33,10 @@ from .constants import GRH_U, UNCONDITIONAL_THETA, UNCONDITIONAL_U
 from .omega import OmegaStarTable, omega_star_table
 from .sieve import (
     Factorization,
-    PrimeTable,
     ResourceLimitError,
     check_ceiling,
     factorize,
     is_prime,
-    primes_in_ap,
     sieve_primes,
 )
 
@@ -197,39 +197,6 @@ def build_params(log_x: float, mode: str = "GRH") -> ConstructionParams:
         k_primes=k_primes,
         log_primes=np.log(k_primes.astype(np.float64)),
     )
-
-
-def count_A_d(x: int, y: int, k: Factorization, d: int, table: PrimeTable | None = None) -> int:
-    """#{(m, p) : m <= y, p <= x prime, p = 1 (mod d), gcd(m, k) = k/d}.
-
-    Counted without enumerating pairs: the p-count and m-count factor, because
-    gcd((k/d) m', k) = (k/d) gcd(m', d), so gcd(m, k) = k/d exactly when
-    m = (k/d) m' with m' <= y d / k coprime to d.  That holds for any k.
-    """
-    if x < 0 or y < 0:
-        raise ValueError("x and y must be nonnegative")
-    if d < 1 or k.n % d != 0:
-        raise ValueError(f"d = {d} does not divide k = {k.n}")
-    p_count = primes_in_ap(x, d, 1 % d, table=table)
-    m_count = count_coprime_up_to(y // (k.n // d), factorize(d))
-    return p_count * m_count
-
-
-def total_pairs_A(x: int, k: Factorization, table: PrimeTable | None = None) -> int:
-    """Exact number of pairs (m, p) with m, p <= x and k | m(p-1).
-
-    Counts, for each prime p, the multiples of k/gcd(p-1, k): linear in pi(x),
-    so x is bounded by the sieve's memory ceiling alone.
-    """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if table is None or table.limit < x:
-        table = sieve_primes(int(x))
-    ps = table.primes[: table.count(x)]
-    if ps.size == 0:
-        return 0
-    g = np.gcd(ps - 1, k.n)
-    return int((x // (k.n // g)).sum())
 
 
 def count_representations(n: int, m_max: int, p_max: int) -> int:
@@ -445,8 +412,16 @@ def enumerate_D_exact(params: ConstructionParams) -> ExactEnumeration:
 
 
 def pair_count_report(x: int, k: Factorization) -> PairCountReport:
-    """A_d for every divisor d <= sqrt(k) of a squarefree k, next to the
-    exact total A.
+    """A_d = #{(m, p) : m, p <= x, p = 1 (mod d), gcd(m, k) = k/d} for every
+    divisor d <= sqrt(k) of a squarefree k, next to the exact total A of
+    pairs (m, p), m, p <= x, with k | m(p-1).
+
+    Both depend on a prime p only through g = gcd(p - 1, k), so one sieve and
+    one histogram c_g of g over the primes p <= x give them all.  k | m(p - 1)
+    exactly when k/g divides m, so A = sum of c_g floor(x / (k/g)).  For d | k,
+    d | p - 1 exactly when d | g, so A_d takes the sum of c_g over d | g,
+    times the m <= x with gcd(m, k) = k/d: m = (k/d) m' with m' <= x d / k
+    coprime to d, since gcd((k/d) m', k) = (k/d) gcd(m', d).
 
     Each pair lands in A_d for at most one d, so the listed counts must sum to
     at most total_A.  Both k and x are checked before the sieve runs.
@@ -455,7 +430,11 @@ def pair_count_report(x: int, k: Factorization) -> PairCountReport:
         raise ValueError(f"k = {k.n} is not squarefree")
     if x < 0:
         raise ValueError("x must be nonnegative")
-    table = sieve_primes(int(x))
-    small_d = [d for d in divisors(k) if d * d <= k.n]
-    per_d = [(d, count_A_d(x, x, k, d, table=table)) for d in small_d]
-    return PairCountReport(per_d=per_d, total_A=total_pairs_A(x, k, table=table))
+    ps = sieve_primes(int(x)).primes
+    gs, cs = np.unique(np.gcd(ps - 1, k.n), return_counts=True)
+    per_d = [
+        (d, int(cs[gs % d == 0].sum()) * count_coprime_up_to(x // (k.n // d), factorize(d)))
+        for d in divisors(k)
+        if d * d <= k.n
+    ]
+    return PairCountReport(per_d=per_d, total_A=int((cs * (x // (k.n // gs))).sum()))

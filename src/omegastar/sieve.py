@@ -1,4 +1,4 @@
-"""Prime sieving, deterministic primality, factorization, and prime counting."""
+"""Prime sieving, deterministic primality, and factorization."""
 
 from __future__ import annotations
 
@@ -37,22 +37,15 @@ def check_ceiling(n: int, what: str) -> None:
 
 @dataclass
 class PrimeTable:
-    """The primes <= `limit`, held as the _odd_slots(limit) flags `slots`
+    """The primes <= the sieve limit, held as the _odd_slots flags `slots`
     (about limit / 2 bytes); the ascending int64 `primes` array is built
     from them on first use."""
 
-    limit: int
     slots: np.ndarray
 
     @functools.cached_property
     def primes(self) -> np.ndarray:
         return _slot_primes(self.slots)
-
-    def count(self, x: int | None = None) -> int:
-        """Number of primes <= x (defaults to the full table)."""
-        if x is None:
-            return int(self.primes.size)
-        return int(np.searchsorted(self.primes, x, side="right"))
 
 
 def _segment_flags(lo: int, hi: int, base: list[int], out: np.ndarray) -> None:
@@ -111,7 +104,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     check_ceiling(limit, "sieve limit")
-    return PrimeTable(limit=limit, slots=_odd_slots(limit))
+    return PrimeTable(slots=_odd_slots(limit))
 
 
 # Sieved at import straight from the driver: sieve_primes would refuse it
@@ -226,18 +219,3 @@ def factorize(n: int) -> Factorization:
             for p in sorted(set(big)):
                 factors.append((p, big.count(p)))
     return Factorization(n=n, factors=factors)
-
-
-def primes_in_ap(x: int, d: int, a: int, table: PrimeTable | None = None) -> int:
-    """pi(x; d, a): primes p <= x with p congruent to a mod d."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if d < 1 or not 0 <= a < d:
-        raise ValueError(f"need d >= 1 and 0 <= a < d, got d={d}, a={a}")
-    if x < 2:
-        return 0
-    if table is None or table.limit < x:
-        table = sieve_primes(int(x))
-    ps = table.primes[: table.count(x)]
-    return int(np.count_nonzero(ps % d == a))
-

@@ -105,17 +105,12 @@ def brute_pair_count_A(x: int, k: int, primes: list[int]) -> int:
 
 
 def brute_pair_count_A_d(x: int, y: int, k: int, d: int, primes: list[int]) -> int:
-    """Literal enumeration of pairs for the per-d condition."""
-    count = 0
-    for p in primes:
-        if p > x:
-            break
-        if (p - 1) % d != 0:
-            continue
-        for m in range(1, y + 1):
-            if math.gcd(m, k) == k // d:
-                count += 1
-    return count
+    """Literal enumeration of pairs (m, p), m <= y, p <= x, with p = 1 (mod d)
+    and gcd(m, k) = k/d, as one boolean matrix over every p and m."""
+    ps = np.array([p for p in primes if p <= x], dtype=np.int64)
+    ms = np.arange(1, y + 1, dtype=np.int64)
+    pairs = ((ps[:, None] - 1) % d == 0) & (np.gcd(ms, k)[None, :] == k // d)
+    return int(np.count_nonzero(pairs))
 
 
 class AcceptanceBracket(NamedTuple):

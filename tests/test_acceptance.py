@@ -23,12 +23,11 @@ from omegastar.construction import (
     build_params,
     champion_search,
     chebyshev_bounds,
-    count_A_d,
     count_representations,
     enumerate_D_exact,
+    pair_count_report,
     sample_stats,
 )
-from omegastar.arith import divisors
 from omegastar.omega import moment_scan, moment_sum, omega_star, omega_star_table
 from omegastar.sieve import factorize, sieve_primes
 from omegastar.smooth import smooth_census
@@ -113,17 +112,15 @@ def test_c04_bridging_identity():
 def test_c05_domination_inequality():
     crit = _Criterion(5, "sum of A_d over d <= sqrt(k) never exceeds brute-force A", 30.0)
     for x in (200, 500, 2000):
-        table = sieve_primes(x)
         ms = np.arange(1, x + 1, dtype=np.int64)
-        ps = table.primes
+        ps = sieve_primes(x).primes
         for k in (2, 6, 30, 210):
-            fk = factorize(k)
             # brute-force enumeration of all pairs (m, p) with k | m(p-1)
             brute_A = sum(
                 int(np.count_nonzero(ms * (int(p) - 1) % k == 0)) for p in ps
             )
-            small_d = [d for d in divisors(fk) if d * d <= k]
-            lhs = sum(count_A_d(x, x, fk, d, table=table) for d in small_d)
+            # the report lists A_d for every d <= sqrt(k)
+            lhs = sum(a_d for _, a_d in pair_count_report(x, factorize(k)).per_d)
             crit.check(
                 lhs <= brute_A,
                 f"x={x}, k={k}: sum A_d = {lhs} <= A = {brute_A}",
@@ -225,7 +222,7 @@ def test_c09_smooth_counts():
     crit.check(smooth_census(100, [2])[0].pi_smooth == 4, "pi(100, 2) = 4")
     for x in (10**3, 10**4):
         (census,) = smooth_census(x, [x])
-        pi_x = sieve_primes(x).count()
+        pi_x = sieve_primes(x).primes.size
         crit.check(census.psi == x, f"Psi({x}, {x}) = {x}")
         crit.check(census.pi_smooth == pi_x, f"pi({x}, {x}) = pi({x}) = {pi_x}")
     worst = 0.0

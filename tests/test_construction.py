@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from omegastar import construction, rng
+from omegastar import construction, rng, sieve
 from omegastar.constants import GRH_U
 from omegastar.construction import (
     build_params,
     champion_search,
     chebyshev_bounds,
-    count_A_d,
     count_representations,
     entropy_lower_bound,
     enumerate_D_exact,
@@ -19,13 +20,20 @@ from omegastar.construction import (
     pair_count_report,
     sample_divisor,
     sample_stats,
-    total_pairs_A,
 )
 from omegastar.arith import count_coprime_up_to, divisors
 from omegastar.omega import omega_star, omega_star_table
-from omegastar.sieve import ResourceLimitError, factorize, primes_in_ap
+from omegastar.sieve import ResourceLimitError, factorize
 
-from conftest import brute_pair_count_A, brute_pair_count_A_d, expand_half_table, grh_acceptance_bracket
+from conftest import (
+    brute_pair_count_A,
+    brute_pair_count_A_d,
+    expand_half_table,
+    grh_acceptance_bracket,
+    trial_division_primes,
+)
+
+_PRIMES_3000 = trial_division_primes(3000)
 
 
 @pytest.fixture(scope="module")
@@ -81,35 +89,31 @@ class TestBuildParams:
             build_params(111.0, mode="sideways")
 
 
+def _small_divisors(k: int) -> list[int]:
+    return [d for d in divisors(factorize(k)) if d * d <= k]
+
+
 class TestCountAd:
+    """The A_d column of pair_count_report, one entry per divisor d <= sqrt(k)."""
+
     def test_examples(self):
-        k6 = factorize(6)
-        assert count_A_d(20, 20, k6, 1) == 24  # 8 primes x {6, 12, 18}
-        assert count_A_d(20, 20, k6, 2) == 21
-        assert count_A_d(20, 20, k6, 6) == 21  # {7, 13, 19} x 7 coprime m
+        # A_1: 8 primes x {6, 12, 18}; d = 6 > sqrt(6) is not listed
+        assert pair_count_report(20, factorize(6)).per_d == [(1, 24), (2, 21)]
 
     def test_brute_pair_oracle(self, oracle_primes_2000):
-        # 12 is not squarefree: gcd((k/d) m', k) = (k/d) gcd(m', d) holds for any k
-        for k in (2, 6, 12, 30):
-            fk = factorize(k)
-            for d in divisors(fk):
-                for x, y in ((20, 20), (50, 30), (37, 50)):
-                    expected = brute_pair_count_A_d(x, y, k, d, oracle_primes_2000)
-                    assert count_A_d(x, y, fk, d) == expected, (x, y, k, d)
+        for k in (1, 2, 6, 30, 210, 2310):
+            for x in (0, 1, 2, 20, 37, 50, 333):
+                expected = [(d, brute_pair_count_A_d(x, x, k, d, oracle_primes_2000)) for d in _small_divisors(k)]
+                assert pair_count_report(x, factorize(k)).per_d == expected, (x, k)
 
     def test_floor_form_lower_bound(self, oracle_primes_2000):
         # the coarser m-count floor(x/k) phi(d) never exceeds the exact count
         for k in (6, 30, 210):
-            fk = factorize(k)
-            for d in divisors(fk):
-                phi_d = count_coprime_up_to(d, factorize(d))
-                for x in (100, 500, 2000):
-                    coarse = primes_in_ap(x, d, 1 % d) * (x // k) * phi_d
-                    assert count_A_d(x, x, fk, d) >= coarse
-
-    def test_rejects_non_divisor(self):
-        with pytest.raises(ValueError):
-            count_A_d(20, 20, factorize(6), 4)
+            for x in (100, 500, 2000):
+                for d, a_d in pair_count_report(x, factorize(k)).per_d:
+                    phi_d = count_coprime_up_to(d, factorize(d))
+                    p_count = sum(1 for p in oracle_primes_2000 if p <= x and (p - 1) % d == 0)
+                    assert a_d >= p_count * (x // k) * phi_d, (x, k, d)
 
     def test_rejects_non_squarefree(self):
         # refused once, by the report that lists the A_d, not per d
@@ -118,29 +122,29 @@ class TestCountAd:
 
 
 class TestTotalPairs:
+    """The total_A of pair_count_report."""
+
     def test_all_pairs_for_k_one(self):
-        assert total_pairs_A(20, factorize(1)) == 20 * 8
+        assert pair_count_report(20, factorize(1)).total_A == 20 * 8
 
     def test_brute_oracle(self, oracle_primes_2000):
-        for k in (2, 6, 30, 210):
-            for x in (20, 100, 333):
+        for k in (1, 2, 6, 30, 210, 2310):
+            for x in (0, 1, 2, 20, 100, 333):
                 expected = brute_pair_count_A(x, k, oracle_primes_2000)
-                assert total_pairs_A(x, factorize(k)) == expected, (x, k)
+                assert pair_count_report(x, factorize(k)).total_A == expected, (x, k)
 
-    def test_domination_by_small_divisor_counts(self, oracle_primes_2000):
+    def test_domination_by_small_divisor_counts(self):
         for k in (6, 30, 210):
-            fk = factorize(k)
             for x in (20, 100, 500):
-                small = [d for d in divisors(fk) if d * d <= k]
-                total = total_pairs_A(x, fk)
-                assert sum(count_A_d(x, x, fk, d) for d in small) <= total
+                rep = pair_count_report(x, factorize(k))
+                assert sum(a_d for _, a_d in rep.per_d) <= rep.total_A
 
     def test_x_bounded_by_ceiling_alone(self, monkeypatch, oracle_primes_2000):
         # the count is linear in pi(x): no pair-space cap below the ceiling
         monkeypatch.setenv("OMEGASTAR_CEILING", "1000")
-        assert total_pairs_A(1000, factorize(6)) == brute_pair_count_A(1000, 6, oracle_primes_2000)
+        assert pair_count_report(1000, factorize(6)).total_A == brute_pair_count_A(1000, 6, oracle_primes_2000)
         with pytest.raises(ResourceLimitError, match="sieve limit = 1001"):
-            total_pairs_A(1001, factorize(6))
+            pair_count_report(1001, factorize(6))
 
 
 class TestCountRepresentations:
@@ -512,7 +516,31 @@ class TestPairCountReport:
     def test_sum_bounded_by_total(self, oracle_primes_2000):
         for k in (6, 30, 210):
             rep = pair_count_report(200, factorize(k))
-            listed = [d for d, _ in rep.per_d]
-            assert listed == [d for d in divisors(factorize(k)) if d * d <= k]
+            assert [d for d, _ in rep.per_d] == _small_divisors(k)
             assert sum(a for _, a in rep.per_d) <= rep.total_A
             assert rep.total_A == brute_pair_count_A(200, k, oracle_primes_2000)
+
+    def test_sieves_once_per_report(self, monkeypatch):
+        calls = []
+
+        def counted(limit):
+            calls.append(limit)
+            return sieve.sieve_primes(limit)
+
+        monkeypatch.setattr(construction, "sieve_primes", counted)
+        rep = pair_count_report(1000, factorize(30030))
+        assert calls == [1000]
+        assert len(rep.per_d) == 32
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(min_value=1, max_value=30030).filter(lambda k: factorize(k).is_squarefree()),
+        x=st.integers(min_value=0, max_value=3000),
+    )
+    @example(k=30030, x=0)
+    @example(k=30030, x=1)
+    @example(k=2 * 7019, x=3000)  # a prime factor above sqrt(x)
+    def test_property_against_brute_oracles(self, k, x):
+        rep = pair_count_report(x, factorize(k))
+        assert rep.per_d == [(d, brute_pair_count_A_d(x, x, k, d, _PRIMES_3000)) for d in _small_divisors(k)]
+        assert rep.total_A == brute_pair_count_A(x, k, _PRIMES_3000)

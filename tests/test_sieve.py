@@ -13,7 +13,6 @@ from omegastar.sieve import (
     _slot_primes,
     factorize,
     is_prime,
-    primes_in_ap,
     sieve_primes,
 )
 from omegastar.smooth import smooth_census
@@ -28,14 +27,13 @@ class TestSievePrimes:
     def test_limit_one_is_empty(self):
         t = sieve_primes(1)
         assert t.primes.size == 0
-        assert t.count() == 0
 
     def test_limit_zero(self):
         assert sieve_primes(0).primes.size == 0
 
     def test_hundred_against_trial_division(self):
         t = sieve_primes(100)
-        assert t.count() == 25
+        assert t.primes.size == 25
         assert t.primes.tolist() == trial_division_primes(100)
 
     def test_primes_match_trial_division_to_1e4(self):
@@ -264,44 +262,17 @@ class TestPrimeTable:
         for n in self.NS:
             t = sieve_primes(n)
             want = trial_division_primes(n)
-            assert t.count() == len(want), n
+            assert t.primes.size == len(want), n
             for x in (-1, 0, 1, 2, 3, n // 2, n, n + 5):
-                assert t.count(x) == bisect.bisect_right(want, x), (n, x)
+                assert np.searchsorted(t.primes, x, side="right") == bisect.bisect_right(want, x), (n, x)
 
 
 class TestPrimeCount:
     def test_examples(self):
-        assert sieve_primes(2).count() == 1
-        assert sieve_primes(100).count() == 25
-        assert sieve_primes(10**6).count() == 78498
+        assert sieve_primes(2).primes.size == 1
+        assert sieve_primes(100).primes.size == 25
+        assert sieve_primes(10**6).primes.size == 78498
 
     def test_small_edge(self):
-        assert sieve_primes(0).count() == 0
-        assert sieve_primes(1).count() == 0
-
-
-class TestPrimesInAp:
-    def test_examples(self):
-        assert primes_in_ap(20, 4, 1) == 3  # 5, 13, 17
-        assert primes_in_ap(10, 2, 1) == 3  # 3, 5, 7
-        for x in (10, 100, 1000):
-            assert primes_in_ap(x, 1, 0) == sieve_primes(x).count()
-
-    def test_residue_partition(self):
-        table = sieve_primes(10**5)
-        for x in (100, 1234, 10**5):
-            total = table.count(x)
-            for d in range(1, 11):
-                assert sum(primes_in_ap(x, d, a, table=table) for a in range(d)) == total
-
-    def test_enumeration_oracle(self, oracle_primes_2000):
-        for d, a in [(3, 1), (5, 2), (7, 0), (10, 9)]:
-            expected = sum(1 for p in oracle_primes_2000 if p % d == a)
-            assert primes_in_ap(2000, d, a) == expected
-
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            primes_in_ap(10, 0, 0)
-        with pytest.raises(ValueError):
-            primes_in_ap(10, 3, 3)
-
+        assert sieve_primes(0).primes.size == 0
+        assert sieve_primes(1).primes.size == 0
