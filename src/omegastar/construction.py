@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -252,8 +253,8 @@ def sample_divisor(params: ConstructionParams, seed: int) -> DivisorSample:
     """Draw one random divisor of k: prime r enters with probability rho,
     decided by thresholding row 0 of rng.unit_block for `seed` in [0, 2^64).
     Deterministic given the seed, bit-for-bit across platforms."""
-    draws = rng.unit_block(np.array([seed], dtype=np.uint64), params.R)[0]
-    indicators = draws < _threshold(params.rho)
+    words = rng.unit_block(np.array([seed], dtype=np.uint64), params.R)[0]
+    indicators = _below_limit(words, params.rho)
     log_d = float((indicators * params.log_primes).sum())
     w = int(indicators.sum())
     in_logd, in_omega = _window_flags(params, log_d, w)
@@ -266,36 +267,64 @@ def sample_divisor(params: ConstructionParams, seed: int) -> DivisorSample:
     )
 
 
-def _threshold(rho: float) -> np.uint64:
-    """ceil(rho * 2^53): a 53-bit draw k has unit float k * 2^-53 < rho exactly
-    when k < this, since k * 2^-53 and rho * 2^53 are both exact."""
-    return np.uint64(math.ceil(math.ldexp(rho, 53)))
+def _below_limit(words: np.ndarray, rho: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Whether each raw word's draw has unit float below rho, elementwise,
+    into `out` if given: the compare words < ceil(rho * 2^53) * 2^11.
+
+    A 53-bit draw k has unit float k * 2^-53 < rho exactly when
+    k < T = ceil(rho * 2^53), since k * 2^-53 and rho * 2^53 are both exact;
+    and the word z with k = z >> 11 is below T * 2^11 exactly when k < T.
+    At rho = 0 the limit is 0 and no word is below it.
+    """
+    limit = math.ceil(math.ldexp(rho, 53)) << 11
+    if limit >> 64:
+        # At rho >= 1 the limit is 2^64 or more, which no uint64 holds, and
+        # every word is below it.
+        return np.less_equal(words, np.uint64(2**64 - 1), out=out)
+    return np.less(words, np.uint64(limit), out=out)
 
 
 def _block_rows(R: int) -> int:
     return max(1, _BLOCK_WORDS // R)
 
 
-def _chunk_stats(params: ConstructionParams, seed: int, start: int, count: int):
+class _ChunkBuffers(NamedTuple):
+    """The arrays a chunk writes into.  One worker reuses them for every chunk
+    it runs, so that no block allocates a matrix: a freed matrix goes back to
+    the OS and would be page-faulted in again."""
+
+    block: np.ndarray  # words of one row block: uint64, rows x R
+    mix: np.ndarray  # mix64's shifted copies, block's dtype and shape
+    log_d: np.ndarray  # log d of each sample: float64, one per sample
+    omega: np.ndarray  # Omega(d) of each sample, log_d's dtype and shape
+
+
+def _chunk_buffers(params: ConstructionParams, count: int) -> _ChunkBuffers:
+    """Buffers for chunks of at most `count` samples, in row blocks of
+    min(2^16 // R, count) rows."""
+    block = np.empty((min(_block_rows(params.R), count), params.R), dtype=np.uint64)
+    return _ChunkBuffers(block, np.empty_like(block), np.empty(count), np.empty(count))
+
+
+def _chunk_stats(params: ConstructionParams, seed: int, start: int, count: int, buffers: _ChunkBuffers):
+    """Window counts and sums over samples start .. start+count-1, written
+    into `buffers`, made for this count or a larger one."""
     seeds = rng.substream_seeds(seed, start, count)
-    rows = _block_rows(params.R)
-    threshold = _threshold(params.rho)
-    # One block matrix per chunk, reused by every block.  The allocator hands
-    # a freed 512 KiB matrix back to the OS, so a fresh one per block would be
-    # page-faulted in again each time.
-    block = np.empty((min(rows, count), params.R), dtype=np.uint64)
-    log_d = np.empty(count, dtype=np.float64)
-    # Omega as float64 row sums of 0.0 and 1.0: exact, since none exceeds R.
-    w = np.empty(count, dtype=np.float64)
+    rows = buffers.block.shape[0]
+    log_d = buffers.log_d[:count]
+    w = buffers.omega[:count]
     for a in range(0, count, rows):
         b = min(a + rows, count)
-        draws = rng.unit_block(seeds[a:b], params.R, out=block[: b - a])
-        # The indicators draws < threshold, as in sample_divisor, written over
-        # the draws as 0.0 and 1.0.  Input and output share memory; numpy
-        # gives overlapping operands the result they would have without the
-        # overlap.  Times log r they are the terms of log d.
-        terms = np.less(draws, threshold, out=draws.view(np.float64))
-        w[a:b] = terms.sum(axis=1)
+        words = rng.unit_block(seeds[a:b], params.R, out=buffers.block[: b - a], scratch=buffers.mix[: b - a])
+        # The indicators, as in sample_divisor, written over the words as 0.0
+        # and 1.0.  Input and output share memory; numpy gives overlapping
+        # operands the result they would have without the overlap.  Times
+        # log r they are the terms of log d.
+        terms = _below_limit(words, params.rho, out=words.view(np.float64))
+        # Omega: each term is 0.0 or 1.0 and no count exceeds R, so any
+        # summation order is exact.  log d keeps numpy's pairwise row sum,
+        # which its bytes depend on.
+        np.einsum("ij->i", terms, out=w[a:b])
         terms *= params.log_primes
         log_d[a:b] = terms.sum(axis=1)
     in_logd, in_omega = _window_flags(params, log_d, w)
@@ -312,15 +341,31 @@ def sample_stats(params: ConstructionParams, trials: int, seed: int, workers: in
     """Aggregate `trials` seeded samples.
 
     Sample i is exactly sample_divisor(params, rng.substream_seed(seed, i)),
-    so disjoint index chunks can run on parallel workers; chunk results are
-    reduced in index order, making the output independent of worker count.
+    so disjoint index chunks can run on parallel workers.  Each worker claims
+    the next chunk nobody has claimed; chunk results are reduced in index
+    order, making the output independent of worker count and scheduling.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     check_ceiling(trials, "trials")
     chunks = [(start, min(_CHUNK, trials - start)) for start in range(0, trials, _CHUNK)]
-    with ThreadPoolExecutor(max_workers=max(1, min(workers, os.cpu_count() or 1, len(chunks)))) as pool:
-        results = list(pool.map(lambda c: _chunk_stats(params, seed, *c), chunks))
+    unclaimed = queue.SimpleQueue()
+    for i in range(len(chunks)):
+        unclaimed.put(i)
+    results = [None] * len(chunks)
+
+    def work(_):
+        buffers = _chunk_buffers(params, chunks[0][1])
+        while True:
+            try:
+                i = unclaimed.get_nowait()
+            except queue.Empty:
+                return
+            results[i] = _chunk_stats(params, seed, *chunks[i], buffers)
+
+    n_threads = max(1, min(workers, os.cpu_count() or 1, len(chunks)))
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        list(pool.map(work, range(n_threads)))
     n_logd = sum(r[0] for r in results)
     n_omega = sum(r[1] for r in results)
     n_dprime = sum(r[2] for r in results)

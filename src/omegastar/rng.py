@@ -8,6 +8,9 @@ Contract (stable across platforms and versions): a stream seeded with the
 where GAMMA = 0x9E3779B97F4A7C15 and mix64 is the murmur-style finalizer
 below.  A draw is the top 53 bits of an output, the integer out >> 11 in
 [0, 2**53); its unit float is (out >> 11) * 2**-53, exact in float64.
+`unit_block` hands back the raw outputs, the words out, not the draws: a
+caller compares a word with T * 2**11 to ask whether its draw is below the
+integer T, which holds exactly when (out >> 11) < T.
 Substream j of a seed is itself SplitMix64-seeded with
 mix64(seed + j * GAMMA), so disjoint index ranges give reproducible,
 order-independent parallel sampling.
@@ -32,10 +35,12 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+def _mix64_inplace(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """mix64 over a uint64 array, overwriting it; returns z.  Callers pass an
-    array they own, never one a caller of theirs handed in."""
-    t = np.empty_like(z)
+    array they own, never one a caller of theirs handed in.  The shifted
+    copies go to `scratch` (uint64, z's shape) when given, else to a fresh
+    array."""
+    t = np.empty_like(z) if scratch is None else scratch
     for shift, mult in ((30, _M1), (27, _M2)):
         np.right_shift(z, np.uint64(shift), out=t)
         z ^= t
@@ -53,19 +58,28 @@ def substream_seed(seed: int, j: int) -> int:
 
 def substream_seeds(seed: int, start: int, count: int) -> np.ndarray:
     """Vector of substream seeds for indices start .. start+count-1."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    return _mix64_inplace(np.uint64(seed & _MASK) + idx * np.uint64(GAMMA))
+    z = np.arange(start, start + count, dtype=np.uint64)
+    z *= np.uint64(GAMMA)
+    z += np.uint64(seed & _MASK)
+    return _mix64_inplace(z)
 
 
-def unit_block(seeds: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Matrix of 53-bit draws: row i holds the first n draws of seeds[i].
+def unit_block(
+    seeds: np.ndarray, n: int, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Matrix of raw outputs: row i holds the first n words of seeds[i].
 
-    Entry (i, j - 1) is mix64(seeds[i] + j * GAMMA) >> 11 as uint64; times
-    2**-53 it is the unit float of that draw.  The states are mixed and shifted
-    in place in one uint64 matrix: a fresh one, or `out` (uint64, shape
-    (seeds.size, n)), which is then returned.  `seeds` is only read.
+    Entry (i, j - 1) is the word mix64(seeds[i] + j * GAMMA) as uint64; its
+    draw is word >> 11, and that times 2**-53 is the draw's unit float.  The
+    states are mixed in place in one uint64 matrix: a fresh one, or `out`
+    (uint64, shape (seeds.size, n)), which is then returned.  `scratch`, of
+    the same dtype and shape, takes the mixing's shifted copies; without it
+    they go to a fresh matrix.  `seeds` is only read.
     """
-    offs = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GAMMA)
-    z = _mix64_inplace(np.add(seeds[:, None], offs[None, :], out=out))
-    z >>= np.uint64(11)
-    return z
+    z = np.empty((seeds.size, n), dtype=np.uint64) if out is None else out
+    # A row of offsets copied in, then the seeds added down the columns.  A
+    # ufunc stages each broadcast operand through a numpy iterator buffer, so
+    # one add of both would cost two buffers and more time than this.
+    np.copyto(z, np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GAMMA))
+    z += seeds[:, None]
+    return _mix64_inplace(z, scratch)

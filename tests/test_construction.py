@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -226,7 +228,7 @@ class TestSampleDivisor:
         p0 = dataclasses.replace(grh_111, rho=0.0)
         s = sample_divisor(p0, 5)
         assert s.big_omega_d == 0 and s.log_d == 0.0
-        # The chunk kernel at the lower edge of its compare, threshold 0.
+        # The chunk kernel at the lower edge of its compare, limit 0.
         _check_chunk_against_samples(p0)
 
     def test_degenerate_rho_one(self, grh_111):
@@ -234,7 +236,7 @@ class TestSampleDivisor:
         s = sample_divisor(p1, 5)
         assert s.big_omega_d == p1.R
         assert abs(s.log_d - p1.log_k) <= 1e-9
-        # The chunk kernel at the upper edge of its compare, threshold 2^53.
+        # The chunk kernel at the upper edge of its compare, limit 2^64.
         _check_chunk_against_samples(p1)
 
 
@@ -281,11 +283,14 @@ class TestAcceptFlags:
 
 def _check_chunk_against_samples(p):
     """_chunk_stats against sample_divisor at counts at or next to a row-block
-    boundary of the chunk kernel, and at a whole chunk."""
+    boundary of the chunk kernel, and at a whole chunk; with buffers made for
+    the count, and with one set made for a whole chunk and reused by every
+    count, as a worker reuses its own."""
     rows = construction._block_rows(p.R)
     assert rows < construction._CHUNK
     seed, start = 13, 3 * construction._CHUNK
     samples = [sample_divisor(p, rng.substream_seed(seed, start + i)) for i in range(construction._CHUNK)]
+    reused = construction._chunk_buffers(p, construction._CHUNK)
     for count in (1, rows - 1, rows, rows + 1, construction._CHUNK):
         head = samples[:count]
         expected = (
@@ -295,7 +300,8 @@ def _check_chunk_against_samples(p):
             float(np.array([s.log_d for s in head]).sum()),
             sum(s.big_omega_d for s in head),
         )
-        assert construction._chunk_stats(p, seed, start, count) == expected, count
+        for buffers in (construction._chunk_buffers(p, count), reused):
+            assert construction._chunk_stats(p, seed, start, count, buffers) == expected, count
 
 
 class TestSampleStats:
@@ -327,32 +333,112 @@ class TestSampleStats:
         _check_chunk_against_samples(p)
 
     def test_threshold_exact_at_boundary(self):
-        # k < _threshold(rho) must equal k * 2^-53 < rho at the threshold's
-        # edge, for the rho of both modes, for rho with rho * 2^53 an integer
-        # and for random rho; so must the compare _chunk_stats writes over
-        # its draws as 0.0 and 1.0.
+        # _below_limit compares a raw word z with ceil(rho 2^53) 2^11; it must
+        # hold exactly when the unit float (z >> 11) 2^-53 is below rho.
+        # Checked at both ends of the 2^11 words of each draw at the limit's
+        # edge, which pins the limit to the word, for the rho of both modes,
+        # at rho = 0 (limit 0, no word accepted), at rho = 1 and past it
+        # (limit 2^64 or more, which no uint64 holds: every word accepted),
+        # for rho with rho * 2^53 an integer and for random rho; also in the
+        # form _chunk_stats writes over its words as 0.0 and 1.0.
         gen = np.random.default_rng(20251018)
         rhos = [build_params(lx, mode).rho for lx in (100.0, 111.0, 500.0, 1100.0) for mode in construction.MODES]
+        rhos += [0.0, 1.0, 2.0]
         rhos += [j * 2.0**-53 for j in (1, 2, 2**52 - 1, 2**52, 3 * 2**50, 2**53 - 1)]
         rhos += gen.random(100).tolist()  # multiples of 2^-53
         rhos += (gen.random(100) / 3).tolist()  # bits below 2^-53
         top = 2**53 - 1
         for rho in rhos:
-            c = construction._threshold(rho)
-            assert c.dtype == np.uint64 and int(c) == math.ceil(Fraction(rho) * 2**53)
-            ks = sorted({k for k in (0, int(c) - 1, int(c), int(c) + 1, top) if 0 <= k <= top})
-            for k in ks:
-                assert bool(np.uint64(k) < c) == (k * 2.0**-53 < rho), (rho, k)
-            draws = np.array(ks, dtype=np.uint64)
-            assert np.array_equal(draws < c, draws * 2.0**-53 < rho), rho
-            expected = (draws * 2.0**-53 < rho).astype(np.float64)
-            terms = np.less(draws, c, out=draws.view(np.float64))
-            assert np.array_equal(terms, expected), rho
+            t = math.ceil(Fraction(rho) * 2**53)
+            ks = sorted({k for k in (0, t - 1, t, t + 1, top) if 0 <= k <= top})
+            words = np.array([z for k in ks for z in (k << 11, (k << 11) | 0x7FF)], dtype=np.uint64)
+            expected = (words >> np.uint64(11)) * 2.0**-53 < rho
+            assert expected.tolist() == [k * 2.0**-53 < rho for k in ks for _ in (0, 1)], rho
+            below = construction._below_limit(words, rho)
+            assert below.dtype == bool and np.array_equal(below, expected), rho
+            terms = construction._below_limit(words, rho, out=words.view(np.float64))
+            assert np.shares_memory(terms, words)
+            assert np.array_equal(terms, expected.astype(np.float64)), rho
+        edges = np.array([0, 2**11 - 1, 2**64 - 1], dtype=np.uint64)
+        assert not construction._below_limit(edges, 0.0).any()
+        assert construction._below_limit(edges, 1.0).all()
 
     def test_worker_count_does_not_change_results(self, grh_1100):
         one = sample_stats(grh_1100, 20000, seed=5, workers=1)
         four = sample_stats(grh_1100, 20000, seed=5, workers=4)
         assert one == four
+
+    @pytest.mark.parametrize("mode", construction.MODES)
+    @pytest.mark.parametrize("full_chunks", [5, 4])
+    def test_scheduling_does_not_change_results(self, mode, full_chunks, monkeypatch):
+        # Workers claim chunks as they free up, so which thread runs which
+        # chunk varies from run to run; the index-order reduce must hide it.
+        # A partial last chunk, and 6 or 5 chunks over 1 to 4 threads.
+        monkeypatch.setattr(construction.os, "cpu_count", lambda: 8)
+        p = build_params(1100.0, mode)
+        trials = full_chunks * construction._CHUNK + 7
+        one = sample_stats(p, trials, seed=17, workers=1)
+        for workers in (2, 3, 4):
+            assert sample_stats(p, trials, seed=17, workers=workers) == one, workers
+
+    def test_kernels_called_through_module_attributes(self, grh_1100, monkeypatch):
+        # perfbench's tracer times the chunk and its row blocks by rebinding
+        # construction._chunk_stats and rng.unit_block; a sampler that
+        # inlined either, or called it by another name, would escape it.
+        # One _chunk_stats call per chunk, one unit_block call per row block.
+        chunk_stats, unit_block = construction._chunk_stats, rng.unit_block
+        blocks = {}
+        current = threading.local()
+
+        def traced_chunk(params, seed, start, count, *rest):
+            assert start not in blocks, f"chunk {start} ran twice"
+            current.start = start
+            blocks[start] = []
+            return chunk_stats(params, seed, start, count, *rest)
+
+        def traced_block(seeds, n, **kwargs):
+            blocks[current.start].append(seeds.size)
+            return unit_block(seeds, n, **kwargs)
+
+        monkeypatch.setattr(construction, "_chunk_stats", traced_chunk)
+        monkeypatch.setattr(rng, "unit_block", traced_block)
+        monkeypatch.setattr(construction.os, "cpu_count", lambda: 2)
+        size = construction._CHUNK
+        trials = 3 * size + 5
+        stats = sample_stats(grh_1100, trials, seed=9, workers=2)
+        rows = construction._block_rows(grh_1100.R)
+        chunks = {start: min(size, trials - start) for start in range(0, trials, size)}
+        assert sorted(blocks) == sorted(chunks)
+        for start, count in chunks.items():
+            assert len(blocks[start]) == -(-count // rows), start
+            assert blocks[start] == [min(rows, count - a) for a in range(0, count, rows)], start
+        monkeypatch.undo()
+        assert stats == sample_stats(grh_1100, trials, seed=9, workers=1)
+
+    @pytest.mark.parametrize("log_x", [111.0, 1100.0, 2000.0], ids=["R24", "R172", "R290"])
+    def test_no_block_allocates(self, log_x):
+        # With a worker's buffers, one block drawn into them and one whole
+        # chunk must each raise the traced peak by less than a quarter of the
+        # block matrix.  A fresh matrix per block, or a fresh mixing copy,
+        # would add a whole one; what stays is numpy's fixed iterator buffers
+        # and the chunk's per-sample arrays.
+        p = build_params(log_x, mode="grh")
+        buffers = construction._chunk_buffers(p, construction._CHUNK)
+        quarter = buffers.block.nbytes // 4
+        seeds = rng.substream_seeds(3, 0, buffers.block.shape[0])
+        construction._chunk_stats(p, 3, 0, construction._CHUNK, buffers)
+        runs = {
+            "unit_block": lambda: rng.unit_block(seeds, p.R, out=buffers.block, scratch=buffers.mix),
+            "_chunk_stats": lambda: construction._chunk_stats(p, 3, construction._CHUNK, construction._CHUNK, buffers),
+        }
+        for name, run in runs.items():
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < quarter, (name, peak, quarter)
 
     def test_thread_count_is_clamped(self, grh_1100, monkeypatch):
         # A fake executor records max_workers and maps serially, so an

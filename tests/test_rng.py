@@ -20,13 +20,16 @@ def _scalar_units(seed: int, n: int) -> list[float]:
 
 
 def _unit_row(seed: int, n: int) -> np.ndarray:
-    """The one-seed stream as sample_divisor draws it: row 0 of unit_block."""
+    """The one-seed stream as sample_divisor reads it: row 0 of unit_block."""
     return rng.unit_block(np.array([seed], dtype=np.uint64), n)[0]
 
 
-def _assert_draws(draws: np.ndarray, seed: int, n: int) -> None:
-    """Each draw is the integer mix64(...) >> 11, and times 2^-53 the unit float."""
-    assert draws.dtype == np.uint64
+def _assert_words(words: np.ndarray, seed: int, n: int) -> None:
+    """Each word is the integer mix64(seed + j * GAMMA); its draw word >> 11
+    is the pinned 53-bit draw, and that times 2^-53 the unit float."""
+    assert words.dtype == np.uint64
+    assert words.tolist() == _scalar_stream(seed, n)
+    draws = words >> np.uint64(11)
     assert draws.tolist() == _scalar_draws(seed, n)
     assert (draws * 2.0**-53).tolist() == _scalar_units(seed, n)
 
@@ -36,7 +39,7 @@ class TestSplitMix64:
         # Raw outputs i = 1 .. n are substreams 1 .. n of the seed.
         for seed in (0, 1, 42, 2**63, 2**64 - 1):
             assert rng.substream_seeds(seed, 1, 64).tolist() == _scalar_stream(seed, 64)
-            _assert_draws(_unit_row(seed, 64), seed, 64)
+            _assert_words(_unit_row(seed, 64), seed, 64)
 
     def test_known_reference_values(self):
         # SplitMix64 reference outputs: the state advances by GAMMA before
@@ -52,8 +55,10 @@ class TestSplitMix64:
         assert _scalar_stream(1234567, 4) == expected
         assert rng.substream_seeds(1234567, 1, 4).tolist() == expected
         row = _unit_row(1234567, 4)
-        assert row.tolist() == [z >> 11 for z in expected]
-        assert (row * 2.0**-53).tolist() == [(z >> 11) * 2.0**-53 for z in expected]
+        assert row.tolist() == expected
+        draws = row >> np.uint64(11)
+        assert draws.tolist() == [z >> 11 for z in expected]
+        assert (draws * 2.0**-53).tolist() == [(z >> 11) * 2.0**-53 for z in expected]
 
     def test_determinism(self):
         seeds = rng.substream_seeds(42, 0, 8)
@@ -62,8 +67,9 @@ class TestSplitMix64:
         assert np.array_equal(rng.unit_block(seeds, 100), rng.unit_block(seeds, 100))
 
     def test_unit_range_and_mean(self):
-        draws = _unit_row(7, 10**5)
-        assert draws.dtype == np.uint64
+        words = _unit_row(7, 10**5)
+        assert words.dtype == np.uint64
+        draws = words >> np.uint64(11)
         assert 0 <= int(draws.min()) and int(draws.max()) < 2**53
         u = draws * 2.0**-53
         assert float(u.min()) >= 0.0
@@ -76,13 +82,20 @@ class TestSplitMix64:
         for i in range(16):
             assert int(seeds[i]) == rng.substream_seed(99, i)
             assert np.array_equal(block[i], _unit_row(int(seeds[i]), 32))
-            _assert_draws(block[i], int(seeds[i]), 32)
+            _assert_words(block[i], int(seeds[i]), 32)
 
     def test_block_into_out_matches_fresh_block(self):
         seeds = rng.substream_seeds(5, 100, 9)
         out = np.empty((9, 17), dtype=np.uint64)
         block = rng.unit_block(seeds, 17, out=out)
         assert np.shares_memory(block, out)
+        assert np.array_equal(block, rng.unit_block(seeds, 17))
+        # A caller's scratch only takes the mixing's shifted copies: stale
+        # words in it, or in out, do not reach the result.
+        out.fill(2**64 - 1)
+        scratch = np.full((9, 17), 12345, dtype=np.uint64)
+        block = rng.unit_block(seeds, 17, out=out, scratch=scratch)
+        assert np.shares_memory(block, out) and not np.shares_memory(block, scratch)
         assert np.array_equal(block, rng.unit_block(seeds, 17))
 
     def test_inputs_are_only_read(self):
@@ -92,12 +105,13 @@ class TestSplitMix64:
         rng.unit_block(seeds, 32)
         rng.unit_block(seeds, 1)
         rng.unit_block(seeds[3:9], 5, out=np.empty((6, 5), dtype=np.uint64))
+        rng.unit_block(seeds[3:9], 5, out=np.empty((6, 5), dtype=np.uint64), scratch=np.empty((6, 5), dtype=np.uint64))
         assert np.array_equal(seeds, kept)
         assert np.array_equal(rng.substream_seeds(99, 0, 16), kept)
         one = np.array([7], dtype=np.uint64)
         rng.unit_block(one, 64)
         assert one.tolist() == [7]
-        _assert_draws(_unit_row(7, 64), 7, 64)
+        _assert_words(_unit_row(7, 64), 7, 64)
 
     def test_distinct_seeds_distinct_streams(self):
         assert not np.array_equal(rng.substream_seeds(1, 1, 16), rng.substream_seeds(2, 1, 16))
