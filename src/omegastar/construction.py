@@ -4,8 +4,7 @@ Two families of objects live here.  The pair-counting side works with genuine
 small integers: one report of the counts A_d of pairs (m, p) with
 p = 1 (mod d) and gcd(m, k) = k/d, and the total count A of pairs with
 k | m(p-1), all read from one histogram of gcd(p - 1, k) over the primes;
-representation counts for n = m(p-1); and champion scans for record omega*
-values.
+and champion scans for record omega* values.
 
 The randomized side is parameterized by log x directly (every quantity
 depends on x only through log x, so realistic regimes like log x ~ 1100 are
@@ -15,6 +14,10 @@ windows on log d and on Omega(d) carve out the divisor sets D and D', whose
 cardinality is bounded below through Chebyshev concentration plus a Bernoulli
 entropy count.  k and d are carried as prime lists and log-values, never as
 big integers.
+
+Test-only references live in tests/oracles.py: a one-sample sampler that
+shares no kernel with the Monte Carlo chunk, the exhaustive walk over all
+2^R divisors at R = 24, and the representation count of n = m(p - 1).
 """
 
 from __future__ import annotations
@@ -37,14 +40,12 @@ from .sieve import (
     ResourceLimitError,
     check_ceiling,
     factorize,
-    is_prime,
     sieve_primes,
 )
 
 MODES = ("GRH", "UNCONDITIONAL")
 
 _MIN_LOG_X = 100.0
-_MAX_EXACT_R = 24
 # Samples per Monte Carlo chunk.  Chunk boundaries set the summation order of
 # log d, so this size is part of the byte-identical output contract.
 _CHUNK = 4096
@@ -99,18 +100,6 @@ class ConstructionParams:
         return self.rho * self.R
 
 
-@dataclass(eq=False)
-class DivisorSample:
-    """One random divisor d | k: indicator bits over k's primes, log d,
-    Omega(d), and its acceptance-window flags."""
-
-    indicators: np.ndarray
-    log_d: float
-    big_omega_d: int
-    in_window_logd: bool
-    in_window_omega: bool
-
-
 @dataclass
 class ChampionRecord:
     n: int
@@ -122,13 +111,6 @@ class ChampionRecord:
 class PairCountReport:
     per_d: list[tuple[int, int]]
     total_A: int
-
-
-class ExactEnumeration(NamedTuple):
-    size_D: int
-    size_Dprime: int
-    prob_Dprime: float
-    max_mass: float
 
 
 @dataclass
@@ -200,19 +182,6 @@ def build_params(log_x: float, mode: str = "GRH") -> ConstructionParams:
     )
 
 
-def count_representations(n: int, m_max: int, p_max: int) -> int:
-    """#{(m, p) : m <= m_max, p <= p_max prime, n = m(p-1)}, by iterating the
-    divisors d of n and testing p = d + 1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    count = 0
-    for d in divisors(factorize(n)):
-        p = d + 1
-        if p <= p_max and n // d <= m_max and is_prime(p):
-            count += 1
-    return count
-
-
 def champion_search(N: int, k: int, table: OmegaStarTable | None = None) -> ChampionRecord:
     """Maximize omega*(n) over multiples n of k with k <= n <= N; ties break
     toward the smallest n.  omega* is >= 2 on even n and 1 on odd n, so only
@@ -249,27 +218,9 @@ def _window_flags(params: ConstructionParams, log_d, big_omega_d):
     return in_logd, in_omega
 
 
-def sample_divisor(params: ConstructionParams, seed: int) -> DivisorSample:
-    """Draw one random divisor of k: prime r enters with probability rho,
-    decided by thresholding row 0 of rng.unit_block for `seed` in [0, 2^64).
-    Deterministic given the seed, bit-for-bit across platforms."""
-    words = rng.unit_block(np.array([seed], dtype=np.uint64), params.R)[0]
-    indicators = _below_limit(words, params.rho)
-    log_d = float((indicators * params.log_primes).sum())
-    w = int(indicators.sum())
-    in_logd, in_omega = _window_flags(params, log_d, w)
-    return DivisorSample(
-        indicators=indicators,
-        log_d=log_d,
-        big_omega_d=w,
-        in_window_logd=bool(in_logd),
-        in_window_omega=bool(in_omega),
-    )
-
-
-def _below_limit(words: np.ndarray, rho: float, out: np.ndarray | None = None) -> np.ndarray:
+def _below_limit(words: np.ndarray, rho: float, out: np.ndarray) -> np.ndarray:
     """Whether each raw word's draw has unit float below rho, elementwise,
-    into `out` if given: the compare words < ceil(rho * 2^53) * 2^11.
+    into `out`: the compare words < ceil(rho * 2^53) * 2^11.
 
     A 53-bit draw k has unit float k * 2^-53 < rho exactly when
     k < T = ceil(rho * 2^53), since k * 2^-53 and rho * 2^53 are both exact;
@@ -316,10 +267,10 @@ def _chunk_stats(params: ConstructionParams, seed: int, start: int, count: int, 
     for a in range(0, count, rows):
         b = min(a + rows, count)
         words = rng.unit_block(seeds[a:b], params.R, out=buffers.block[: b - a], scratch=buffers.mix[: b - a])
-        # The indicators, as in sample_divisor, written over the words as 0.0
-        # and 1.0.  Input and output share memory; numpy gives overlapping
-        # operands the result they would have without the overlap.  Times
-        # log r they are the terms of log d.
+        # The indicators, written over the words as 0.0 and 1.0.  Input and
+        # output share memory; numpy gives overlapping operands the result
+        # they would have without the overlap.  Times log r they are the
+        # terms of log d.
         terms = _below_limit(words, params.rho, out=words.view(np.float64))
         # Omega: each term is 0.0 or 1.0 and no count exceeds R, so any
         # summation order is exact.  log d keeps numpy's pairwise row sum,
@@ -340,10 +291,12 @@ def _chunk_stats(params: ConstructionParams, seed: int, start: int, count: int, 
 def sample_stats(params: ConstructionParams, trials: int, seed: int, workers: int = 1) -> SampleStats:
     """Aggregate `trials` seeded samples.
 
-    Sample i is exactly sample_divisor(params, rng.substream_seed(seed, i)),
-    so disjoint index chunks can run on parallel workers.  Each worker claims
-    the next chunk nobody has claimed; chunk results are reduced in index
-    order, making the output independent of worker count and scheduling.
+    Sample i reads the words of substream i of `seed`, so disjoint index
+    chunks can run on parallel workers; sample_divisor in tests/oracles.py
+    draws the same sample alone, from the definition of a draw.  Each worker
+    claims the next chunk nobody has claimed; chunk results are reduced in
+    index order, making the output independent of worker count and
+    scheduling.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -410,50 +363,6 @@ def entropy_lower_bound(params: ConstructionParams) -> float:
         return 0.0
     h = -rho * math.log(rho) - (1.0 - rho) * math.log(1.0 - rho)
     return params.R * h
-
-
-def _subset_profiles(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = logs.size
-    masks = np.arange(1 << n, dtype=np.uint32)
-    bits = ((masks[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1).astype(np.float64)
-    return (bits * logs).sum(axis=1), bits.sum(axis=1).astype(np.int64)
-
-
-def enumerate_D_exact(params: ConstructionParams) -> ExactEnumeration:
-    """Exhaustive walk over all 2^R divisors of k.
-
-    Returns the exact sizes of D and D', the total probability mass of D'
-    (mass(d) = rho^Omega(d) (1-rho)^(R-Omega(d)), a function of Omega(d)
-    alone), and the largest mass carried by any member of D'.
-    """
-    R = params.R
-    if R > _MAX_EXACT_R:
-        raise ResourceLimitError(f"exact enumeration needs 2^R walks; R = {R} > {_MAX_EXACT_R}")
-    rho = params.rho
-    logs = params.log_primes
-    half = R // 2
-    sums_a, pops_a = _subset_profiles(logs[:half])
-    sums_b, pops_b = _subset_profiles(logs[half:])
-    size_D = 0
-    omega_counts = np.zeros(R + 1, dtype=np.int64)
-    for sa, pa in zip(sums_a.tolist(), pops_a.tolist()):
-        log_d = sa + sums_b
-        w = pa + pops_b
-        in_logd, in_omega = _window_flags(params, log_d, w)
-        size_D += int(in_logd.sum())
-        sel = in_logd & in_omega
-        if sel.any():
-            omega_counts += np.bincount(w[sel], minlength=R + 1)
-    mass = np.array([rho**w * (1.0 - rho) ** (R - w) for w in range(R + 1)])
-    prob = float((omega_counts * mass).sum())
-    populated = omega_counts > 0
-    max_mass = float(mass[populated].max()) if populated.any() else 0.0
-    return ExactEnumeration(
-        size_D=size_D,
-        size_Dprime=int(omega_counts.sum()),
-        prob_Dprime=prob,
-        max_mass=max_mass,
-    )
 
 
 def pair_count_report(x: int, k: Factorization) -> PairCountReport:

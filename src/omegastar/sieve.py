@@ -23,7 +23,18 @@ class ResourceLimitError(RuntimeError):
 
 
 def memory_ceiling() -> int:
-    return int(os.environ.get(CEILING_ENV, DEFAULT_CEILING))
+    """OMEGASTAR_CEILING if set, else DEFAULT_CEILING; a value that is not an
+    integer >= 1 is a usage error, not a ceiling that refuses everything."""
+    raw = os.environ.get(CEILING_ENV)
+    if raw is None:
+        return DEFAULT_CEILING
+    try:
+        ceiling = int(raw)
+    except ValueError:
+        ceiling = 0
+    if ceiling < 1:
+        raise ValueError(f"{CEILING_ENV} must be an integer >= 1; got {raw!r}")
+    return ceiling
 
 
 def check_ceiling(n: int, what: str) -> None:

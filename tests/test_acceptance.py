@@ -23,8 +23,6 @@ from omegastar.construction import (
     build_params,
     champion_search,
     chebyshev_bounds,
-    count_representations,
-    enumerate_D_exact,
     pair_count_report,
     sample_stats,
 )
@@ -33,6 +31,7 @@ from omegastar.sieve import factorize, sieve_primes
 from omegastar.smooth import smooth_census
 
 from conftest import expand_half_table, grh_acceptance_bracket
+from oracles import count_representations, enumerate_D_exact
 from test_smooth import log_psi_leading
 
 

@@ -436,6 +436,18 @@ class TestExitCodes:
         assert code == 3
         assert "ceiling" in err
 
+    @pytest.mark.parametrize("value", ["1e6", "abc", "0", "-5"])
+    def test_malformed_ceiling_exit_2(self, capsys, monkeypatch, value):
+        # not an integer >= 1: a usage error naming the variable and value,
+        # never a parse message alone or a ceiling that refuses everything
+        monkeypatch.setenv("OMEGASTAR_CEILING", value)
+        code, out, err = run_cli(capsys, ["moments", "--x", "1000"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("omegastar: error: OMEGASTAR_CEILING")
+        assert repr(value) in err
+        assert "Traceback" not in err
+
     def test_oversized_trials_exit_3_before_work(self, capsys, monkeypatch):
         def no_chunk(*args, **kwargs):
             raise AssertionError("a chunk ran before the trial count was checked")

@@ -15,12 +15,9 @@ from omegastar.construction import (
     build_params,
     champion_search,
     chebyshev_bounds,
-    count_representations,
     entropy_lower_bound,
-    enumerate_D_exact,
     log_d_moments,
     pair_count_report,
-    sample_divisor,
     sample_stats,
 )
 from omegastar.arith import count_coprime_up_to, divisors
@@ -34,6 +31,7 @@ from conftest import (
     grh_acceptance_bracket,
     trial_division_primes,
 )
+from oracles import count_representations, enumerate_D_exact, sample_divisor, substream_seed
 
 _PRIMES_3000 = trial_division_primes(3000)
 
@@ -266,7 +264,7 @@ class TestAcceptFlags:
     def test_dprime_contained_in_d(self, grh_1100):
         n_d = n_dprime = 0
         for i in range(500):
-            s = sample_divisor(grh_1100, rng.substream_seed(77, i))
+            s = sample_divisor(grh_1100, substream_seed(77, i))
             in_logd, in_omega = construction._window_flags(grh_1100, s.log_d, s.big_omega_d)
             assert (in_logd, in_omega) == (s.in_window_logd, s.in_window_omega)
             n_d += in_logd
@@ -276,7 +274,7 @@ class TestAcceptFlags:
     def test_every_accepted_d_obeys_size_estimate(self, grh_1100):
         p = grh_1100
         for i in range(500):
-            s = sample_divisor(p, rng.substream_seed(3, i))
+            s = sample_divisor(p, substream_seed(3, i))
             if s.in_window_logd:
                 assert abs(s.log_d - (0.5 - p.epsilon) * p.log_x) < p.window_log_d
 
@@ -289,7 +287,7 @@ def _check_chunk_against_samples(p):
     rows = construction._block_rows(p.R)
     assert rows < construction._CHUNK
     seed, start = 13, 3 * construction._CHUNK
-    samples = [sample_divisor(p, rng.substream_seed(seed, start + i)) for i in range(construction._CHUNK)]
+    samples = [sample_divisor(p, substream_seed(seed, start + i)) for i in range(construction._CHUNK)]
     reused = construction._chunk_buffers(p, construction._CHUNK)
     for count in (1, rows - 1, rows, rows + 1, construction._CHUNK):
         head = samples[:count]
@@ -310,7 +308,7 @@ class TestSampleStats:
         n_logd = n_omega = n_dp = 0
         total_logd = 0.0
         for i in range(300):
-            s = sample_divisor(grh_1100, rng.substream_seed(11, i))
+            s = sample_divisor(grh_1100, substream_seed(11, i))
             n_logd += s.in_window_logd
             n_omega += s.in_window_omega
             n_dp += s.in_window_logd and s.in_window_omega
@@ -329,7 +327,7 @@ class TestSampleStats:
         # ones, so an Omega count kept in a uint8 would wrap.
         p = dataclasses.replace(build_params(2000.0, mode="grh"), rho=0.95)
         assert p.R == 290
-        assert sample_divisor(p, rng.substream_seed(13, 0)).big_omega_d > 255
+        assert sample_divisor(p, substream_seed(13, 0)).big_omega_d > 255
         _check_chunk_against_samples(p)
 
     def test_threshold_exact_at_boundary(self):
@@ -354,14 +352,14 @@ class TestSampleStats:
             words = np.array([z for k in ks for z in (k << 11, (k << 11) | 0x7FF)], dtype=np.uint64)
             expected = (words >> np.uint64(11)) * 2.0**-53 < rho
             assert expected.tolist() == [k * 2.0**-53 < rho for k in ks for _ in (0, 1)], rho
-            below = construction._below_limit(words, rho)
+            below = construction._below_limit(words, rho, np.empty(words.shape, dtype=bool))
             assert below.dtype == bool and np.array_equal(below, expected), rho
             terms = construction._below_limit(words, rho, out=words.view(np.float64))
             assert np.shares_memory(terms, words)
             assert np.array_equal(terms, expected.astype(np.float64)), rho
         edges = np.array([0, 2**11 - 1, 2**64 - 1], dtype=np.uint64)
-        assert not construction._below_limit(edges, 0.0).any()
-        assert construction._below_limit(edges, 1.0).all()
+        assert not construction._below_limit(edges, 0.0, np.empty(edges.shape, dtype=bool)).any()
+        assert construction._below_limit(edges, 1.0, np.empty(edges.shape, dtype=bool)).all()
 
     def test_worker_count_does_not_change_results(self, grh_1100):
         one = sample_stats(grh_1100, 20000, seed=5, workers=1)

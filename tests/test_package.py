@@ -46,6 +46,16 @@ DELETED = (
     "grh_constants",
     "_MAX_PAIR_X",
     "_check_pair_x",
+    # test-only references, now in tests/oracles.py
+    "sample_divisor",
+    "DivisorSample",
+    "enumerate_D_exact",
+    "_subset_profiles",
+    "ExactEnumeration",
+    "_MAX_EXACT_R",
+    "count_representations",
+    "mix64",
+    "substream_seed",
 )
 
 
@@ -96,6 +106,14 @@ def test_only_sieve_builds_prime_flags():
         source = path.read_text()
         for name in ("_odd_slots", "_segment_flags"):
             assert name not in source, f"{path.name} names {name}"
+
+
+def test_sampler_oracle_shares_no_kernel():
+    # the one-sample reference must not reach the chunk's word matrix, its
+    # threshold or its window test, or a fault there would go unseen
+    source = (ROOT / "tests" / "oracles.py").read_text()
+    for name in ("unit_block", "_below_limit", "_window_flags", "_chunk_stats"):
+        assert name not in source, f"oracles.py names {name}"
 
 
 def test_import_under_small_ceiling():
