@@ -14,6 +14,11 @@ import os
 import sys
 from typing import Any
 
+# No kernel calls BLAS, yet numpy's import starts an OpenBLAS worker that
+# busy-waits on a second core; one thread is asked for before numpy loads.
+# A value set in the environment is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__
 from .arith import tau
 from .constants import (

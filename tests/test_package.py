@@ -1,7 +1,8 @@
 """Package surface: a root that holds only its version, the names each
-submodule keeps, import under a small memory ceiling, and the names the
-benchmark tracer needs."""
+submodule keeps, import under a small memory ceiling, the CLI's one-thread
+OpenBLAS pin, and the names the benchmark tracer needs."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import omegastar
 from omegastar import construction, sieve, smooth
@@ -136,6 +139,81 @@ def test_cli_import_loads_every_submodule():
     result = _run(code)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == sorted(f"omegastar.{m}" for m in SUBMODULES)
+
+
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
+
+
+def test_cli_pins_openblas_to_one_thread(monkeypatch):
+    # the pytest process holds the pin once test_cli has imported the CLI,
+    # and OpenBLAS falls back to the other two names, so the child gets none
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    code = (
+        "import os, sys, omegastar.cli; "
+        "tasks = len(os.listdir('/proc/self/task')) if sys.platform.startswith('linux') else 1; "
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), tasks)"
+    )
+    result = _run(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", "1"]
+    # a value the user set is kept
+    result = _run("import os, omegastar.cli; print(os.environ['OPENBLAS_NUM_THREADS'])", OPENBLAS_NUM_THREADS="3")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "3"
+    # library users keep their own BLAS threads
+    result = _run("import os, omegastar.omega; print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "None"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--seed", "7", "--workers", "2", "report"),
+        ("--seed", "7", "--workers", "2", "sample-divisors", "--log-x", "1100", "--trials", "20000"),
+    ],
+    ids=["report", "sample-divisors"],
+)
+def test_blas_threads_change_no_byte(argv):
+    code = "import sys; from omegastar.cli import main; sys.exit(main(sys.argv[1:]))"
+    runs = [_run(code, *argv, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")]
+    for result in runs:
+        assert result.returncode == 0, result.stderr
+    assert runs[0].stdout == runs[1].stdout
+
+
+def _blas_entry_points(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Call):
+            # a call through an attribute is caught at its Attribute node
+            name = getattr(node.func, "id", None)
+            if name in BLAS_NAMES:
+                found.append(f"line {node.lineno}: {name}()")
+            if "einsum" in (name, getattr(node.func, "attr", None)) and any(kw.arg == "optimize" for kw in node.keywords):
+                found.append(f"line {node.lineno}: einsum(optimize=...)")
+    return found
+
+
+def test_blas_guard_sees_each_entry_point():
+    source = "a @ b\na @= b\nnp.dot(a, b)\nnp.linalg.norm(a)\ninner(a, b)\nnp.einsum('ij,jk', a, b, optimize=True)\n"
+    found = sorted(entry.split(":")[0] for entry in _blas_entry_points(source))
+    assert found == [f"line {i}" for i in range(1, 7)], found
+    assert _blas_entry_points("np.einsum('ij->i', a, out=w)\nx = inner\n") == []
+
+
+def test_no_kernel_calls_blas():
+    for path in sorted((ROOT / "src" / "omegastar").glob("*.py")):
+        found = _blas_entry_points(path.read_text())
+        assert not found, (
+            f"{path.name} reaches BLAS ({', '.join(found)}); a BLAS kernel must revisit "
+            "the one-thread OPENBLAS_NUM_THREADS pin in cli.py"
+        )
 
 
 def test_benchmark_tracer_installs():
