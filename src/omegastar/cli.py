@@ -243,8 +243,8 @@ def _cmd_report(args: argparse.Namespace) -> Output:
     check_ceiling(x, "omega* table size")
     check_ceiling(x + 1, "sieve limit")
     sampling_doc = _sampling_document(log_x, args.mode, trials, args.seed, args.workers)
-    # The census runs before the omega* table is built, so its x/2-byte
-    # odd-slot flag array never sits on top of the table.
+    # The census runs before the omega* table is built, so its x/16-byte
+    # odd-slot bits and sieve window never sit on top of the table.
     smooth_row = _smooth_rows(x, [args.smooth_y])[0]
 
     table = omega_star_table(x)

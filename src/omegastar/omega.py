@@ -12,7 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import divisors
-from .sieve import _TRIAL_PRIMES, ResourceLimitError, check_ceiling, factorize, is_prime, sieve_primes
+from .sieve import (
+    _TRIAL_PRIMES,
+    ResourceLimitError,
+    _set_slots,
+    _unpacked,
+    check_ceiling,
+    factorize,
+    is_prime,
+    sieve_primes,
+)
 
 # Half-steps (p - 1)/2 with at least this many multiples in [1, x // 2] get a
 # slice update each.
@@ -26,7 +35,7 @@ _UINT16_BELOW = 106_858_629_141_264_000
 # Entries per np.bincount call in moment_sum, whose intp copy of a block is 512 KiB.
 _HIST_BLOCK = 1 << 16
 # Multiplier passes j <= this add the slot flags of the large half-steps in
-# one dense strided slice; later passes index the few live half-steps.  The
+# dense strided slices; later passes index the few live half-steps.  The
 # dense pass writes 2j bytes apart, so from about j = 32 each entry touches
 # its own cache line and costs more than the sparse update of the half-steps.
 _DENSE_PASSES = 16
@@ -58,8 +67,8 @@ def omega_star_table(x: int) -> OmegaStarTable:
     p = 2 gives the 1 that every n holds, and every other p - 1 is even, so
     only n = 2m need work: counts[m] = 1 + the number of half-steps
     t = (p - 1)/2 of odd primes p <= x + 1 that divide m.  These are read
-    straight from the sieve's odd-slot flags: slot t >= 1 flags 2t + 1, so
-    it is set exactly when t is such a half-step.
+    straight from the sieve's packed odd-slot bits: slot t >= 1 flags
+    2t + 1, so it is set exactly when t is such a half-step.
 
     Half-steps t <= (x // 2) // _SMALL_STEP_MULTIPLES are small; each adds
     one to the strided slice of its multiples.  Those that divide _WHEEL
@@ -70,10 +79,11 @@ def omega_star_table(x: int) -> OmegaStarTable:
 
     Every larger half-step has fewer than _SMALL_STEP_MULTIPLES multiples,
     so those are added by multiplier instead: pass j adds one to j * t for
-    all large t <= (x // 2) // j.  For j <= _DENSE_PASSES that is one
-    strided slice, counts[j * t] += slots[t] over every large t; later
-    passes index only the large half-steps still in range, whose multiples
-    are distinct for a fixed j.
+    all large t <= (x // 2) // j.  For j <= _DENSE_PASSES that is a strided
+    slice, counts[j * t] += flags[t] over every large t, run for all those j
+    on each unpacked window of sieve._SEGMENT slots in turn; later passes
+    index only the large half-steps still in range, whose multiples are
+    distinct for a fixed j.
     """
     if x < 1:
         raise ValueError("x must be at least 1")
@@ -82,10 +92,10 @@ def omega_star_table(x: int) -> OmegaStarTable:
         raise ResourceLimitError(f"omega* table size = {x} reaches {_UINT16_BELOW}, where uint16 counts end")
     half = x // 2
     # (x + 2) // 2 = half + 1 slots: slot t for every t <= half
-    slots = sieve_primes(x + 1).slots
+    bits = sieve_primes(x + 1).bits
     h = np.ones(half + 1, dtype=np.uint16)
     split = half // _SMALL_STEP_MULTIPLES
-    small = np.flatnonzero(slots[1 : split + 1].view(bool)) + 1
+    small = _set_slots(bits, 1, split + 1)
     on_wheel = _WHEEL % small == 0
     for step in small[on_wheel].tolist():
         h[step : _WHEEL + 1 : step] += 1
@@ -98,13 +108,17 @@ def omega_star_table(x: int) -> OmegaStarTable:
     for step in small[~on_wheel].tolist():
         h[step::step] += 1
     lo = split + 1
-    for j in range(1, min(_DENSE_PASSES, half // lo) + 1):
-        hi = half // j
-        h[j * lo : j * hi + 1 : j] += slots[lo : hi + 1]
+    for a, flags in _unpacked(bits, lo, half + 1):
+        ones = flags.view(np.uint8)  # a uint16 slice adds uint8 faster than bool
+        for j in range(1, _DENSE_PASSES + 1):
+            b = min(a + ones.size, half // j + 1)
+            if b <= a:
+                break
+            h[j * a : j * (b - 1) + 1 : j] += ones[: b - a]
+        del flags, ones  # so that one unpacked window is held at a time
+    large = _set_slots(bits, lo, half // (_DENSE_PASSES + 1) + 1)
+    del bits  # x / 16 bytes that the sparse passes no longer read
     j = _DENSE_PASSES + 1
-    large = np.flatnonzero(slots[lo : half // j + 1].view(bool))
-    large += lo
-    del slots  # x / 2 bytes that the sparse passes no longer read
     while large.size:
         h[j * large] += 1
         j += 1

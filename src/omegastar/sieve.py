@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,9 +14,13 @@ DEFAULT_CEILING = 2**31
 CEILING_ENV = "OMEGASTAR_CEILING"
 
 _TRIAL_LIMIT = 1 << 16
-# Odd slots per segment of _odd_slots, and per slice of smooth.smooth_census's
-# walk over the primes above sqrt(x).
+# Odd slots per kernel window of _odd_slots, and per unpacked window that
+# _unpacked hands the omega* table and the census.
 _SEGMENT = 1 << 20
+# Slots per unpacked window of _set_slots: a window and the int64 positions
+# of its set slots are held beside the result, and a whole _SEGMENT of them
+# would outweigh the primes below a few million.
+_MAP_SLOTS = 1 << 16
 
 
 class ResourceLimitError(RuntimeError):
@@ -48,15 +53,18 @@ def check_ceiling(n: int, what: str) -> None:
 
 @dataclass
 class PrimeTable:
-    """The primes <= the sieve limit, held as the _odd_slots flags `slots`
-    (about limit / 2 bytes); the ascending int64 `primes` array is built
-    from them on first use."""
+    """The primes <= the sieve limit, held as the _odd_slots bits `bits` of
+    its `slots` = (limit + 1) // 2 odd slots (about limit / 16 bytes), with
+    their number `count` = pi(limit); the ascending int64 `primes` array is
+    built from the bits on first use."""
 
-    slots: np.ndarray
+    bits: np.ndarray
+    slots: int
+    count: int
 
     @functools.cached_property
     def primes(self) -> np.ndarray:
-        return _slot_primes(self.slots)
+        return _slot_primes(self.bits, self.slots)
 
 
 def _segment_flags(lo: int, hi: int, base: list[int], out: np.ndarray) -> None:
@@ -79,28 +87,72 @@ def _segment_flags(lo: int, hi: int, base: list[int], out: np.ndarray) -> None:
             out[start - lo :: p] = 0
 
 
-def _odd_slots(n: int) -> np.ndarray:
-    """The (n + 1) // 2 uint8 primality slots of [1, n]: slot i >= 1 flags
-    the odd integer 2i + 1, and slot 0 flags the prime 2 (set when n >= 2,
-    since the integer 1 is not prime).
+def _odd_slots(n: int) -> PrimeTable:
+    """The primes <= n as a PrimeTable: the (n + 1) // 2 primality slots of
+    [1, n], packed 8 to a byte, so that slot i is bit i & 7 of byte i >> 3.
+    Slot i >= 1 flags the odd integer 2i + 1, and slot 0 flags the prime 2
+    (set when n >= 2, since the integer 1 is not prime); the padding bits
+    past the last slot are 0.
 
-    One array is sieved in place _SEGMENT slots at a time, with odd base
-    primes from the slots of [1, isqrt(n)], and any segment size gives the
-    same slots.
+    The kernel sieves windows of _SEGMENT slots, with odd base primes from
+    the table of isqrt(n), into one reusable byte buffer of lcm(_SEGMENT, 8)
+    slots (fewer if all fit); each filled buffer is counted and packed into
+    the bits.  Any segment size gives the same bits.
     """
-    base = _slot_primes(_odd_slots(math.isqrt(n)))[1:].tolist() if n >= 9 else []
-    flags = np.empty((n + 1) // 2, dtype=np.uint8)
-    for lo in range(0, flags.size, _SEGMENT):
-        hi = min(lo + _SEGMENT, flags.size)
-        _segment_flags(lo, hi, base, flags[lo:hi])
+    slots = (n + 1) // 2
+    base = _odd_slots(math.isqrt(n)).primes[1:].tolist() if n >= 9 else []
+    bits = np.empty((slots + 7) // 8, dtype=np.uint8)
+    width = math.lcm(_SEGMENT, 8)
+    buf = np.empty(min(width, 8 * bits.size), dtype=np.uint8)
+    count = int(n >= 2)
+    for lo in range(0, slots, width):
+        hi = min(lo + width, slots)
+        for a in range(lo, hi, _SEGMENT):
+            b = min(a + _SEGMENT, hi)
+            _segment_flags(a, b, base, buf[a - lo : b - lo])
+        count += int(np.count_nonzero(buf[: hi - lo]))
+        bits[lo >> 3 : (hi + 7) >> 3] = np.packbits(buf[: hi - lo], bitorder="little")
     if n >= 2:
-        flags[0] = 1
-    return flags
+        bits[0] |= 1
+    return PrimeTable(bits=bits, slots=slots, count=count)
 
 
-def _slot_primes(slots: np.ndarray) -> np.ndarray:
-    """Ascending int64 primes flagged in a prefix of an _odd_slots array."""
-    primes = np.flatnonzero(slots.view(bool))
+def _unpacked(bits: np.ndarray, lo: int, hi: int, width: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """(a, flags) for each window [a, b) of at most `width` slots (default
+    _SEGMENT) that tiles the slots [lo, hi) of _odd_slots bits: `flags`
+    holds the bool flags of slots a .. b - 1, unpacked afresh for each
+    window."""
+    width = width or _SEGMENT
+    for a in range(lo, hi, width):
+        b = min(a + width, hi)
+        flags = np.unpackbits(bits[a >> 3 : (b + 7) >> 3], bitorder="little").view(bool)
+        yield a, flags[a & 7 : (a & 7) + b - a]
+        del flags  # so that a caller that drops its window holds one at a time
+
+
+def _flags_at(bits: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The 0/1 uint8 flags of _odd_slots bits at the slots of the integer array `idx`."""
+    return (bits[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1
+
+
+def _set_slots(bits: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Ascending int64 indices of the set slots in [lo, hi) of _odd_slots
+    bits.  They are counted first, then mapped into one array of that size
+    from unpacked windows of _MAP_SLOTS slots, so beside it only one window
+    and the int64 positions of its set slots are held."""
+    out = np.empty(sum(np.count_nonzero(f) for _, f in _unpacked(bits, lo, hi, _MAP_SLOTS)), dtype=np.int64)
+    at = 0
+    for a, flags in _unpacked(bits, lo, hi, _MAP_SLOTS):
+        got = np.flatnonzero(flags)
+        out[at : at + got.size] = got
+        out[at : at + got.size] += a
+        at += got.size
+    return out
+
+
+def _slot_primes(bits: np.ndarray, slots: int) -> np.ndarray:
+    """Ascending int64 primes flagged in the first `slots` slots of _odd_slots bits."""
+    primes = _set_slots(bits, 0, slots)
     primes *= 2
     primes += 1
     if primes.size and primes[0] == 1:
@@ -109,18 +161,18 @@ def _slot_primes(slots: np.ndarray) -> np.ndarray:
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Every prime <= `limit`, as the odd-slot flags of the segmented driver
-    _odd_slots; the table's `primes` array is mapped from them when first read.
-    The only entry to the driver from outside this module."""
+    """Every prime <= `limit`, as the packed odd-slot bits of the segmented
+    driver _odd_slots; the table's `primes` array is mapped from them when
+    first read.  The only entry to the driver from outside this module."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     check_ceiling(limit, "sieve limit")
-    return PrimeTable(slots=_odd_slots(limit))
+    return _odd_slots(limit)
 
 
 # Sieved at import straight from the driver: sieve_primes would refuse it
 # under a small OMEGASTAR_CEILING.
-_TRIAL_PRIMES = tuple(_slot_primes(_odd_slots(_TRIAL_LIMIT)).tolist())
+_TRIAL_PRIMES = tuple(_odd_slots(_TRIAL_LIMIT).primes.tolist())
 
 # Strong-pseudoprime witnesses 2..37 prove primality for all n below psi_12
 # (Sorenson-Webster), the least composite strong pseudoprime to all twelve,

@@ -178,17 +178,25 @@ PINNED_SMOOTH_SHA256 = {
     ),
     ("smooth", "--x", "100", "--y", "1000"): "e1bd39b3d11c48e57fd77e6e230d610c079d6ee17165bb9985cc2feaa54be367",
     ("smooth", "--x", "1000000", "--y", "100"): "9fc4023b7761bc62febcdc2da3cf1f50174ad998fb1886ff2fc9ad938ca7509d",
+    # every prime above sqrt(x) walked, over five 2^20-slot segments
+    ("smooth", "--x", "10000000", "--y", "10000000"): (
+        "1f96857af46a2cb28253ee8b7969a4042c0062a9a4e63a6c9a1fa20e84649053"
+    ),
 }
 
 
 # SHA-256 of the exact stdout of `pairs` at k = 30030 = 2 3 5 7 11 13, whose 64
-# divisors give 32 counts A_d, and at x = 1, where no prime is counted.
+# divisors give 32 counts A_d, inside one 2^20-slot sieve segment and across
+# five of them, and at x = 1, where no prime is counted.
 PINNED_PAIRS_SHA256 = {
     ("--format", "json", "pairs", "--x", "100000", "--k", "30030"): (
         "b82e871522d2d59d61ebf44592378f41a78d8610506dbda4c9be7bc75f9195b5"
     ),
     ("--format", "csv", "pairs", "--x", "100000", "--k", "30030"): (
         "8e8172723f0ea392f44e0e44823fbb8e1c0097b60e7e002ffe42774ebf6811dd"
+    ),
+    ("pairs", "--x", "10000000", "--k", "30030"): (
+        "6eed74efe446cddcbef1bb035e7bef0dfac9735c577583865556f0883f7a7739"
     ),
     ("pairs", "--x", "1", "--k", "6"): "0ea091dbc20663e1e803da6c4e0c13b53d3dc1aefbda1b58898bb7b3bf3dd139",
 }
@@ -363,7 +371,14 @@ class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
         list(PINNED_SMOOTH_SHA256),
-        ids=["census-seed7", "census-seed43", "scan-unsorted-dup", "smooth-y-above-x", "smooth-report-xy"],
+        ids=[
+            "census-seed7",
+            "census-seed43",
+            "scan-unsorted-dup",
+            "smooth-y-above-x",
+            "smooth-report-xy",
+            "smooth-five-segments",
+        ],
     )
     def test_pinned_smooth_stdout(self, capsys, argv):
         code, out, err = run_cli(capsys, list(argv))
@@ -376,7 +391,9 @@ class TestDeterminism:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TABLE_SHA256[argv]
 
-    @pytest.mark.parametrize("argv", list(PINNED_PAIRS_SHA256), ids=["k30030-json", "k30030-csv", "x1-no-primes"])
+    @pytest.mark.parametrize(
+        "argv", list(PINNED_PAIRS_SHA256), ids=["k30030-json", "k30030-csv", "k30030-five-segments", "x1-no-primes"]
+    )
     def test_pinned_pairs_stdout(self, capsys, argv):
         code, out, err = run_cli(capsys, list(argv))
         assert (code, err) == (0, "")

@@ -172,11 +172,12 @@ class TestHalfTableMemory:
     TestSplitKernel): about x bytes at uint16, and no array of x + 1 entries
     beside it."""
 
-    def test_moment_scan_peak_below_2_25_x_bytes(self):
-        # the uint16 half table (x bytes) beside the sieve's uint8 odd-slot
-        # flags (x / 2 bytes) sets the peak near 1.54 x (1.63 x with int64
-        # primes beside the table); a full-length uint16 table beside the
-        # half took it to 3.00 x
+    def test_moment_scan_peak_below_1_25_x_bytes(self):
+        # the uint16 half table (x bytes) beside the sieve's packed slot bits
+        # (x / 16 bytes) and one unpacked 2^20-slot window sets the peak at
+        # 1.18 x, so the bound leaves 0.07 x of headroom; the uint8 slot
+        # flags (x / 2 bytes) read 1.54 x, with int64 primes beside the
+        # table 1.63 x, and a full-length uint16 table beside the half 3.00 x
         x = 10**7
         tracemalloc.start()
         try:
@@ -184,17 +185,18 @@ class TestHalfTableMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.25 * x, peak / x
+        assert peak < 1.25 * x, peak / x
 
     def test_slots_are_never_mapped_to_primes(self, monkeypatch):
-        # The table and the scan read the sieve's slot flags: only the
+        # The table and the scan read the sieve's slot bits: only the
         # sieve's own base primes, up to isqrt(x + 1), are mapped from slots.
         real = sieve._slot_primes
 
-        def base_only(slots):
-            if 2 * slots.size - 1 > math.isqrt(10**6 + 1):
-                raise AssertionError(f"{slots.size} slots mapped to primes")
-            return real(slots)
+        def base_only(bits, slots):
+            assert bits.size == (slots + 7) // 8
+            if 2 * slots - 1 > math.isqrt(10**6 + 1):
+                raise AssertionError(f"{slots} slots mapped to primes")
+            return real(bits, slots)
 
         monkeypatch.setattr(sieve, "_slot_primes", base_only)
         assert omega_star_table(10**6).counts.size == 5 * 10**5 + 1

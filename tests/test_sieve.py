@@ -8,9 +8,11 @@ import pytest
 from omegastar import sieve
 from omegastar.sieve import (
     ResourceLimitError,
+    _flags_at,
     _odd_slots,
     _segment_flags,
     _slot_primes,
+    _unpacked,
     factorize,
     is_prime,
     sieve_primes,
@@ -68,6 +70,24 @@ def odd_base(limit: int) -> list[int]:
     return [p for p in trial_division_primes(limit) if p > 2]
 
 
+def byte_slots(n: int) -> np.ndarray:
+    """The (n + 1) // 2 odd slots of [1, n] at one uint8 each, from a plain
+    Eratosthenes over every integer: slot i >= 1 flags 2i + 1, slot 0 the
+    prime 2."""
+    flags = np.ones(n + 1, dtype=np.uint8)
+    flags[:2] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = 0
+    slots = flags[1::2].copy()
+    slots[:1] = n >= 2
+    return slots
+
+
+def slot_count(n: int) -> int:
+    return (n + 1) // 2
+
+
 class TestSegmentKernel:
     """The kernel sieves odd slots: slot i stands for the integer 2i + 1.  The
     odd integers of an integer window [lo, hi) are the slots [lo // 2, hi // 2)."""
@@ -103,31 +123,83 @@ class TestSegmentKernel:
 
     def test_base_primes(self):
         for n in range(0, 300):
-            assert _slot_primes(_odd_slots(n)).tolist() == trial_division_primes(n), n
+            t = _odd_slots(n)
+            assert _slot_primes(t.bits, t.slots).tolist() == trial_division_primes(n), n
 
     @pytest.mark.parametrize("segment", [1, 2, 7, 64])
     def test_driver_every_n_below_3000(self, monkeypatch, segment):
         # The driver reads n only through the slot count (n + 1) // 2, the
         # base-prime bound isqrt(n) and n >= 2, so it runs once per distinct
-        # key; every n is still checked against trial division.
+        # key; every n is still checked against trial division, and its
+        # unpacked bits against a plain byte sieve, padding bits included.
         want = trial_division_primes(2999)
         monkeypatch.setattr(sieve, "_SEGMENT", segment)
         runs = {}
         for n in range(3000):
-            key = ((n + 1) // 2, math.isqrt(n), n >= 2)
+            key = (slot_count(n), math.isqrt(n), n >= 2)
             if key not in runs:
-                runs[key] = _slot_primes(_odd_slots(n))
-            got = runs[key]
+                t = _odd_slots(n)
+                runs[key] = t, _slot_primes(t.bits, t.slots)
+            t, got = runs[key]
             assert got.dtype == np.int64
-            assert got.tolist() == want[: bisect.bisect_right(want, n)], n
+            assert got.tolist() == want[: bisect.bisect_right(want, n)] and t.count == got.size, n
+            assert t.slots == slot_count(n), n
+            assert t.bits.dtype == np.uint8 and t.bits.size == (slot_count(n) + 7) // 8, n
+            unpacked = np.unpackbits(t.bits, bitorder="little")
+            assert np.array_equal(unpacked[: slot_count(n)], byte_slots(n)), n
+            assert not unpacked[slot_count(n) :].any(), n
+
+    @pytest.mark.parametrize("segment", [1, 7, 64, 1 << 20])
+    def test_padding_bits_are_zero(self, monkeypatch, segment):
+        # (n + 1) // 2 = 8k + r with r = 1 .. 7: the last byte holds r slots
+        # and 8 - r padding bits, which must read 0, or a whole-byte unpack
+        # would see primes past n
+        monkeypatch.setattr(sieve, "_SEGMENT", segment)
+        for n in (1, 2, 5, 13, 99, 1001, 4097, 10**5 + 1):
+            slots = slot_count(n)
+            r = slots % 8
+            assert r, n
+            bits = _odd_slots(n).bits
+            assert bits.size == slots // 8 + 1 and bits[-1] >> r == 0, (n, bits[-1])
+            assert np.array_equal(np.unpackbits(bits, bitorder="little")[:slots], byte_slots(n)), n
+
+    def test_flags_at_random_slots(self):
+        # gathers at random slots and at the last nine, which take in the
+        # partial last byte, and then at every slot
+        rng = np.random.default_rng(26)
+        for n in (3, 17, 999, 10**5 + 3):
+            slots = slot_count(n)
+            want = byte_slots(n)
+            bits = _odd_slots(n).bits
+            idx = np.concatenate([rng.integers(0, slots, 500), np.arange(max(0, slots - 9), slots)])
+            got = _flags_at(bits, idx)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want[idx]), n
+            assert np.array_equal(_flags_at(bits, np.arange(slots)), want), n
+
+    @pytest.mark.parametrize("segment", [1, 3, 8, 64, 1 << 20])
+    def test_unpacked_windows_tile_any_range(self, monkeypatch, segment):
+        # every window starts where the last one ended, is at most _SEGMENT
+        # slots wide, and holds the byte sieve's flags, at any bit offset
+        monkeypatch.setattr(sieve, "_SEGMENT", segment)
+        n = 1001
+        bits, want = _odd_slots(n).bits, byte_slots(n)
+        for lo, hi in ((0, 501), (1, 500), (3, 11), (7, 8), (8, 9), (250, 250), (493, 501)):
+            at = lo
+            for a, flags in _unpacked(bits, lo, hi):
+                assert a == at and 0 < flags.size <= segment, (lo, hi, a)
+                assert np.array_equal(flags, want[a : a + flags.size]), (lo, hi, a)
+                at += flags.size
+            assert at == max(lo, hi), (lo, hi)
 
     def test_driver_peak_below_1_25_n_bytes(self):
-        # the odd-slot flags (n / 2 bytes) and the int64 primes (0.63 n) are
-        # all; flags over every integer plus a copy per segment read 2.0 n
+        # the packed bits (n / 16 bytes), the int64 primes (0.63 n) and a
+        # window or two are all; flags over every integer plus a copy per
+        # segment read 2.0 n, and the byte flags with the primes 1.13 n
         n = 10**6
         tracemalloc.start()
         try:
-            _slot_primes(_odd_slots(n))
+            _odd_slots(n).primes
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -239,22 +311,25 @@ class TestFactorize:
 
 
 class TestPrimeTable:
-    """sieve_primes holds the driver's odd-slot flags; the int64 primes are
-    mapped from them on first read and kept."""
+    """sieve_primes holds the driver's packed odd-slot bits, their slot count
+    and the number of primes they flag; the int64 primes are mapped from the
+    bits on first read and kept."""
 
     NS = (0, 1, 2, 3, 8, 9, 10**4, 10**5)
 
     def test_slots_are_the_driver_flags(self):
         for n in self.NS:
             t = sieve_primes(n)
-            assert t.slots.dtype == np.uint8
-            assert np.array_equal(t.slots, _odd_slots(n)), n
+            assert t.slots == slot_count(n) and t.count == len(trial_division_primes(n)), n
+            assert t.bits.dtype == np.uint8 and t.bits.size == (t.slots + 7) // 8
+            assert np.array_equal(t.bits, _odd_slots(n).bits), n
+            assert np.array_equal(np.unpackbits(t.bits, bitorder="little")[: t.slots], byte_slots(n)), n
 
     def test_primes_built_once_from_the_slots(self):
         for n in self.NS:
             t = sieve_primes(n)
             assert t.primes.dtype == np.int64
-            assert np.array_equal(t.primes, sieve._slot_primes(_odd_slots(n))), n
+            assert np.array_equal(t.primes, sieve._slot_primes(t.bits, t.slots)), n
             assert t.primes.tolist() == trial_division_primes(n), n
             assert t.primes is t.primes
 

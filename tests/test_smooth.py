@@ -229,18 +229,18 @@ class TestCensusOracle:
         # x = 4118 = 2 * 29 * 71 with 67 and 71 in slots a + 1 and a + 3:
         # p * m + 1 = x + 1 at p = 71, m = 58, which must not be read
         for x in (4099, 4118):
-            flags = sieve_primes(x).slots
+            bits = sieve_primes(x).bits
             a = (math.isqrt(x) + 1) // 2
             primes = [2 * i + 1 for i in range(a + lo, a + hi) if trial_division_is_prime(2 * i + 1)]
-            assert primes == [2 * i + 1 for i in range(a + lo, a + hi) if flags[i]]
+            assert primes == [2 * i + 1 for i in range(a + lo, a + hi) if bits[i >> 3] >> (i & 7) & 1]
             psi = sum(x // p for p in primes)
             pi = sum(trial_division_is_prime(p * m + 1) for p in primes for m in range(2, (x - 1) // p + 1, 2))
             for segment in (1, 2, 7, 1 << 20):
                 monkeypatch.setattr(sieve, "_SEGMENT", segment)
-                got = smooth._large_prime_counts(x, flags, a + lo, a + hi)
+                got = smooth._large_prime_counts(x, bits, a + lo, a + hi)
                 assert got == (psi, pi), (x, segment)
-                head = smooth._large_prime_counts(x, flags, a, a + lo)
-                whole = smooth._large_prime_counts(x, flags, a, a + hi)
+                head = smooth._large_prime_counts(x, bits, a, a + lo)
+                whole = smooth._large_prime_counts(x, bits, a, a + hi)
                 assert (head[0] + got[0], head[1] + got[1]) == whole, (x, segment)
 
 
@@ -271,9 +271,10 @@ class TestCensusAboveRoot:
         asked = []
         real = sieve._slot_primes
 
-        def spy(slots):
-            asked.append(2 * slots.size - 1)  # the last odd integer covered
-            return real(slots)
+        def spy(bits, slots):
+            assert bits.size >= (slots + 7) // 8
+            asked.append(2 * slots - 1)  # the last odd integer covered
+            return real(bits, slots)
 
         monkeypatch.setattr(sieve, "_slot_primes", spy)
         monkeypatch.setattr(smooth, "_slot_primes", spy)
@@ -349,7 +350,7 @@ def test_census_property_against_division(x, ys, repeat, segment):
 
 
 class TestCensusMemory:
-    """The flags of [1, x] take x / 2 bytes; the rest must stay small beside
+    """The bits of [1, x] take x / 16 bytes; the rest must stay small beside
     them, whatever y."""
 
     @staticmethod
@@ -364,10 +365,18 @@ class TestCensusMemory:
 
     def test_census_workload_peak(self):
         # The windowed product census peaked at 10,193,117 traced bytes here;
-        # this one holds 4,975,000 bytes of flags and about 0.3 MB besides.
+        # this one holds 621,875 bytes of slot bits and about 1.2 MB besides.
         x = 9_950_000
         peak = self._peak(x, [16, 32, 64])
         assert peak < x // 2 + (1 << 20) < 10_193_117, peak
+
+    def test_census_peak_below_0_22_x_bytes(self):
+        # The sieve sets the peak at 0.183 x: the x / 16 bytes of bits, its
+        # 2^20-byte window buffer and one packed window.  The bound leaves
+        # 0.037 x of headroom; one uint8 flag per odd slot read 0.532 x.
+        x = 10**7
+        peak = self._peak(x, [16, 32, 64])
+        assert peak < 0.22 * x, peak / x
 
     def test_no_prime_list_up_to_y(self):
         # at y = x the primes above sqrt(x) are walked in slices; the int64
