@@ -16,6 +16,7 @@ from .sieve import (
     _TRIAL_PRIMES,
     ResourceLimitError,
     _set_slots,
+    _tile,
     _unpacked,
     check_ceiling,
     factorize,
@@ -97,16 +98,16 @@ def omega_star_table(x: int) -> OmegaStarTable:
     split = half // _SMALL_STEP_MULTIPLES
     small = _set_slots(bits, 1, split + 1)
     on_wheel = _WHEEL % small == 0
+    # Each slice gains one in place on its view: `h[...] += 1` would add a
+    # __setitem__ of the view onto itself and convert the Python int 1 per step.
+    one = np.uint16(1)
     for step in small[on_wheel].tolist():
-        h[step : _WHEEL + 1 : step] += 1
-    # h[1 : filled + 1] holds whole periods, so its head is the next period
-    filled = _WHEEL
-    while filled < half:
-        k = min(filled, half - filled)
-        h[1 + filled : 1 + filled + k] = h[1 : 1 + k]
-        filled += k
+        multiples = h[step : _WHEEL + 1 : step]
+        multiples += one
+    _tile(h[1:], _WHEEL)
     for step in small[~on_wheel].tolist():
-        h[step::step] += 1
+        multiples = h[step::step]
+        multiples += one
     lo = split + 1
     for a, flags in _unpacked(bits, lo, half + 1):
         ones = flags.view(np.uint8)  # a uint16 slice adds uint8 faster than bool

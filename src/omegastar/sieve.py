@@ -21,6 +21,14 @@ _SEGMENT = 1 << 20
 # of its set slots are held beside the result, and a whole _SEGMENT of them
 # would outweigh the primes below a few million.
 _MAP_SLOTS = 1 << 16
+# The kernel's pre-sieved wheel: slot i of _WHEEL_FLAGS is 1 exactly when
+# 2i + 1 is prime to every one of _WHEEL_PRIMES, whose product is its period
+# (15,015 slots), so any window of slots repeats it from offset lo mod 15,015.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL_FLAGS = np.ones(math.prod(_WHEEL_PRIMES), dtype=np.uint8)
+for _p in _WHEEL_PRIMES:
+    _WHEEL_FLAGS[_p // 2 :: _p] = 0
+del _p
 
 
 class ResourceLimitError(RuntimeError):
@@ -64,27 +72,54 @@ class PrimeTable:
 
     @functools.cached_property
     def primes(self) -> np.ndarray:
-        return _slot_primes(self.bits, self.slots)
+        return _slot_primes(self.bits, self.slots, self.count)
 
 
-def _segment_flags(lo: int, hi: int, base: list[int], out: np.ndarray) -> None:
+def _tile(a: np.ndarray, period: int) -> None:
+    """Copy a[:period], one whole period, across the rest of `a` by doubling:
+    a[:filled] always holds whole periods, so its head is the next one."""
+    filled = period
+    while filled < a.size:
+        k = min(filled, a.size - filled)
+        a[filled : filled + k] = a[:k]
+        filled += k
+
+
+def _segment_flags(lo: int, hi: int, base: np.ndarray, out: np.ndarray) -> None:
     """Write uint8 primality flags for the odd slots [lo, hi) into `out`.
 
     Slot i stands for the odd integer 2i + 1, so slot 0 (the integer 1) is
     not prime.  `out` is a uint8 array of hi - lo entries, overwritten in
-    place.  `base` must hold every odd prime <= isqrt(2 hi - 1), ascending,
-    and no 2.  The odd multiples of p are p slots apart; each p crosses them
-    out from max(p^2, 2 lo + 1) on, starting at slot p // 2 mod p.
+    place.  `base` is an ascending int64 array that must hold every odd
+    prime <= isqrt(2 hi - 1); its entries up to 13 are not read.
+
+    The window is first filled from _WHEEL_FLAGS, whose period of
+    3 * 5 * 7 * 11 * 13 slots is pre-sieved by those five primes: it is
+    copied in from offset lo mod the period and tiled across the window.
+    Slot 0 is then cleared and the five primes' own slots set where they
+    fall in [lo, hi).  Every other odd p crosses out its odd multiples, p
+    slots apart, from max(p^2, 2 lo + 1) on, starting at slot p // 2 mod
+    p; those window starts are computed for all p at once, and are exact
+    in int64 since p^2 <= 2 hi - 1 < 2^63 (sieve_primes refuses a limit
+    from 2^63 on).
     """
-    out.fill(1)
+    period = _WHEEL_FLAGS.size
+    off = lo % period
+    head = min(hi - lo, period - off)
+    out[:head] = _WHEEL_FLAGS[off : off + head]
+    rest = min(hi - lo, period) - head
+    out[head : head + rest] = _WHEEL_FLAGS[:rest]
+    _tile(out, period)
     if lo == 0:
-        out[:1] = 0
-    for p in base:
-        if p * p >= 2 * hi:
-            break
-        start = max(p * p // 2, lo + (p // 2 - lo) % p)
-        if start < hi:  # a narrow window may hold no multiple of p
-            out[start - lo :: p] = 0
+        out[0] = 0
+    for p in _WHEEL_PRIMES:
+        if lo <= p // 2 < hi:
+            out[p // 2 - lo] = 1
+    first, last = np.searchsorted(base, (_WHEEL_PRIMES[-1], math.isqrt(2 * hi - 1)), side="right").tolist()
+    ps = base[first:last]
+    starts = np.maximum(ps * ps // 2 - lo, (ps // 2 - lo) % ps)
+    for start, p in zip(starts.tolist(), ps.tolist()):
+        out[start::p] = 0  # empty when a narrow window holds no multiple of p
 
 
 def _odd_slots(n: int) -> PrimeTable:
@@ -100,7 +135,7 @@ def _odd_slots(n: int) -> PrimeTable:
     the bits.  Any segment size gives the same bits.
     """
     slots = (n + 1) // 2
-    base = _odd_slots(math.isqrt(n)).primes[1:].tolist() if n >= 9 else []
+    base = _odd_slots(math.isqrt(n)).primes[1:] if n >= 9 else np.empty(0, dtype=np.int64)
     bits = np.empty((slots + 7) // 8, dtype=np.uint8)
     width = math.lcm(_SEGMENT, 8)
     buf = np.empty(min(width, 8 * bits.size), dtype=np.uint8)
@@ -135,12 +170,15 @@ def _flags_at(bits: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return (bits[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1
 
 
-def _set_slots(bits: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _set_slots(bits: np.ndarray, lo: int, hi: int, count: int | None = None) -> np.ndarray:
     """Ascending int64 indices of the set slots in [lo, hi) of _odd_slots
-    bits.  They are counted first, then mapped into one array of that size
-    from unpacked windows of _MAP_SLOTS slots, so beside it only one window
-    and the int64 positions of its set slots are held."""
-    out = np.empty(sum(np.count_nonzero(f) for _, f in _unpacked(bits, lo, hi, _MAP_SLOTS)), dtype=np.int64)
+    bits.  They are counted first, unless the caller passes their `count`,
+    then mapped into one array of that size from unpacked windows of
+    _MAP_SLOTS slots, so beside it only one window and the int64 positions
+    of its set slots are held."""
+    if count is None:
+        count = sum(np.count_nonzero(f) for _, f in _unpacked(bits, lo, hi, _MAP_SLOTS))
+    out = np.empty(count, dtype=np.int64)
     at = 0
     for a, flags in _unpacked(bits, lo, hi, _MAP_SLOTS):
         got = np.flatnonzero(flags)
@@ -150,9 +188,11 @@ def _set_slots(bits: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _slot_primes(bits: np.ndarray, slots: int) -> np.ndarray:
-    """Ascending int64 primes flagged in the first `slots` slots of _odd_slots bits."""
-    primes = _set_slots(bits, 0, slots)
+def _slot_primes(bits: np.ndarray, slots: int, count: int | None = None) -> np.ndarray:
+    """Ascending int64 primes flagged in the first `slots` slots of _odd_slots
+    bits; `count`, if given, is their number, which spares _set_slots its
+    counting pass."""
+    primes = _set_slots(bits, 0, slots, count)
     primes *= 2
     primes += 1
     if primes.size and primes[0] == 1:
@@ -167,6 +207,8 @@ def sieve_primes(limit: int) -> PrimeTable:
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     check_ceiling(limit, "sieve limit")
+    if limit >> 63:
+        raise ResourceLimitError(f"sieve limit = {limit} reaches 2**63, past the sieve's int64 slot arithmetic")
     return _odd_slots(limit)
 
 

@@ -192,11 +192,11 @@ class TestHalfTableMemory:
         # sieve's own base primes, up to isqrt(x + 1), are mapped from slots.
         real = sieve._slot_primes
 
-        def base_only(bits, slots):
+        def base_only(bits, slots, count=None):
             assert bits.size == (slots + 7) // 8
             if 2 * slots - 1 > math.isqrt(10**6 + 1):
                 raise AssertionError(f"{slots} slots mapped to primes")
-            return real(bits, slots)
+            return real(bits, slots, count)
 
         monkeypatch.setattr(sieve, "_slot_primes", base_only)
         assert omega_star_table(10**6).counts.size == 5 * 10**5 + 1

@@ -64,10 +64,22 @@ class TestSievePrimes:
         with pytest.raises(ValueError):
             sieve_primes(-1)
 
+    def test_limit_from_2_63_refused_under_any_ceiling(self, monkeypatch):
+        # the kernel's slot arithmetic is int64, and p^2 <= limit for every
+        # base prime, so a limit below 2^63 keeps it exact
+        monkeypatch.setenv("OMEGASTAR_CEILING", str(2**70))
+        for limit in (2**63, 2**64 + 1):
+            with pytest.raises(ResourceLimitError, match="2\\*\\*63"):
+                sieve_primes(limit)
 
-def odd_base(limit: int) -> list[int]:
+    @pytest.mark.parametrize("limit, pi", [(10**7 + 1, 664_579), (10**8, 5_761_455)])
+    def test_prime_counts(self, limit, pi):
+        assert sieve_primes(limit).count == pi
+
+
+def odd_base(limit: int) -> np.ndarray:
     """The odd primes <= limit, as the kernel takes them."""
-    return [p for p in trial_division_primes(limit) if p > 2]
+    return np.array([p for p in trial_division_primes(limit) if p > 2], dtype=np.int64)
 
 
 def byte_slots(n: int) -> np.ndarray:
@@ -86,6 +98,17 @@ def byte_slots(n: int) -> np.ndarray:
 
 def slot_count(n: int) -> int:
     return (n + 1) // 2
+
+
+WHEEL = 3 * 5 * 7 * 11 * 13  # the kernel's pre-sieved period, in slots
+
+
+def kernel_slots(hi: int) -> np.ndarray:
+    """What the kernel writes for the odd slots [0, hi): byte_slots, but slot
+    0 stands for the integer 1 and is 0."""
+    want = byte_slots(2 * hi)[:hi]
+    want[:1] = 0
+    return want
 
 
 class TestSegmentKernel:
@@ -115,18 +138,80 @@ class TestSegmentKernel:
         assert buf[1:-1].tolist() == [int(trial_division_is_prime(2 * i + 1)) for i in range(a, b)]
 
     def test_one_wide_windows(self):
+        # below 16,000: every residue of the wheel period, and slot 0 and the
+        # wheel primes' own slots 1, 2, 3, 5 and 6 each in a window of their own
+        base = odd_base(math.isqrt(2 * 16_000))
         out = np.empty(1, dtype=np.uint8)
-        for i in range(0, 400):
+        for i in range(0, 16_000):
             out[0] = 7
-            _segment_flags(i, i + 1, odd_base(math.isqrt(2 * i + 1)), out)
+            _segment_flags(i, i + 1, base, out)
             assert bool(out[0]) == trial_division_is_prime(2 * i + 1), i
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (0, WHEEL),
+            (0, WHEEL + 1),
+            (1, WHEEL),
+            (WHEEL - 1, WHEEL + 1),  # straddles the first period's end
+            (WHEEL - 3, 2 * WHEEL + 4),  # a whole period and both ends
+            (2 * WHEEL - 500, 2 * WHEEL + 500),
+            (3 * WHEEL, 4 * WHEEL),  # exactly one period, from offset 0
+            (5 * WHEEL - 1, 9 * WHEEL + 2),  # four periods tiled by doubling
+            (7 * WHEEL + 1234, 7 * WHEEL + 1240),
+        ],
+    )
+    def test_windows_across_wheel_periods(self, lo, hi):
+        want = kernel_slots(hi)
+        out = np.full(hi - lo, 7, dtype=np.uint8)
+        _segment_flags(lo, hi, odd_base(math.isqrt(2 * hi)), out)
+        assert np.array_equal(out, want[lo:hi]), (lo, hi)
+
+    @pytest.mark.parametrize("lo", [1, 2, 3, 4, 5, 6, 7])
+    def test_windows_from_lo_above_0_hold_the_wheel_primes(self, lo):
+        # the wheel pattern clears slots 1, 2, 3, 5 and 6 (3, 5, 7, 11, 13),
+        # so each window that holds one must set it again, not only the first
+        want = kernel_slots(WHEEL + 20)
+        base = odd_base(math.isqrt(2 * (WHEEL + 20)))
+        for hi in (*range(lo + 1, 14), 100, WHEEL - 1, WHEEL + 20):
+            out = np.full(hi - lo, 7, dtype=np.uint8)
+            _segment_flags(lo, hi, base, out)
+            assert np.array_equal(out, want[lo:hi]), (lo, hi)
+
+    def test_windows_shorter_than_one_period(self):
+        rng = np.random.default_rng(15_015)
+        top = 20 * WHEEL
+        want = kernel_slots(top)
+        base = odd_base(math.isqrt(2 * top))
+        for size in (*rng.integers(2, WHEEL, 40).tolist(), WHEEL - 1, 2, 3):
+            lo = int(rng.integers(0, top - size))
+            out = np.empty(size, dtype=np.uint8)
+            _segment_flags(lo, lo + size, base, out)
+            assert np.array_equal(out, want[lo : lo + size]), (lo, size)
+
+    def test_window_starts_exact_far_out(self):
+        # at lo = 2^40 the starts lo + (p // 2 - lo) % p and p^2 // 2 run
+        # far past 32 bits; Miller-Rabin is the oracle
+        lo = 1 << 40
+        hi = lo + 3000
+        out = np.empty(hi - lo, dtype=np.uint8)
+        _segment_flags(lo, hi, sieve_primes(math.isqrt(2 * hi - 1)).primes[1:], out)
+        assert out.tolist() == [int(is_prime(2 * i + 1)) for i in range(lo, hi)]
+
+    def test_tile_copies_one_period_across(self):
+        for period in (1, 2, 3, 7):
+            for size in range(period, 40):
+                a = np.arange(size)
+                a[period:] = -1
+                sieve._tile(a, period)
+                assert np.array_equal(a, np.resize(np.arange(period), size)), (period, size)
 
     def test_base_primes(self):
         for n in range(0, 300):
             t = _odd_slots(n)
             assert _slot_primes(t.bits, t.slots).tolist() == trial_division_primes(n), n
 
-    @pytest.mark.parametrize("segment", [1, 2, 7, 64])
+    @pytest.mark.parametrize("segment", [1, 2, 7, 64, 15_015, 15_016])
     def test_driver_every_n_below_3000(self, monkeypatch, segment):
         # The driver reads n only through the slot count (n + 1) // 2, the
         # base-prime bound isqrt(n) and n >= 2, so it runs once per distinct

@@ -271,10 +271,10 @@ class TestCensusAboveRoot:
         asked = []
         real = sieve._slot_primes
 
-        def spy(bits, slots):
+        def spy(bits, slots, count=None):
             assert bits.size >= (slots + 7) // 8
             asked.append(2 * slots - 1)  # the last odd integer covered
-            return real(bits, slots)
+            return real(bits, slots, count)
 
         monkeypatch.setattr(sieve, "_slot_primes", spy)
         monkeypatch.setattr(smooth, "_slot_primes", spy)
