@@ -7,12 +7,13 @@ sections included.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
+import re
 import sys
-from typing import Any
+from types import SimpleNamespace
+from typing import Any, NamedTuple
 
 # No kernel calls BLAS, yet numpy's import starts an OpenBLAS worker that
 # busy-waits on a second core; one thread is asked for before numpy loads.
@@ -80,12 +81,12 @@ def _emit(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_omega_star(args: argparse.Namespace) -> Output:
+def _cmd_omega_star(args: SimpleNamespace) -> Output:
     row = {"n": args.n, "omega_star": omega_star(args.n)}
     return {"schema": SCHEMA, **row}, [row]
 
 
-def _cmd_moments(args: argparse.Namespace) -> Output:
+def _cmd_moments(args: SimpleNamespace) -> Output:
     points = moment_scan(_parse_list(args.x, int, "--x"), args.k)
     doc = {"schema": SCHEMA, "k": args.k, "points": [{"x": x, "Mk": mk} for x, mk in points]}
     rows = [
@@ -101,7 +102,7 @@ def _cmd_moments(args: argparse.Namespace) -> Output:
     return doc, rows
 
 
-def _cmd_champions(args: argparse.Namespace) -> Output:
+def _cmd_champions(args: SimpleNamespace) -> Output:
     record = champion_search(args.max_n, args.k)
     row = {"n": record.n, "omega_star": record.omega_star_n, "score": record.score}
     # JSON has no NaN: the score, undefined below n = 3, is null there.
@@ -129,7 +130,7 @@ def _constants_document(theta: float) -> dict[str, Any]:
     }
 
 
-def _cmd_constants(args: argparse.Namespace) -> Output:
+def _cmd_constants(args: SimpleNamespace) -> Output:
     doc = _constants_document(args.theta)
     row = {
         "theta": doc["theta"],
@@ -181,12 +182,12 @@ def _sampling_document(log_x: float, mode: str, trials: int, seed: int, workers:
     }
 
 
-def _cmd_sample_divisors(args: argparse.Namespace) -> Output:
+def _cmd_sample_divisors(args: SimpleNamespace) -> Output:
     doc = _sampling_document(args.log_x, args.mode, args.trials, args.seed, args.workers)
     return {"schema": SCHEMA, **doc}, None
 
 
-def _cmd_pairs(args: argparse.Namespace) -> Output:
+def _cmd_pairs(args: SimpleNamespace) -> Output:
     x, k = args.x, args.k
     report = pair_count_report(x, factorize(k))
     doc = {
@@ -208,18 +209,18 @@ def _smooth_rows(x: int, ys: list[int]) -> list[dict[str, Any]]:
     return rows
 
 
-def _smooth_x(args: argparse.Namespace) -> int:
+def _smooth_x(args: SimpleNamespace) -> int:
     if args.x < 2:
         raise ValueError(f"{args.subcommand} --x must be at least 2; got {args.x}")
     return args.x
 
 
-def _cmd_smooth(args: argparse.Namespace) -> Output:
+def _cmd_smooth(args: SimpleNamespace) -> Output:
     rows = _smooth_rows(_smooth_x(args), [args.y])
     return {"schema": SCHEMA, **rows[0]}, rows
 
 
-def _cmd_smooth_scan(args: argparse.Namespace) -> Output:
+def _cmd_smooth_scan(args: SimpleNamespace) -> Output:
     x = _smooth_x(args)
     vs = _parse_list(args.v_list, float, "--v-list")
     if min(vs) <= 0:
@@ -233,7 +234,7 @@ def _cmd_smooth_scan(args: argparse.Namespace) -> Output:
     return None, _smooth_rows(x, ys)
 
 
-def _cmd_report(args: argparse.Namespace) -> Output:
+def _cmd_report(args: SimpleNamespace) -> Output:
     x, log_x, trials = args.x, args.log_x, args.trials
     if x < 10:
         raise ValueError(f"report --x must be at least 10, its smallest moment checkpoint; got {x}")
@@ -291,67 +292,258 @@ def _cmd_report(args: argparse.Namespace) -> Output:
     return doc, None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="omegastar",
-        description="Shifted-prime divisor counts, moments, divisor-set sampling, and smooth censuses.",
-    )
-    parser.add_argument("--seed", type=int, default=1, help="seed in [0, 2^64) for sampled sections")
-    parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=max(1, os.cpu_count() or 1),
-        help="worker count for Monte Carlo sections (results are worker-count independent)",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+REQUIRED = ...  # the default of an option that must be given
 
-    def command(name: str, handler, help: str, *formats: str) -> argparse.ArgumentParser:
-        # `formats` are those the subcommand can write, default first; any other exits 2.
-        s = sub.add_parser(name, help=help)
-        s.set_defaults(handler=handler, formats=formats)
-        return s
 
-    s = command("omega-star", _cmd_omega_star, "omega*(n) for one n", "csv", "json")
-    s.add_argument("--n", type=int, required=True)
+class Option(NamedTuple):
+    """One `--name value` option: `convert` is int, float, str or a tuple of
+    the accepted values; `default` is REQUIRED where the option must be given."""
 
-    s = command("moments", _cmd_moments, "M_k at one or more x (comma separated)", "csv", "json")
-    s.add_argument("--x", type=str, required=True)
-    s.add_argument("--k", type=int, default=1)
+    convert: Any
+    default: Any = REQUIRED
+    help: str = ""
 
-    s = command("champions", _cmd_champions, "maximize omega* over multiples of k up to max-n", "csv", "json")
-    s.add_argument("--max-n", type=int, required=True)
-    s.add_argument("--k", type=int, default=1)
 
-    s = command("constants", _cmd_constants, "optimized constants and identity residuals", "json", "csv")
-    s.add_argument("--theta", type=float, default=UNCONDITIONAL_THETA)
+class Command(NamedTuple):
+    handler: Any
+    formats: tuple[str, ...]  # those the subcommand can write, default first; any other exits 2
+    help: str
+    options: dict[str, Option]
 
-    s = command("sample-divisors", _cmd_sample_divisors, "seeded random-divisor acceptance experiment", "json")
-    s.add_argument("--log-x", type=float, required=True)
-    s.add_argument("--mode", choices=("grh", "unconditional"), default="grh")
-    s.add_argument("--trials", type=int, default=10**5)
 
-    s = command("pairs", _cmd_pairs, "A_d pair counts for divisors d <= sqrt(k), plus total A", "json", "csv")
-    s.add_argument("--x", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
+# The whole command line: global flags go before the subcommand, each
+# subcommand's options after it.  The parser and --help read only this.
+GLOBAL_OPTIONS = {
+    "--seed": Option(int, 1, "seed in [0, 2^64) for sampled sections"),
+    "--format": Option(("csv", "json"), None, "output format"),
+    "--out": Option(str, None, "output path (default: stdout)"),
+    "--workers": Option(
+        int,
+        max(1, os.cpu_count() or 1),
+        "worker count for Monte Carlo sections (results are worker-count independent)",
+    ),
+}
+COMMANDS = {
+    "omega-star": Command(_cmd_omega_star, ("csv", "json"), "omega*(n) for one n", {"--n": Option(int)}),
+    "moments": Command(
+        _cmd_moments,
+        ("csv", "json"),
+        "M_k at one or more x (comma separated)",
+        {"--x": Option(str), "--k": Option(int, 1)},
+    ),
+    "champions": Command(
+        _cmd_champions,
+        ("csv", "json"),
+        "maximize omega* over multiples of k up to max-n",
+        {"--max-n": Option(int), "--k": Option(int, 1)},
+    ),
+    "constants": Command(
+        _cmd_constants,
+        ("json", "csv"),
+        "optimized constants and identity residuals",
+        {"--theta": Option(float, UNCONDITIONAL_THETA)},
+    ),
+    "sample-divisors": Command(
+        _cmd_sample_divisors,
+        ("json",),
+        "seeded random-divisor acceptance experiment",
+        {"--log-x": Option(float), "--mode": Option(("grh", "unconditional"), "grh"), "--trials": Option(int, 10**5)},
+    ),
+    "pairs": Command(
+        _cmd_pairs,
+        ("json", "csv"),
+        "A_d pair counts for divisors d <= sqrt(k), plus total A",
+        {"--x": Option(int), "--k": Option(int)},
+    ),
+    "smooth": Command(
+        _cmd_smooth,
+        ("csv", "json"),
+        "Psi(x,y), pi(x,y), pi(x) and the density ratio",
+        {"--x": Option(int), "--y": Option(int)},
+    ),
+    "smooth-scan": Command(
+        _cmd_smooth_scan,
+        ("csv",),
+        "smooth census at y = round(v log x) for each v",
+        {"--x": Option(int), "--v-list": Option(str)},
+    ),
+    "report": Command(
+        _cmd_report,
+        ("json",),
+        "consolidated JSON document",
+        {
+            "--x": Option(int, 10**6),
+            "--log-x": Option(float, 1100.0),
+            "--trials": Option(int, 10**5),
+            "--mode": Option(("grh", "unconditional"), "unconditional"),
+            "--smooth-y": Option(int, 100),
+        },
+    ),
+}
 
-    s = command("smooth", _cmd_smooth, "Psi(x,y), pi(x,y), pi(x) and the density ratio", "csv", "json")
-    s.add_argument("--x", type=int, required=True)
-    s.add_argument("--y", type=int, required=True)
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    s = command("smooth-scan", _cmd_smooth_scan, "smooth census at y = round(v log x) for each v", "csv")
-    s.add_argument("--x", type=int, required=True)
-    s.add_argument("--v-list", type=str, required=True)
 
-    s = command("report", _cmd_report, "consolidated JSON document", "json")
-    s.add_argument("--x", type=int, default=10**6)
-    s.add_argument("--log-x", type=float, default=1100.0)
-    s.add_argument("--trials", type=int, default=10**5)
-    s.add_argument("--mode", choices=("grh", "unconditional"), default="unconditional")
-    s.add_argument("--smooth-y", type=int, default=100)
+def _dest(name: str) -> str:
+    return name[2:].replace("-", "_")
 
-    return parser
+
+def _metavar(name: str, option: Option) -> str:
+    if isinstance(option.convert, tuple):
+        return "{" + ",".join(option.convert) + "}"
+    return _dest(name).upper()
+
+
+class _Level(NamedTuple):
+    """One level of the command line, read by argparse's rules: the global
+    flags with the subcommands, or one subcommand's options."""
+
+    prog: str
+    about: str
+    options: dict[str, Option]
+    commands: dict[str, Command] | None = None
+
+    def usage(self) -> str:
+        parts = ["[-h]"]
+        for name, option in self.options.items():
+            part = f"{name} {_metavar(name, option)}"
+            parts.append(part if option.default is REQUIRED else f"[{part}]")
+        if self.commands:
+            parts.append("{" + ",".join(self.commands) + "} ...")
+        head = f"usage: {self.prog}"
+        lines = [head]
+        for part in parts:
+            if len(lines[-1]) > len(head) and len(lines[-1]) + 1 + len(part) > 79:
+                lines.append(" " * len(head))
+            lines[-1] += " " + part
+        return "\n".join(lines) + "\n"
+
+    def help(self) -> str:
+        def row(left: str, text: str) -> str:
+            if len(left) > 20:
+                return f"  {left}\n{'':24}{text}\n" if text else f"  {left}\n"
+            return f"  {left:<20}  {text}".rstrip() + "\n"
+
+        text = f"{self.usage()}\n{self.about}\n\n"
+        if self.commands:
+            text += "positional arguments:\n" + row("{" + ",".join(self.commands) + "}", "")
+            text += "".join(row(f"  {name}", command.help) for name, command in self.commands.items())
+            text += "\n"
+        text += "options:\n" + row("-h, --help", "show this help message and exit")
+        for name, option in self.options.items():
+            notes = [option.help] if option.help else []
+            if option.default is REQUIRED:
+                notes.append("(required)")
+            elif option.default is not None:
+                notes.append(f"(default: {option.default})")
+            text += row(f"{name} {_metavar(name, option)}", " ".join(notes))
+        return text
+
+    def error(self, message: str):
+        sys.stderr.write(f"{self.usage()}{self.prog}: error: {message}\n")
+        raise SystemExit(2)
+
+    def read(self, arg: str) -> tuple[str | None, str | None] | None:
+        """None for a value, else (option, its `=` value or None), option
+        None where no option of this level has that name or prefix."""
+        if not arg.startswith("-") or arg == "-":
+            return None
+        names = [*_HELP, *self.options]
+        if arg in names:
+            return arg, None
+        name, eq, value = arg.partition("=")
+        if eq and name in names:
+            return name, value
+        if arg.startswith("--"):
+            hits = [(n, value if eq else None) for n in names if n.startswith(name)]
+        else:
+            # a one-dash option may be glued to its value, as in -hh
+            hits = [(n, arg[2:]) for n in names if n == arg[:2]]
+        if len(hits) > 1:
+            self.error(f"ambiguous option: {arg} could match {', '.join(n for n, _ in hits)}")
+        if hits:
+            return hits[0]
+        if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+            return None
+        return None, None
+
+    def convert(self, name: str, text: str) -> Any:
+        convert = self.options[name].convert
+        if isinstance(convert, tuple):
+            if text in convert:
+                return text
+            self.error(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(map(repr, convert))})")
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+        self.error(f"argument {name}: invalid {convert.__name__} value: {text!r}")
+
+    def parse(self, args: list[str], ns: SimpleNamespace) -> list[str]:
+        """Set this level's options on `ns`, and at the top level run the
+        subcommand's level on what follows its name; return the arguments
+        nobody took."""
+        readings = []
+        for i, arg in enumerate(args):
+            if arg == "--":  # everything after it is a value
+                readings += ["--"] + [None] * (len(args) - i - 1)
+                break
+            readings.append(self.read(arg))
+        for name, option in self.options.items():
+            if option.default is not REQUIRED:
+                setattr(ns, _dest(name), option.default)
+        seen, extras, i = set(), [], 0
+        while i < len(args):
+            reading, i = readings[i], i + 1
+            if reading is None or reading == "--":
+                # where no option wants it, a value (or "--" with more after
+                # it) names the subcommand, which takes every argument after it
+                if self.commands is None or (i == len(args) and reading == "--"):
+                    extras.append(args[i - 1])
+                    continue
+                name = args[i - 1]
+                if name not in self.commands:
+                    choices = ", ".join(map(repr, self.commands))
+                    self.error(f"argument subcommand: invalid choice: {name!r} (choose from {choices})")
+                command = self.commands[name]
+                ns.subcommand, ns.handler, ns.formats = name, command.handler, command.formats
+                level = _Level(f"{self.prog} {name}", command.help, command.options)
+                return extras + level.parse(args[i:], ns)
+            name, value = reading
+            if name is None:
+                extras.append(args[i - 1])
+            elif name in _HELP:
+                # -h may repeat its own letter (-hh); any other value is refused
+                if value is not None and not (name == "-h" and value and not value.strip("h")):
+                    self.error(f"argument -h/--help: ignored explicit argument {value!r}")
+                sys.stdout.write(self.help())
+                raise SystemExit(0)
+            else:
+                if value is None:
+                    if i == len(args) or readings[i] is not None:
+                        self.error(f"argument {name}: expected one argument")
+                    value, i = args[i], i + 1
+                setattr(ns, _dest(name), self.convert(name, value))
+                seen.add(name)
+        missing = [n for n, o in self.options.items() if o.default is REQUIRED and n not in seen]
+        if self.commands:
+            missing.append("subcommand")
+        if missing:
+            self.error(f"the following arguments are required: {', '.join(missing)}")
+        return extras
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The parsed command line, or SystemExit: 0 after --help, 2 after a
+    `usage:` line and the error on stderr."""
+    about = "Shifted-prime divisor counts, moments, divisor-set sampling, and smooth censuses."
+    top = _Level("omegastar", about, GLOBAL_OPTIONS, COMMANDS)
+    args = SimpleNamespace()
+    extras = top.parse(list(argv), args)
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _parse_list(text: str, kind: type, flag: str) -> list[Any]:
@@ -367,7 +559,7 @@ def _parse_list(text: str, kind: type, flag: str) -> list[Any]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     fmt = args.format or args.formats[0]
     args.workers = max(1, args.workers)
     try:

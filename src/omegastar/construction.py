@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -296,29 +295,38 @@ def sample_stats(params: ConstructionParams, trials: int, seed: int, workers: in
     draws the same sample alone, from the definition of a draw.  Each worker
     claims the next chunk nobody has claimed; chunk results are reduced in
     index order, making the output independent of worker count and
-    scheduling.
+    scheduling.  Once a chunk raises, no worker claims another, and the
+    first exception is raised here after every worker has stopped.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     check_ceiling(trials, "trials")
     chunks = [(start, min(_CHUNK, trials - start)) for start in range(0, trials, _CHUNK)]
-    unclaimed = queue.SimpleQueue()
-    for i in range(len(chunks)):
-        unclaimed.put(i)
+    claims = iter(range(len(chunks)))
+    lock = threading.Lock()
     results = [None] * len(chunks)
+    errors = []
 
-    def work(_):
-        buffers = _chunk_buffers(params, chunks[0][1])
-        while True:
-            try:
-                i = unclaimed.get_nowait()
-            except queue.Empty:
-                return
-            results[i] = _chunk_stats(params, seed, *chunks[i], buffers)
+    def work():
+        try:
+            buffers = _chunk_buffers(params, chunks[0][1])
+            while not errors:
+                with lock:
+                    i = next(claims, None)
+                if i is None:
+                    return
+                results[i] = _chunk_stats(params, seed, *chunks[i], buffers)
+        except BaseException as exc:  # raised again in the caller, below
+            errors.append(exc)
 
     n_threads = max(1, min(workers, os.cpu_count() or 1, len(chunks)))
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        list(pool.map(work, range(n_threads)))
+    threads = [threading.Thread(target=work) for _ in range(n_threads)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     n_logd = sum(r[0] for r in results)
     n_omega = sum(r[1] for r in results)
     n_dprime = sum(r[2] for r in results)

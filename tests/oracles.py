@@ -3,8 +3,9 @@
 The scalar SplitMix64 finalizer and substream seed in pure Python integers,
 which the vectorized `omegastar.rng` is pinned against; a one-sample
 reference for the Monte Carlo chunk; the exhaustive walk over all 2^R
-divisors at R = 24; and the representation count behind the bridging
-identity.
+divisors at R = 24; the representation count behind the bridging
+identity; and the argparse grammar that the CLI's option-table parser
+must accept and refuse alike.
 
 `sample_divisor` shares no kernel with the Monte Carlo chunk of
 `omegastar.construction`.  It takes its words from `rng.substream_seeds`,
@@ -16,6 +17,8 @@ window test therefore shows as a mismatch between the two.
 
 from __future__ import annotations
 
+import argparse
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,6 +26,18 @@ import numpy as np
 
 from omegastar import rng
 from omegastar.arith import divisors
+from omegastar.cli import (
+    _cmd_champions,
+    _cmd_constants,
+    _cmd_moments,
+    _cmd_omega_star,
+    _cmd_pairs,
+    _cmd_report,
+    _cmd_sample_divisors,
+    _cmd_smooth,
+    _cmd_smooth_scan,
+)
+from omegastar.constants import UNCONDITIONAL_THETA
 from omegastar.sieve import ResourceLimitError, factorize, is_prime
 
 _MASK = (1 << 64) - 1
@@ -148,3 +163,66 @@ def count_representations(n: int, m_max: int, p_max: int) -> int:
         if p <= p_max and n // d <= m_max and is_prime(p):
             count += 1
     return count
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="omegastar",
+        description="Shifted-prime divisor counts, moments, divisor-set sampling, and smooth censuses.",
+    )
+    parser.add_argument("--seed", type=int, default=1, help="seed in [0, 2^64) for sampled sections")
+    parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=max(1, os.cpu_count() or 1),
+        help="worker count for Monte Carlo sections (results are worker-count independent)",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def command(name: str, handler, help: str, *formats: str) -> argparse.ArgumentParser:
+        # `formats` are those the subcommand can write, default first; any other exits 2.
+        s = sub.add_parser(name, help=help)
+        s.set_defaults(handler=handler, formats=formats)
+        return s
+
+    s = command("omega-star", _cmd_omega_star, "omega*(n) for one n", "csv", "json")
+    s.add_argument("--n", type=int, required=True)
+
+    s = command("moments", _cmd_moments, "M_k at one or more x (comma separated)", "csv", "json")
+    s.add_argument("--x", type=str, required=True)
+    s.add_argument("--k", type=int, default=1)
+
+    s = command("champions", _cmd_champions, "maximize omega* over multiples of k up to max-n", "csv", "json")
+    s.add_argument("--max-n", type=int, required=True)
+    s.add_argument("--k", type=int, default=1)
+
+    s = command("constants", _cmd_constants, "optimized constants and identity residuals", "json", "csv")
+    s.add_argument("--theta", type=float, default=UNCONDITIONAL_THETA)
+
+    s = command("sample-divisors", _cmd_sample_divisors, "seeded random-divisor acceptance experiment", "json")
+    s.add_argument("--log-x", type=float, required=True)
+    s.add_argument("--mode", choices=("grh", "unconditional"), default="grh")
+    s.add_argument("--trials", type=int, default=10**5)
+
+    s = command("pairs", _cmd_pairs, "A_d pair counts for divisors d <= sqrt(k), plus total A", "json", "csv")
+    s.add_argument("--x", type=int, required=True)
+    s.add_argument("--k", type=int, required=True)
+
+    s = command("smooth", _cmd_smooth, "Psi(x,y), pi(x,y), pi(x) and the density ratio", "csv", "json")
+    s.add_argument("--x", type=int, required=True)
+    s.add_argument("--y", type=int, required=True)
+
+    s = command("smooth-scan", _cmd_smooth_scan, "smooth census at y = round(v log x) for each v", "csv")
+    s.add_argument("--x", type=int, required=True)
+    s.add_argument("--v-list", type=str, required=True)
+
+    s = command("report", _cmd_report, "consolidated JSON document", "json")
+    s.add_argument("--x", type=int, default=10**6)
+    s.add_argument("--log-x", type=float, default=1100.0)
+    s.add_argument("--trials", type=int, default=10**5)
+    s.add_argument("--mode", choices=("grh", "unconditional"), default="unconditional")
+    s.add_argument("--smooth-y", type=int, default=100)
+
+    return parser

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -439,33 +441,77 @@ class TestSampleStats:
             assert peak < quarter, (name, peak, quarter)
 
     def test_thread_count_is_clamped(self, grh_1100, monkeypatch):
-        # A fake executor records max_workers and maps serially, so an
+        # A fake Thread records each worker and runs it serially, so an
         # oversized worker request can never start that many threads.
-        requested = []
+        started = []
 
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
+        class RecordingThread:
+            def __init__(self, target):
+                self.target = target
 
-            def __enter__(self):
-                return self
+            def start(self):
+                started[-1] += 1
+                self.target()
 
-            def __exit__(self, *exc):
-                return False
+            def join(self):
+                pass
 
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(construction, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(construction, "threading", SimpleNamespace(Thread=RecordingThread, Lock=threading.Lock))
         monkeypatch.setattr(construction, "_CHUNK", 100)
         monkeypatch.setattr(construction.os, "cpu_count", lambda: 8)
+        started.append(0)
         huge = sample_stats(grh_1100, 300, seed=5, workers=10**6)
         monkeypatch.setattr(construction.os, "cpu_count", lambda: 2)
+        started.append(0)
         sample_stats(grh_1100, 300, seed=5, workers=10**6)
-        assert requested == [3, 2]  # 3 chunks, then 2 cores
+        assert started == [3, 2]  # 3 chunks, then 2 cores
+        started.append(0)
         one = sample_stats(grh_1100, 300, seed=5, workers=1)
-        assert requested == [3, 2, 1]  # one worker takes the same executor path
+        assert started == [3, 2, 1]  # one worker takes the same thread path
         assert huge == one
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunk_exception_reaches_the_caller(self, grh_111, monkeypatch, workers):
+        # a failing chunk is raised in the caller, as itself, once every
+        # worker has stopped; no sampler thread outlives the call
+        chunk_stats = construction._chunk_stats
+        failure = ZeroDivisionError("chunk 2 failed")
+
+        def failing_chunk(params, seed, start, count, buffers):
+            if start == 2 * construction._CHUNK:
+                raise failure
+            return chunk_stats(params, seed, start, count, buffers)
+
+        monkeypatch.setattr(construction, "_chunk_stats", failing_chunk)
+        before = set(threading.enumerate())
+        with pytest.raises(ZeroDivisionError) as exc:
+            sample_stats(grh_111, 5 * construction._CHUNK, seed=5, workers=workers)
+        assert exc.value is failure
+        assert set(threading.enumerate()) == before
+
+    def test_every_chunk_claimed_once_under_contention(self, grh_111, monkeypatch):
+        # 16 threads on the machine's cores, switching every microsecond,
+        # race for 40 chunks: a claim the lock failed to guard would run a
+        # chunk twice or skip one
+        monkeypatch.setattr(construction.os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(construction, "_CHUNK", 64)
+        chunk_stats = construction._chunk_stats
+        starts = []
+
+        def recording_chunk(params, seed, start, count, buffers):
+            starts.append(start)
+            return chunk_stats(params, seed, start, count, buffers)
+
+        monkeypatch.setattr(construction, "_chunk_stats", recording_chunk)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = sample_stats(grh_111, 40 * 64, seed=9, workers=16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(starts) == list(range(0, 40 * 64, 64))
+        starts.clear()
+        assert sample_stats(grh_111, 40 * 64, seed=9, workers=1) == many
 
     def test_oversized_trials_refused_before_any_chunk(self, grh_111, monkeypatch):
         # 2^31 + 1 trials would list half a million chunks and submit them all.

@@ -1,6 +1,7 @@
 """Package surface: a root that holds only its version, the names each
 submodule keeps, import under a small memory ceiling, the CLI's one-thread
-OpenBLAS pin, and the names the benchmark tracer needs."""
+OpenBLAS pin, the modules a CLI run must not load, and the names the
+benchmark tracer needs."""
 
 import ast
 import dataclasses
@@ -214,6 +215,22 @@ def test_no_kernel_calls_blas():
             f"{path.name} reaches BLAS ({', '.join(found)}); a BLAS kernel must revisit "
             "the one-thread OPENBLAS_NUM_THREADS pin in cli.py"
         )
+
+
+# Each costs start-up and none is needed: argparse with its gettext and
+# locale went with the option table, the thread pool with its logging and
+# queue with plain sampler threads.
+UNLOADED = ("argparse", "gettext", "locale", "concurrent.futures", "logging", "queue")
+
+
+def test_cli_run_loads_no_parser_or_pool_module():
+    code = (
+        "import json, sys; from omegastar.cli import main; code = main(['omega-star', '--n', '12']); "
+        f"print(json.dumps([code, sorted(set({UNLOADED!r}) & set(sys.modules))]))"
+    )
+    result = _run(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, []]"
 
 
 def test_benchmark_tracer_installs():
