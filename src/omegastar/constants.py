@@ -10,7 +10,7 @@ lower bound exp(c * log n / log log n) for the maximal order of omega*.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -29,9 +29,7 @@ _SEARCH_UPPER = 64.0
 _SEARCH_ITERATIONS = 200
 
 
-@dataclass
-class OptimumReport:
-    theta: float
+class OptimumReport(NamedTuple):
     u_star: float
     f_max: float
     f_over_log2: float
@@ -79,7 +77,7 @@ def maximize_f_theta(theta: float) -> OptimumReport:
             b = d
     u_star = 0.5 * (a + b)
     f_max = f_theta(theta, u_star)
-    return OptimumReport(theta=theta, u_star=u_star, f_max=f_max, f_over_log2=f_max / math.log(2.0))
+    return OptimumReport(u_star=u_star, f_max=f_max, f_over_log2=f_max / math.log(2.0))
 
 
 def apr_conjecture_bound(theta: float) -> float:

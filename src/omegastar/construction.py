@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,8 +54,7 @@ _CHUNK = 4096
 _BLOCK_WORDS = 1 << 16
 
 
-@dataclass(eq=False)
-class ConstructionParams:
+class ConstructionParams(NamedTuple):
     """Everything the randomized construction needs, derived from log x.
 
     epsilon = (log log x)^(-1/2); L = (u - epsilon) log x; k is the product of
@@ -73,7 +71,6 @@ class ConstructionParams:
     rho: float
     L: float
     R: int
-    k_primes: np.ndarray
     log_primes: np.ndarray
 
     @property
@@ -99,21 +96,18 @@ class ConstructionParams:
         return self.rho * self.R
 
 
-@dataclass
-class ChampionRecord:
+class ChampionRecord(NamedTuple):
     n: int
     omega_star_n: int
     score: float
 
 
-@dataclass
-class PairCountReport:
+class PairCountReport(NamedTuple):
     per_d: list[tuple[int, int]]
     total_A: int
 
 
-@dataclass
-class SampleStats:
+class SampleStats(NamedTuple):
     """Aggregates over seeded divisor samples; counts are exact integers."""
 
     trials: int
@@ -165,7 +159,7 @@ def build_params(log_x: float, mode: str = "GRH") -> ConstructionParams:
     L = (u - epsilon) * log_x
     if math.isinf(L):
         raise ResourceLimitError(f"sieve limit L = (u - epsilon) * log_x overflows a float at log_x = {log_x}")
-    k_primes = sieve_primes(int(L)).primes
+    table = sieve_primes(int(L))
     rho = (theta - epsilon) / (u - epsilon)
     return ConstructionParams(
         log_x=float(log_x),
@@ -175,9 +169,8 @@ def build_params(log_x: float, mode: str = "GRH") -> ConstructionParams:
         epsilon=epsilon,
         rho=rho,
         L=L,
-        R=int(k_primes.size),
-        k_primes=k_primes,
-        log_primes=np.log(k_primes.astype(np.float64)),
+        R=table.count,
+        log_primes=np.log(table.primes),
     )
 
 

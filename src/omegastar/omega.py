@@ -7,7 +7,7 @@ omega*(n) counts divisors d of n with d + 1 prime; it is >= 1 always, equals
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ _DENSE_PASSES = 16
 _TOO_LARGE = "M_k(x) at k = {k}, x = {x} is too large for a float"
 
 
-@dataclass
-class OmegaStarTable:
+class OmegaStarTable(NamedTuple):
     """The even half of omega* over [1, x]: counts[m] = omega*(2m) for
     1 <= m <= x // 2, and counts[0] is unused.  Odd n are not stored, since
     omega*(n) = 1 on every odd n.  The counts are uint16, so the table
@@ -169,11 +168,15 @@ def moment_scan(xs: list[int], k: int, table: OmegaStarTable | None = None) -> l
     check_ceiling(xs[-1], "omega* table size")
     # Before the table: M_k(x) >= omega*(n)^k / x at the largest primorial n <= x,
     # so refuse a k that puts this a nat (against log rounding) past the float range.
+    # omega*(n) <= tau(n) = 2^r for the primorial of r primes, so n is
+    # factorized only when 2^(k r) / x would pass that bound.
     n, r = 1, 0
+    limit = math.log(np.finfo(np.float64).max) + 1
     for x in xs:
         while n * _TRIAL_PRIMES[r] <= x:
             n, r = n * _TRIAL_PRIMES[r], r + 1
-        if k * math.log(omega_star(n)) - math.log(x) > math.log(np.finfo(np.float64).max) + 1:
+        log_x = math.log(x)
+        if k * r * math.log(2.0) - log_x > limit and k * math.log(omega_star(n)) - log_x > limit:
             raise ValueError(_TOO_LARGE.format(k=k, x=x))
     if table is None or table.x < xs[-1]:
         table = omega_star_table(xs[-1])

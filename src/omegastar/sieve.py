@@ -6,7 +6,7 @@ import functools
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,16 +59,14 @@ def check_ceiling(n: int, what: str) -> None:
         )
 
 
-@dataclass
 class PrimeTable:
     """The primes <= the sieve limit, held as the _odd_slots bits `bits` of
     its `slots` = (limit + 1) // 2 odd slots (about limit / 16 bytes), with
     their number `count` = pi(limit); the ascending int64 `primes` array is
-    built from the bits on first use."""
+    built from the bits on first use and kept."""
 
-    bits: np.ndarray
-    slots: int
-    count: int
+    def __init__(self, bits: np.ndarray, slots: int, count: int) -> None:
+        self.bits, self.slots, self.count = bits, slots, count
 
     @functools.cached_property
     def primes(self) -> np.ndarray:
@@ -249,8 +247,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass
-class Factorization:
+class Factorization(NamedTuple):
     """n together with its prime factorization, primes ascending."""
 
     n: int

@@ -24,7 +24,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .sieve import _flags_at, _slot_primes, _unpacked, sieve_primes
@@ -32,8 +31,7 @@ from .sieve import _flags_at, _slot_primes, _unpacked, sieve_primes
 import numpy as np
 
 
-@dataclass
-class SmoothCensus:
+class SmoothCensus(NamedTuple):
     x: int
     y: int
     psi: int

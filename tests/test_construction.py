@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import threading
@@ -73,14 +72,30 @@ class TestBuildParams:
         p = build_params(1100.0, mode="unconditional")
         assert abs(p.L - (1.2694 - p.epsilon) * 1100.0) <= 1e-9
         assert p.R == sum(1 for q in oracle_primes_2000 if q <= p.L) == 165
-        assert np.all(p.k_primes <= p.L)
+        assert np.array_equal(p.log_primes, np.log([q for q in oracle_primes_2000 if q <= p.L]))
 
     def test_invariant_wiring(self, grh_1100):
         p = grh_1100
         assert abs(p.epsilon - 1.0 / math.sqrt(math.log(1100.0))) <= 1e-15
-        assert p.R == p.k_primes.size
+        assert p.R == p.log_primes.size
         assert abs(p.rho - (0.5 - p.epsilon) / (p.u - p.epsilon)) <= 1e-15
         assert abs(p.window_log_d - 2 * p.L / math.log(p.L) ** 2) <= 1e-12
+
+    @pytest.mark.parametrize("log_x", [1e6, 1e7])
+    def test_memory_is_one_array_of_R(self, log_x):
+        # Only the R float64 logs outlive the call.  Beside the sieve's L/16
+        # bytes of bits, the peak holds the int64 primes and their logs, with
+        # no float copy of the primes between them.
+        build_params(log_x)
+        tracemalloc.start()
+        try:
+            p = build_params(log_x)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        words = 8 * p.R
+        assert held <= 1.05 * words, (held, words)
+        assert peak < 2.5 * words + p.L / 16, (peak, words)
 
     def test_too_small_log_x_names_constraint(self):
         with pytest.raises(ValueError, match="log_x"):
@@ -225,14 +240,14 @@ class TestSampleDivisor:
         assert s.in_window_omega == (abs(s.big_omega_d - p.expected_omega) <= p.window_omega)
 
     def test_degenerate_rho_zero(self, grh_111):
-        p0 = dataclasses.replace(grh_111, rho=0.0)
+        p0 = grh_111._replace(rho=0.0)
         s = sample_divisor(p0, 5)
         assert s.big_omega_d == 0 and s.log_d == 0.0
         # The chunk kernel at the lower edge of its compare, limit 0.
         _check_chunk_against_samples(p0)
 
     def test_degenerate_rho_one(self, grh_111):
-        p1 = dataclasses.replace(grh_111, rho=1.0)
+        p1 = grh_111._replace(rho=1.0)
         s = sample_divisor(p1, 5)
         assert s.big_omega_d == p1.R
         assert abs(s.log_d - p1.log_k) <= 1e-9
@@ -327,7 +342,7 @@ class TestSampleStats:
     def test_omega_count_past_255(self):
         # At rho = 0.95 and R = 290 nearly every row holds more than 255
         # ones, so an Omega count kept in a uint8 would wrap.
-        p = dataclasses.replace(build_params(2000.0, mode="grh"), rho=0.95)
+        p = build_params(2000.0, mode="grh")._replace(rho=0.95)
         assert p.R == 290
         assert sample_divisor(p, substream_seed(13, 0)).big_omega_d > 255
         _check_chunk_against_samples(p)
@@ -563,8 +578,8 @@ class TestChebyshevBounds:
             assert b_omega <= 0.25 * p.R ** (-1.0 / 3.0) + 1e-15
 
     def test_monotone_in_rho_variance(self, grh_111):
-        quarter = dataclasses.replace(grh_111, rho=0.25)
-        half = dataclasses.replace(grh_111, rho=0.5)
+        quarter = grh_111._replace(rho=0.25)
+        half = grh_111._replace(rho=0.5)
         for a, b in zip(chebyshev_bounds(quarter), chebyshev_bounds(half)):
             assert a <= b
 
@@ -578,12 +593,12 @@ class TestChebyshevBounds:
 
 class TestEntropyBound:
     def test_half_rho_is_R_log2(self, grh_111):
-        half = dataclasses.replace(grh_111, rho=0.5)
+        half = grh_111._replace(rho=0.5)
         assert abs(entropy_lower_bound(half) - grh_111.R * math.log(2)) <= 1e-12
 
     def test_vanishes_as_rho_vanishes(self, grh_111):
         values = [
-            entropy_lower_bound(dataclasses.replace(grh_111, rho=r))
+            entropy_lower_bound(grh_111._replace(rho=r))
             for r in (0.25, 0.1, 0.01, 0.001)
         ]
         assert values == sorted(values, reverse=True)
@@ -602,13 +617,13 @@ class TestEntropyBound:
 
 class TestEnumerateExact:
     def test_uniform_rho_counts_exactly(self, grh_111):
-        half = dataclasses.replace(grh_111, rho=0.5)
+        half = grh_111._replace(rho=0.5)
         e = enumerate_D_exact(half)
         assert e.prob_Dprime == e.size_Dprime * 0.5**half.R
         assert e.max_mass == 0.5**half.R
 
     def test_mass_identity_every_instance(self, grh_111, uncond_111):
-        for p in (grh_111, uncond_111, dataclasses.replace(grh_111, rho=0.3)):
+        for p in (grh_111, uncond_111, grh_111._replace(rho=0.3)):
             e = enumerate_D_exact(p)
             assert e.size_Dprime >= e.prob_Dprime / e.max_mass
 

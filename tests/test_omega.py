@@ -389,6 +389,19 @@ class TestMomentScan:
         with pytest.raises(ResourceLimitError, match="omega\\* table size"):
             moment_scan([10**40], 1)
 
+    def test_first_moment_factorizes_nothing(self, table_1e6, monkeypatch):
+        # omega*(n) <= 2^r at the primorial n of r primes, and 2^r / x is far
+        # inside the float range at k = 1, so the bound needs no omega*(n)
+        def refuse(n):
+            raise AssertionError("the overflow bound factorized a primorial at k = 1")
+
+        xs = [10, 10**4, 10**6]
+        expected = [(x, moment_sum(table_1e6, 1, upto=x) / x) for x in xs]
+        monkeypatch.setattr(omega, "omega_star", refuse)
+        monkeypatch.setattr(omega, "factorize", refuse)
+        assert moment_scan(xs, 1, table=table_1e6) == expected
+        assert moment_scan([10**4], 1) == expected[1:2]
+
     def test_overflow_bound_never_refuses_a_float(self):
         # Around the threshold at each x, moment_scan refuses k exactly when
         # the exact power sum over x leaves the float range.

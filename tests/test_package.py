@@ -4,7 +4,6 @@ OpenBLAS pin, the modules a CLI run must not load, and the names the
 benchmark tracer needs."""
 
 import ast
-import dataclasses
 import importlib
 import inspect
 import json
@@ -16,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import omegastar
-from omegastar import construction, sieve, smooth
+from omegastar import constants, construction, sieve, smooth
 
 ROOT = Path(__file__).resolve().parent.parent
 SUBMODULES = ("sieve", "arith", "omega", "constants", "construction", "smooth", "rng", "cli")
@@ -94,11 +93,11 @@ def test_settable_parameters():
     # build_params derives theta and u from the mode; the ratio reads its census
     assert tuple(inspect.signature(construction.build_params).parameters) == ("log_x", "mode")
     assert tuple(inspect.signature(smooth.pomerance_ratio).parameters) == ("census",)
-    fields = {f.name for f in dataclasses.fields(construction.ConstructionParams)}
-    assert not fields & {"excluded_prime", "delta_smooth"}
+    assert not set(construction.ConstructionParams._fields) & {"excluded_prime", "delta_smooth", "k_primes"}
     # no field echoes an input its caller already holds
-    assert "seed" not in {f.name for f in dataclasses.fields(construction.SampleStats)}
-    assert [f.name for f in dataclasses.fields(construction.PairCountReport)] == ["per_d", "total_A"]
+    assert "seed" not in construction.SampleStats._fields
+    assert "theta" not in constants.OptimumReport._fields
+    assert construction.PairCountReport._fields == ("per_d", "total_A")
     assert tuple(inspect.signature(construction.champion_search).parameters) == ("N", "k", "table")
 
 
@@ -215,6 +214,42 @@ def test_no_kernel_calls_blas():
             f"{path.name} reaches BLAS ({', '.join(found)}); a BLAS kernel must revisit "
             "the one-thread OPENBLAS_NUM_THREADS pin in cli.py"
         )
+
+
+def _dataclass_uses(source: str) -> list[int]:
+    """The lines that import the dataclasses module or name dataclass."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if {"dataclasses", "dataclass"} & set(names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_dataclass_guard_sees_each_use():
+    source = (
+        "import dataclasses\nfrom dataclasses import field\n@dataclass\nclass A: pass\n"
+        "@dataclasses.dataclass(eq=False)\nclass B: pass\nC = dataclass(object)\n"
+    )
+    assert _dataclass_uses(source) == [1, 2, 3, 5, 7]
+    assert _dataclass_uses("from typing import NamedTuple\nclass A(NamedTuple):\n    x: int\n") == []
+
+
+def test_no_module_uses_dataclasses():
+    # every result record is a NamedTuple: a dataclass execs its generated
+    # methods at every import, which no bytecode cache spares
+    for path in sorted((ROOT / "src" / "omegastar").glob("*.py")):
+        lines = _dataclass_uses(path.read_text())
+        assert not lines, f"{path.name} uses dataclasses at lines {lines}"
 
 
 # Each costs start-up and none is needed: argparse with its gettext and
