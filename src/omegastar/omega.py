@@ -25,21 +25,23 @@ from .sieve import (
 )
 
 # Half-steps (p - 1)/2 with at least this many multiples in [1, x // 2] get a
-# slice update each.
-_SMALL_STEP_MULTIPLES = 128
+# slice update each, and so do all those up to it.
+_SMALL_STEP_MULTIPLES = 256
 # 2^4 * 3^2 * 5 * 7 * 11 * 13: the small half-steps that divide it are
 # periodic mod _WHEEL, so one period of them is written and copied.
 _WHEEL = 720_720
 # omega*(n) <= tau(n), and the least n with tau(n) >= 2^16 is this one,
 # 2^7 * 3^3 * 5^3 * 7 * 11 * ... * 37, so uint16 holds every count below it.
 _UINT16_BELOW = 106_858_629_141_264_000
-# Entries per np.bincount call in moment_sum, whose intp copy of a block is 512 KiB.
+# Entries per np.bincount call in moment_sum, whose intp copy of a block is
+# 512 KiB.  A block of uint16 counts also sums exactly in uint32:
+# 2^16 * 65,535 < 2^32.
 _HIST_BLOCK = 1 << 16
 # Multiplier passes j <= this add the slot flags of the large half-steps in
 # dense strided slices; later passes index the few live half-steps.  The
-# dense pass writes 2j bytes apart, so from about j = 32 each entry touches
-# its own cache line and costs more than the sparse update of the half-steps.
-_DENSE_PASSES = 16
+# dense pass touches every large slot, set or not, while the indexed pass
+# touches only the set ones, about 2 / log x of them.
+_DENSE_PASSES = 8
 _TOO_LARGE = "M_k(x) at k = {k}, x = {x} is too large for a float"
 
 
@@ -60,6 +62,13 @@ def omega_star(n: int) -> int:
     return sum(1 for d in divisors(factorize(n)) if is_prime(d + 1))
 
 
+def _check_table_size(x: int) -> None:
+    """Refuse a table over [1, x] past the memory ceiling or at x >= _UINT16_BELOW."""
+    check_ceiling(x, "omega* table size")
+    if x >= _UINT16_BELOW:
+        raise ResourceLimitError(f"omega* table size = {x} reaches {_UINT16_BELOW}, where uint16 counts end")
+
+
 def omega_star_table(x: int) -> OmegaStarTable:
     """Bulk omega* over [1, x]: for each prime p <= x + 1, every multiple of
     p - 1 gains one count.
@@ -70,31 +79,32 @@ def omega_star_table(x: int) -> OmegaStarTable:
     straight from the sieve's packed odd-slot bits: slot t >= 1 flags
     2t + 1, so it is set exactly when t is such a half-step.
 
-    Half-steps t <= (x // 2) // _SMALL_STEP_MULTIPLES are small; each adds
-    one to the strided slice of its multiples.  Those that divide _WHEEL
-    are periodic: t divides m exactly when it divides m mod _WHEEL, so they
-    are added to the first period counts[1 : _WHEEL + 1] only, and that
-    period is then copied across the table by doubling.  Every other small
-    half-step gets one slice over the whole table.
+    With B = _SMALL_STEP_MULTIPLES, half-steps t up to the split
+    max((x // 2) // B, min(x // 2, B)) are small; each adds one to the
+    strided slice of its multiples.  The floor min(x // 2, B) keeps a small
+    table in slices rather than in up to B - 1 multiplier passes.  Small
+    half-steps that divide _WHEEL are periodic: t divides m exactly when it
+    divides m mod _WHEEL, so they are added to the first period
+    counts[1 : _WHEEL + 1] only, and that period is then copied across the
+    table by doubling.  Every other small half-step gets one slice over the
+    whole table.
 
-    Every larger half-step has fewer than _SMALL_STEP_MULTIPLES multiples,
-    so those are added by multiplier instead: pass j adds one to j * t for
-    all large t <= (x // 2) // j.  For j <= _DENSE_PASSES that is a strided
+    Every larger half-step has fewer than B multiples, so those are added
+    by multiplier instead: pass j adds one to j * t for all large
+    t <= (x // 2) // j.  For j <= _DENSE_PASSES that is a strided
     slice, counts[j * t] += flags[t] over every large t, run for all those j
     on each unpacked window of sieve._SEGMENT slots in turn; later passes
     index only the large half-steps still in range, whose multiples are
-    distinct for a fixed j.
+    distinct for a fixed j, through one np.add.at each.
     """
     if x < 1:
         raise ValueError("x must be at least 1")
-    check_ceiling(x, "omega* table size")
-    if x >= _UINT16_BELOW:
-        raise ResourceLimitError(f"omega* table size = {x} reaches {_UINT16_BELOW}, where uint16 counts end")
+    _check_table_size(x)
     half = x // 2
     # (x + 2) // 2 = half + 1 slots: slot t for every t <= half
     bits = sieve_primes(x + 1).bits
     h = np.ones(half + 1, dtype=np.uint16)
-    split = half // _SMALL_STEP_MULTIPLES
+    split = max(half // _SMALL_STEP_MULTIPLES, min(half, _SMALL_STEP_MULTIPLES))
     small = _set_slots(bits, 1, split + 1)
     on_wheel = _WHEEL % small == 0
     # Each slice gains one in place on its view: `h[...] += 1` would add a
@@ -120,7 +130,7 @@ def omega_star_table(x: int) -> OmegaStarTable:
     del bits  # x / 16 bytes that the sparse passes no longer read
     j = _DENSE_PASSES + 1
     while large.size:
-        h[j * large] += 1
+        np.add.at(h, j * large, one)
         j += 1
         large = large[: np.searchsorted(large, half // j, side="right")]
     return OmegaStarTable(x=x, counts=h)
@@ -131,9 +141,10 @@ def moment_sum(table: OmegaStarTable, k: int, upto: int | None = None, lo: int =
     whole table).
 
     The odd n in (lo, upto] add (upto - upto // 2) - (lo - lo // 2) entries
-    of value 1.  At k = 1 the even n add the plain int64 sum of their counts.
-    At k >= 2 their value histogram is accumulated in blocks of _HIST_BLOCK
-    entries, so the working memory beyond the table does not grow with upto.
+    of value 1.  The even n are read in blocks of _HIST_BLOCK entries, so
+    the working memory beyond the table does not grow with upto.  At k = 1
+    each block's counts are summed exactly in uint32 and the block sums are
+    added as Python ints; at k >= 2 the blocks accumulate a value histogram.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -145,7 +156,8 @@ def moment_sum(table: OmegaStarTable, k: int, upto: int | None = None, lo: int =
     even = table.counts[lo // 2 + 1 : x // 2 + 1]
     odd = (x - x // 2) - (lo - lo // 2)
     if k == 1:
-        return int(even.sum(dtype=np.int64)) + odd
+        blocks = range(0, even.size, _HIST_BLOCK)
+        return sum(int(even[a : a + _HIST_BLOCK].sum(dtype=np.uint32)) for a in blocks) + odd
     hist = np.zeros(int(even.max(initial=1)) + 1, dtype=np.int64)
     for a in range(0, even.size, _HIST_BLOCK):
         hist += np.bincount(even[a : a + _HIST_BLOCK], minlength=hist.size)
@@ -165,7 +177,8 @@ def moment_scan(xs: list[int], k: int, table: OmegaStarTable | None = None) -> l
         raise ValueError("xs must be strictly ascending")
     if xs[0] < 1:
         raise ValueError("xs entries must be >= 1")
-    check_ceiling(xs[-1], "omega* table size")
+    # Before the overflow bound, which factorizes primorials up to xs[-1]
+    _check_table_size(xs[-1])
     # Before the table: M_k(x) >= omega*(n)^k / x at the largest primorial n <= x,
     # so refuse a k that puts this a nat (against log rounding) past the float range.
     # omega*(n) <= tau(n) = 2^r for the primorial of r primes, so n is

@@ -615,6 +615,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"omegastar: resource limit: omega* table size = {omega._UINT16_BELOW} reaches")
 
+    @pytest.mark.parametrize("k", ["1", "100"])
+    def test_moments_past_uint16_bound_exit_3_at_every_k(self, capsys, monkeypatch, k):
+        # at k = 100 the overflow bound would factorize primorials past 2^63
+        # (exit 2), so the table size is refused before it
+        monkeypatch.setenv("OMEGASTAR_CEILING", str(10**23))
+        code, out, err = run_cli(capsys, ["moments", "--x", str(10**20), "--k", k])
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"omegastar: resource limit: omega* table size = {10**20} reaches {omega._UINT16_BELOW}")
+        assert err.rstrip().endswith("where uint16 counts end")
+
     @pytest.mark.parametrize("target", ["missing/x", "."], ids=["missing-dir", "is-a-dir"])
     def test_unwritable_out_exit_2(self, capsys, tmp_path, target):
         path = str(tmp_path / target)

@@ -97,15 +97,25 @@ def check_against_oracle(x):
 class TestSplitKernel:
     """omega_star_table's even-only kernel against the full-length per-prime
     oracle: half-steps t = (p - 1)/2 over [1, x // 2], split at
-    (x // 2) // B into slice updates and multiplier passes."""
+    max((x // 2) // B, min(x // 2, B)) into slice updates and multiplier
+    passes."""
 
     B = omega._SMALL_STEP_MULTIPLES
 
     def test_small_x(self):
-        # odd and even x up to 6B: x // 2 crosses B - 1, B, B + 1 and 2B, and
-        # below x = 2B every half-step is large
+        # odd and even x up to 6B: x // 2 crosses B - 1, B, B + 1 and 2B;
+        # below x = 2B every half-step is small, and up to x = 2B^2 the
+        # split stays at its floor B
         for x in range(1, 6 * self.B):
             check_against_oracle(x)
+
+    def test_split_floor_and_square_edges(self):
+        # x // 2 next to B, where the floor min(x // 2, B) stops growing,
+        # next to B^2, where (x // 2) // B takes over from it, and at 2B^2
+        B = self.B
+        for half in (B - 1, B, B + 1, B * B - 1, B * B, B * B + 1, 2 * B * B):
+            for x in (2 * half, 2 * half + 1):
+                check_against_oracle(x)
 
     def test_step_equal_to_split_point(self):
         # (p - 1)/2 == (x // 2) // B for the prime p = 1009: the boundary
@@ -289,6 +299,17 @@ class TestBlockedMomentSum:
                 assert part == expected, (lo, hi, k)
             assert sum(parts) == moment_sum(table, k)
             assert moment_sum(table, k, upto=2 * block + 1, lo=2 * block + 1) == 0
+
+    def test_first_moment_of_uint16_maxima_is_exact(self):
+        # a whole block of the largest counts sums to 2^16 * 65,535, just
+        # below 2^32, while the 3 blocks and 4 entries of counts[1:] would
+        # wrap a single uint32 sum
+        block = omega._HIST_BLOCK
+        counts = np.full(3 * block + 5, np.iinfo(np.uint16).max, dtype=np.uint16)
+        table = omega.OmegaStarTable(x=2 * counts.size - 1, counts=counts)
+        values = expand_half_table(table).tolist()  # Python ints omega*(0..x)
+        for lo, upto in ((0, table.x), (0, table.x - 1), (1, 2 * block), (2 * block, 2 * block + 1), (3, 6 * block + 4)):
+            assert moment_sum(table, 1, upto=upto, lo=lo) == sum(values[lo + 1 : upto + 1]), (lo, upto)
 
     def test_rejects_lower_end_outside_range(self):
         table = omega_star_table(100)
