@@ -11,13 +11,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import sieve
 from .arith import divisors
 from .sieve import (
     _TRIAL_PRIMES,
     ResourceLimitError,
     _set_slots,
     _tile,
-    _unpacked,
     check_ceiling,
     factorize,
     is_prime,
@@ -37,11 +37,6 @@ _UINT16_BELOW = 106_858_629_141_264_000
 # 512 KiB.  A block of uint16 counts also sums exactly in uint32:
 # 2^16 * 65,535 < 2^32.
 _HIST_BLOCK = 1 << 16
-# Multiplier passes j <= this add the slot flags of the large half-steps in
-# dense strided slices; later passes index the few live half-steps.  The
-# dense pass touches every large slot, set or not, while the indexed pass
-# touches only the set ones, about 2 / log x of them.
-_DENSE_PASSES = 8
 _TOO_LARGE = "M_k(x) at k = {k}, x = {x} is too large for a float"
 
 
@@ -90,12 +85,11 @@ def omega_star_table(x: int) -> OmegaStarTable:
     whole table.
 
     Every larger half-step has fewer than B multiples, so those are added
-    by multiplier instead: pass j adds one to j * t for all large
-    t <= (x // 2) // j.  For j <= _DENSE_PASSES that is a strided
-    slice, counts[j * t] += flags[t] over every large t, run for all those j
-    on each unpacked window of sieve._SEGMENT slots in turn; later passes
-    index only the large half-steps still in range, whose multiples are
-    distinct for a fixed j, through one np.add.at each.
+    by multiplier instead, one window of sieve._MAP_SLOTS slots at a time:
+    the window's half-steps are mapped from the bits by _set_slots, and pass
+    j = 1, 2, ... adds one to j * t for each of them still at most
+    (x // 2) // j, through one np.add.at (the multiples are distinct for a
+    fixed j), until none is left.
     """
     if x < 1:
         raise ValueError("x must be at least 1")
@@ -117,22 +111,13 @@ def omega_star_table(x: int) -> OmegaStarTable:
     for step in small[~on_wheel].tolist():
         multiples = h[step::step]
         multiples += one
-    lo = split + 1
-    for a, flags in _unpacked(bits, lo, half + 1):
-        ones = flags.view(np.uint8)  # a uint16 slice adds uint8 faster than bool
-        for j in range(1, _DENSE_PASSES + 1):
-            b = min(a + ones.size, half // j + 1)
-            if b <= a:
-                break
-            h[j * a : j * (b - 1) + 1 : j] += ones[: b - a]
-        del flags, ones  # so that one unpacked window is held at a time
-    large = _set_slots(bits, lo, half // (_DENSE_PASSES + 1) + 1)
-    del bits  # x / 16 bytes that the sparse passes no longer read
-    j = _DENSE_PASSES + 1
-    while large.size:
-        np.add.at(h, j * large, one)
-        j += 1
-        large = large[: np.searchsorted(large, half // j, side="right")]
+    for a in range(split + 1, half + 1, sieve._MAP_SLOTS):
+        large = _set_slots(bits, a, min(a + sieve._MAP_SLOTS, half + 1))
+        j = 1
+        while large.size:
+            np.add.at(h, j * large, one)
+            j += 1
+            large = large[: np.searchsorted(large, half // j, side="right")]
     return OmegaStarTable(x=x, counts=h)
 
 

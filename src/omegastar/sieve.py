@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -14,12 +13,14 @@ DEFAULT_CEILING = 2**31
 CEILING_ENV = "OMEGASTAR_CEILING"
 
 _TRIAL_LIMIT = 1 << 16
-# Odd slots per kernel window of _odd_slots, and per unpacked window that
-# _unpacked hands the omega* table and the census.
+# Odd slots per kernel window of _odd_slots, and per window of the census's
+# walk over the primes above sqrt(x).  It must be a multiple of 8, so that
+# each window but the last packs into whole bytes of the bits.
 _SEGMENT = 1 << 20
-# Slots per unpacked window of _set_slots: a window and the int64 positions
-# of its set slots are held beside the result, and a whole _SEGMENT of them
-# would outweigh the primes below a few million.
+# Slots per unpacked window of _set_slots, and per window of the omega*
+# table's multiplier passes: a window and the int64 positions of its set
+# slots are held beside the result, and a whole _SEGMENT of them would
+# outweigh the primes below a few million.
 _MAP_SLOTS = 1 << 16
 # The kernel's pre-sieved wheel: slot i of _WHEEL_FLAGS is 1 exactly when
 # 2i + 1 is prime to every one of _WHEEL_PRIMES, whose product is its period
@@ -127,40 +128,24 @@ def _odd_slots(n: int) -> PrimeTable:
     (set when n >= 2, since the integer 1 is not prime); the padding bits
     past the last slot are 0.
 
-    The kernel sieves windows of _SEGMENT slots, with odd base primes from
-    the table of isqrt(n), into one reusable byte buffer of lcm(_SEGMENT, 8)
-    slots (fewer if all fit); each filled buffer is counted and packed into
-    the bits.  Any segment size gives the same bits.
+    The kernel sieves each window of _SEGMENT slots, with odd base primes
+    from the table of isqrt(n), into one reusable byte buffer, counts it
+    and packs it into the bits.  Any _SEGMENT that is a multiple of 8 gives
+    the same bits.
     """
     slots = (n + 1) // 2
     base = _odd_slots(math.isqrt(n)).primes[1:] if n >= 9 else np.empty(0, dtype=np.int64)
     bits = np.empty((slots + 7) // 8, dtype=np.uint8)
-    width = math.lcm(_SEGMENT, 8)
-    buf = np.empty(min(width, 8 * bits.size), dtype=np.uint8)
+    buf = np.empty(min(_SEGMENT, slots), dtype=np.uint8)
     count = int(n >= 2)
-    for lo in range(0, slots, width):
-        hi = min(lo + width, slots)
-        for a in range(lo, hi, _SEGMENT):
-            b = min(a + _SEGMENT, hi)
-            _segment_flags(a, b, base, buf[a - lo : b - lo])
-        count += int(np.count_nonzero(buf[: hi - lo]))
-        bits[lo >> 3 : (hi + 7) >> 3] = np.packbits(buf[: hi - lo], bitorder="little")
+    for lo in range(0, slots, _SEGMENT):
+        flags = buf[: min(_SEGMENT, slots - lo)]
+        _segment_flags(lo, lo + flags.size, base, flags)
+        count += int(np.count_nonzero(flags))
+        bits[lo >> 3 : (lo + flags.size + 7) >> 3] = np.packbits(flags, bitorder="little")
     if n >= 2:
         bits[0] |= 1
     return PrimeTable(bits=bits, slots=slots, count=count)
-
-
-def _unpacked(bits: np.ndarray, lo: int, hi: int, width: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """(a, flags) for each window [a, b) of at most `width` slots (default
-    _SEGMENT) that tiles the slots [lo, hi) of _odd_slots bits: `flags`
-    holds the bool flags of slots a .. b - 1, unpacked afresh for each
-    window."""
-    width = width or _SEGMENT
-    for a in range(lo, hi, width):
-        b = min(a + width, hi)
-        flags = np.unpackbits(bits[a >> 3 : (b + 7) >> 3], bitorder="little").view(bool)
-        yield a, flags[a & 7 : (a & 7) + b - a]
-        del flags  # so that a caller that drops its window holds one at a time
 
 
 def _flags_at(bits: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -170,26 +155,29 @@ def _flags_at(bits: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def _set_slots(bits: np.ndarray, lo: int, hi: int, count: int | None = None) -> np.ndarray:
     """Ascending int64 indices of the set slots in [lo, hi) of _odd_slots
-    bits.  They are counted first, unless the caller passes their `count`,
-    then mapped into one array of that size from unpacked windows of
-    _MAP_SLOTS slots, so beside it only one window and the int64 positions
-    of its set slots are held."""
-    if count is None:
-        count = sum(np.count_nonzero(f) for _, f in _unpacked(bits, lo, hi, _MAP_SLOTS))
-    out = np.empty(count, dtype=np.int64)
-    at = 0
-    for a, flags in _unpacked(bits, lo, hi, _MAP_SLOTS):
-        got = np.flatnonzero(flags)
-        out[at : at + got.size] = got
-        out[at : at + got.size] += a
-        at += got.size
-    return out
+    bits, mapped from windows of _MAP_SLOTS slots, each unpacked afresh.
+    Given their `count`, they are written into one array of that size, so
+    beside it only one window and the positions of its set slots are held;
+    without it, each window's positions are kept and joined at the end."""
+    out = np.empty(count or 0, dtype=np.int64)
+    pieces, at = [out], 0  # without a count, out is an empty first piece
+    for a in range(lo, hi, _MAP_SLOTS):
+        b = min(a + _MAP_SLOTS, hi)
+        flags = np.unpackbits(bits[a >> 3 : (b + 7) >> 3], bitorder="little").view(bool)
+        got = np.flatnonzero(flags[a & 7 : (a & 7) + b - a])
+        got += a
+        if count is None:
+            pieces.append(got)
+        else:
+            out[at : at + got.size] = got
+            at += got.size
+    return out if count is not None else np.concatenate(pieces)
 
 
 def _slot_primes(bits: np.ndarray, slots: int, count: int | None = None) -> np.ndarray:
     """Ascending int64 primes flagged in the first `slots` slots of _odd_slots
-    bits; `count`, if given, is their number, which spares _set_slots its
-    counting pass."""
+    bits; `count`, if given, is their number, which lets _set_slots write
+    them into one array of that size."""
     primes = _set_slots(bits, 0, slots, count)
     primes *= 2
     primes += 1

@@ -140,15 +140,16 @@ class TestSplitKernel:
         assert table_1e6.counts.dtype == np.uint16
         assert np.array_equal(expand_half_table(table_1e6), slice_per_prime_oracle(10**6))
 
-    def test_dense_and_sparse_multiplier_passes(self, monkeypatch):
-        # The dense/sparse boundary at 0 (every pass sparse, j = 1 too), 1,
-        # 2 and B (every pass dense: j < B, since the least large
-        # half-step exceeds (x // 2) / B).
+    @pytest.mark.parametrize("window", [8, 64])
+    def test_map_windows_tile_the_large_range(self, monkeypatch, window):
+        # The multiplier passes map one _MAP_SLOTS window of large
+        # half-steps at a time, from the split on.  Windows of 8 and 64
+        # slots cut the large range into many, at x // 2 = 499 and 500
+        # (the split at its floor B), 2B^2 and 2^19; the last window is
+        # short at the first two and whole at the other two.
+        monkeypatch.setattr(sieve, "_MAP_SLOTS", window)
         for x in (999, 1000, 4 * self.B * self.B + 1, 2**20 + 1):
-            oracle = slice_per_prime_oracle(x)
-            for dense in (0, 1, 2, self.B):
-                monkeypatch.setattr(omega, "_DENSE_PASSES", dense)
-                assert np.array_equal(expand_half_table(omega_star_table(x)), oracle), (x, dense)
+            assert np.array_equal(expand_half_table(omega_star_table(x)), slice_per_prime_oracle(x)), (x, window)
 
 
 class TestWheel:
@@ -184,8 +185,8 @@ class TestHalfTableMemory:
 
     def test_moment_scan_peak_below_1_25_x_bytes(self):
         # the uint16 half table (x bytes) beside the sieve's packed slot bits
-        # (x / 16 bytes) and one unpacked 2^20-slot window sets the peak at
-        # 1.18 x, so the bound leaves 0.07 x of headroom; the uint8 slot
+        # (x / 16 bytes) and one mapped 2^16-slot window sets the peak at
+        # 1.10 x, so the bound leaves 0.15 x of headroom; the uint8 slot
         # flags (x / 2 bytes) read 1.54 x, with int64 primes beside the
         # table 1.63 x, and a full-length uint16 table beside the half 3.00 x
         x = 10**7

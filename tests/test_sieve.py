@@ -11,8 +11,8 @@ from omegastar.sieve import (
     _flags_at,
     _odd_slots,
     _segment_flags,
+    _set_slots,
     _slot_primes,
-    _unpacked,
     factorize,
     is_prime,
     sieve_primes,
@@ -51,7 +51,7 @@ class TestSievePrimes:
         limit = 10**6
         monkeypatch.setattr(sieve, "_SEGMENT", 1 << 16)
         seg = sieve_primes(limit)
-        monkeypatch.setattr(sieve, "_SEGMENT", limit + 1)
+        monkeypatch.setattr(sieve, "_SEGMENT", 1 << 20)  # above the 500,000 slots
         whole = sieve_primes(limit)
         assert np.array_equal(seg.primes, whole.primes)
 
@@ -211,14 +211,17 @@ class TestSegmentKernel:
             t = _odd_slots(n)
             assert _slot_primes(t.bits, t.slots).tolist() == trial_division_primes(n), n
 
-    @pytest.mark.parametrize("segment", [1, 2, 7, 64, 15_015, 15_016])
-    def test_driver_every_n_below_3000(self, monkeypatch, segment):
+    @pytest.mark.parametrize("segment_bytes", [1, 2, 7, 64, 15_015, 15_016])
+    def test_driver_every_n_below_3000(self, monkeypatch, segment_bytes):
+        # _SEGMENT is a multiple of 8, so it is set here in whole bytes of
+        # bits: windows of 8, 16, 56 and 512 slots, and at 15,015 bytes
+        # (8 wheel periods) and 15,016 one window over all 1,500 slots.
         # The driver reads n only through the slot count (n + 1) // 2, the
         # base-prime bound isqrt(n) and n >= 2, so it runs once per distinct
         # key; every n is still checked against trial division, and its
         # unpacked bits against a plain byte sieve, padding bits included.
         want = trial_division_primes(2999)
-        monkeypatch.setattr(sieve, "_SEGMENT", segment)
+        monkeypatch.setattr(sieve, "_SEGMENT", 8 * segment_bytes)
         runs = {}
         for n in range(3000):
             key = (slot_count(n), math.isqrt(n), n >= 2)
@@ -234,12 +237,12 @@ class TestSegmentKernel:
             assert np.array_equal(unpacked[: slot_count(n)], byte_slots(n)), n
             assert not unpacked[slot_count(n) :].any(), n
 
-    @pytest.mark.parametrize("segment", [1, 7, 64, 1 << 20])
-    def test_padding_bits_are_zero(self, monkeypatch, segment):
+    @pytest.mark.parametrize("segment_bytes", [1, 7, 64, 1 << 20])
+    def test_padding_bits_are_zero(self, monkeypatch, segment_bytes):
         # (n + 1) // 2 = 8k + r with r = 1 .. 7: the last byte holds r slots
         # and 8 - r padding bits, which must read 0, or a whole-byte unpack
-        # would see primes past n
-        monkeypatch.setattr(sieve, "_SEGMENT", segment)
+        # would see primes past n; windows of 8 * segment_bytes slots
+        monkeypatch.setattr(sieve, "_SEGMENT", 8 * segment_bytes)
         for n in (1, 2, 5, 13, 99, 1001, 4097, 10**5 + 1):
             slots = slot_count(n)
             r = slots % 8
@@ -262,20 +265,19 @@ class TestSegmentKernel:
             assert np.array_equal(got, want[idx]), n
             assert np.array_equal(_flags_at(bits, np.arange(slots)), want), n
 
-    @pytest.mark.parametrize("segment", [1, 3, 8, 64, 1 << 20])
-    def test_unpacked_windows_tile_any_range(self, monkeypatch, segment):
-        # every window starts where the last one ended, is at most _SEGMENT
-        # slots wide, and holds the byte sieve's flags, at any bit offset
-        monkeypatch.setattr(sieve, "_SEGMENT", segment)
+    @pytest.mark.parametrize("window", [1, 3, 8, 64, 1 << 20])
+    def test_unpacked_windows_tile_any_range(self, monkeypatch, window):
+        # _set_slots unpacks windows of _MAP_SLOTS slots from any bit
+        # offset; counted or told their count, they map the byte sieve's
+        # set slots of [lo, hi), in order
+        monkeypatch.setattr(sieve, "_MAP_SLOTS", window)
         n = 1001
         bits, want = _odd_slots(n).bits, byte_slots(n)
         for lo, hi in ((0, 501), (1, 500), (3, 11), (7, 8), (8, 9), (250, 250), (493, 501)):
-            at = lo
-            for a, flags in _unpacked(bits, lo, hi):
-                assert a == at and 0 < flags.size <= segment, (lo, hi, a)
-                assert np.array_equal(flags, want[a : a + flags.size]), (lo, hi, a)
-                at += flags.size
-            assert at == max(lo, hi), (lo, hi)
+            expected = lo + np.flatnonzero(want[lo:hi])
+            for count in (None, expected.size):
+                got = _set_slots(bits, lo, hi, count)
+                assert got.dtype == np.int64 and np.array_equal(got, expected), (lo, hi, count)
 
     def test_driver_peak_below_1_25_n_bytes(self):
         # the packed bits (n / 16 bytes), the int64 primes (0.63 n) and a

@@ -33,7 +33,7 @@ class TestPsiCount:
 
     def test_segmentation_invariance(self, monkeypatch):
         whole = smooth_census(12345, [7])[0].psi
-        monkeypatch.setattr(sieve, "_SEGMENT", 100)
+        monkeypatch.setattr(sieve, "_SEGMENT", 104)
         assert smooth_census(12345, [7])[0].psi == whole
 
     def test_complement_partition(self, gpf_oracle_1e5):
@@ -198,27 +198,31 @@ def _got(x: int, ys: list[int]) -> list[tuple[int, int, int]]:
 class TestCensusOracle:
     """The census against the unsegmented division peel.  Small segments cut
     the flag sieve and the walk over the primes above sqrt(x) into many
-    slices, so every slice boundary meets several y values."""
+    slices, so every slice boundary meets several y values.  _SEGMENT is a
+    multiple of 8, so these tests set it in whole bytes of bits:
+    segment_bytes = 1, 7, 64 and 100 make windows of 8, 56, 512 and 800
+    slots."""
 
-    @pytest.mark.parametrize("segment", [1, 7, 64, 100])
-    def test_every_x_below_300(self, monkeypatch, segment):
+    @pytest.mark.parametrize("segment_bytes", [1, 7, 64, 100])
+    def test_every_x_below_300(self, monkeypatch, segment_bytes):
+        # at 64 and 100 bytes one window holds every slot of these x
         cases = [(x, f(x)) for x in range(1, 300) for f in _Y_LISTS]
         expected = [_expected(x, ys) for x, ys in cases]
-        monkeypatch.setattr(sieve, "_SEGMENT", segment)
+        monkeypatch.setattr(sieve, "_SEGMENT", 8 * segment_bytes)
         for (x, ys), want in zip(cases, expected):
-            assert _got(x, ys) == want, (x, ys, segment)
+            assert _got(x, ys) == want, (x, ys, segment_bytes)
 
-    # Segments of 1 and 7 at 10^5 + 7 would take long; their slice
-    # boundaries are checked at every x < 300 and at 4099.
+    # The slice boundaries of windows of 8 and 56 slots are checked at
+    # every x < 300 and at 4099; at 10^5 + 7 they would add about 0.5 s.
     @pytest.mark.parametrize(
-        "x, segment", [(4099, 1), (4099, 7), (4099, 64), (4099, 100), (10**5 + 7, 64), (10**5 + 7, 100)]
+        "x, segment_bytes", [(4099, 1), (4099, 7), (4099, 64), (4099, 100), (10**5 + 7, 64), (10**5 + 7, 100)]
     )
-    def test_larger_x(self, monkeypatch, x, segment):
+    def test_larger_x(self, monkeypatch, x, segment_bytes):
         cases = [f(x) for f in _Y_LISTS]
         expected = [_expected(x, ys) for ys in cases]
-        monkeypatch.setattr(sieve, "_SEGMENT", segment)
+        monkeypatch.setattr(sieve, "_SEGMENT", 8 * segment_bytes)
         for ys, want in zip(cases, expected):
-            assert _got(x, ys) == want, (x, ys, segment)
+            assert _got(x, ys) == want, (x, ys, segment_bytes)
 
     @pytest.mark.parametrize("lo, hi", [(lo, hi) for lo in range(6) for hi in (lo + 1, lo + 2, 60, 61)])
     def test_window_against_full_flags(self, monkeypatch, lo, hi):
@@ -235,7 +239,7 @@ class TestCensusOracle:
             assert primes == [2 * i + 1 for i in range(a + lo, a + hi) if bits[i >> 3] >> (i & 7) & 1]
             psi = sum(x // p for p in primes)
             pi = sum(trial_division_is_prime(p * m + 1) for p in primes for m in range(2, (x - 1) // p + 1, 2))
-            for segment in (1, 2, 7, 1 << 20):
+            for segment in (8, 16, 56, 1 << 20):
                 monkeypatch.setattr(sieve, "_SEGMENT", segment)
                 got = smooth._large_prime_counts(x, bits, a + lo, a + hi)
                 assert got == (psi, pi), (x, segment)
@@ -301,10 +305,11 @@ class TestCensusEdges:
     """Edges at isqrt(x) and in the enumeration below it, against the
     division peel and a greatest-prime-factor oracle."""
 
-    @pytest.mark.parametrize("segment", [1, 1 << 20])
-    def test_x_at_most_3(self, monkeypatch, gpf_oracle_1e5, segment):
-        # isqrt(x) = 1 here, so the prime 2 lies above the square root
-        monkeypatch.setattr(sieve, "_SEGMENT", segment)
+    @pytest.mark.parametrize("segment_bytes", [1, 1 << 20])
+    def test_x_at_most_3(self, monkeypatch, gpf_oracle_1e5, segment_bytes):
+        # isqrt(x) = 1 here, so the prime 2 lies above the square root; a
+        # window of 8 * segment_bytes slots holds the at most 2 slots
+        monkeypatch.setattr(sieve, "_SEGMENT", 8 * segment_bytes)
         want = {
             1: {1: (1, 0, 0), 2: (1, 0, 0), 5: (1, 0, 0)},
             2: {1: (1, 1, 1), 2: (2, 1, 1), 5: (2, 1, 1)},
@@ -338,7 +343,7 @@ class TestCensusEdges:
     x=st.integers(min_value=1, max_value=5000),
     ys=st.lists(st.integers(min_value=1, max_value=6000), min_size=1, max_size=6),
     repeat=st.booleans(),
-    segment=st.sampled_from([7, 64, 1 << 20]),
+    segment=st.sampled_from([56, 64, 1 << 20]),
 )
 def test_census_property_against_division(x, ys, repeat, segment):
     # unsorted y lists, a duplicate on demand, and y on both sides of x
