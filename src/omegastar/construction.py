@@ -22,6 +22,7 @@ shares no kernel with the Monte Carlo chunk, the exhaustive walk over all
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -280,16 +281,43 @@ def _chunk_stats(params: ConstructionParams, seed: int, start: int, count: int, 
     )
 
 
+def _usable_cpus() -> list[int]:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one, otherwise 0 .. cpu_count - 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
+def _pin_thread(cpu: int) -> None:
+    """Keep the calling thread on `cpu`, if the platform allows it.
+
+    Sampler threads wake each other as they hand the GIL back and forth,
+    and in a fresh process the kernel often keeps two of them on one CPU
+    for a whole call, each chunk taking three times as long or more.  A pin
+    is only a placement hint; where the call is missing or refused the
+    thread runs unpinned.  On Linux, pid 0 names the calling thread alone.
+    """
+    pin = getattr(os, "sched_setaffinity", None)
+    if pin is not None:
+        try:
+            pin(0, {cpu})
+        except OSError:
+            pass
+
+
 def sample_stats(params: ConstructionParams, trials: int, seed: int, workers: int = 1) -> SampleStats:
     """Aggregate `trials` seeded samples.
 
     Sample i reads the words of substream i of `seed`, so disjoint index
     chunks can run on parallel workers; sample_divisor in tests/oracles.py
-    draws the same sample alone, from the definition of a draw.  Each worker
-    claims the next chunk nobody has claimed; chunk results are reduced in
-    index order, making the output independent of worker count and
-    scheduling.  Once a chunk raises, no worker claims another, and the
-    first exception is raised here after every worker has stopped.
+    draws the same sample alone, from the definition of a draw.  There is one
+    thread per worker, at most one per usable CPU and per chunk, and several
+    are pinned to distinct CPUs.  Each claims the next chunk nobody has
+    claimed; chunk results are reduced in index order, making the output
+    independent of worker count and scheduling.  Once a chunk raises, no
+    worker claims another, and the first exception is raised here after
+    every worker has stopped.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -299,9 +327,13 @@ def sample_stats(params: ConstructionParams, trials: int, seed: int, workers: in
     lock = threading.Lock()
     results = [None] * len(chunks)
     errors = []
+    cpus = _usable_cpus()
+    n_threads = max(1, min(workers, len(cpus), len(chunks)))
 
-    def work():
+    def work(cpu):
         try:
+            if n_threads > 1:  # a lone worker stays free to leave a busy CPU
+                _pin_thread(cpu)
             buffers = _chunk_buffers(params, chunks[0][1])
             while not errors:
                 with lock:
@@ -312,8 +344,7 @@ def sample_stats(params: ConstructionParams, trials: int, seed: int, workers: in
         except BaseException as exc:  # raised again in the caller, below
             errors.append(exc)
 
-    n_threads = max(1, min(workers, os.cpu_count() or 1, len(chunks)))
-    threads = [threading.Thread(target=work) for _ in range(n_threads)]
+    threads = [threading.Thread(target=functools.partial(work, cpu)) for cpu in cpus[:n_threads]]
     for thread in threads:
         thread.start()
     for thread in threads:

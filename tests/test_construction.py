@@ -1,4 +1,6 @@
+import errno
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -389,7 +391,7 @@ class TestSampleStats:
         # Workers claim chunks as they free up, so which thread runs which
         # chunk varies from run to run; the index-order reduce must hide it.
         # A partial last chunk, and 6 or 5 chunks over 1 to 4 threads.
-        monkeypatch.setattr(construction.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(construction, "_usable_cpus", lambda: list(range(8)))
         p = build_params(1100.0, mode)
         trials = full_chunks * construction._CHUNK + 7
         one = sample_stats(p, trials, seed=17, workers=1)
@@ -417,7 +419,7 @@ class TestSampleStats:
 
         monkeypatch.setattr(construction, "_chunk_stats", traced_chunk)
         monkeypatch.setattr(rng, "unit_block", traced_block)
-        monkeypatch.setattr(construction.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(construction, "_usable_cpus", lambda: list(range(2)))
         size = construction._CHUNK
         trials = 3 * size + 5
         stats = sample_stats(grh_1100, trials, seed=9, workers=2)
@@ -471,19 +473,73 @@ class TestSampleStats:
             def join(self):
                 pass
 
+        # The fake runs each worker on the calling thread, so its pins are
+        # recorded, not made: a real one would pin this test's thread.
+        pins = []
         monkeypatch.setattr(construction, "threading", SimpleNamespace(Thread=RecordingThread, Lock=threading.Lock))
+        monkeypatch.setattr(construction.os, "sched_setaffinity", lambda pid, cpus: pins.append(cpus), raising=False)
         monkeypatch.setattr(construction, "_CHUNK", 100)
-        monkeypatch.setattr(construction.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(construction, "_usable_cpus", lambda: list(range(8)))
         started.append(0)
         huge = sample_stats(grh_1100, 300, seed=5, workers=10**6)
-        monkeypatch.setattr(construction.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(construction, "_usable_cpus", lambda: list(range(2)))
         started.append(0)
         sample_stats(grh_1100, 300, seed=5, workers=10**6)
-        assert started == [3, 2]  # 3 chunks, then 2 cores
+        assert started == [3, 2]  # 3 chunks, then 2 CPUs
+        assert pins == [{0}, {1}, {2}, {0}, {1}]
         started.append(0)
         one = sample_stats(grh_1100, 300, seed=5, workers=1)
         assert started == [3, 2, 1]  # one worker takes the same thread path
+        assert len(pins) == 5  # and a lone worker is left unpinned
         assert huge == one
+
+    def test_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert construction._usable_cpus() == sorted(os.sched_getaffinity(0))
+        monkeypatch.delattr(construction.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(construction.os, "cpu_count", lambda: 3)
+        assert construction._usable_cpus() == [0, 1, 2]
+        monkeypatch.setattr(construction.os, "cpu_count", lambda: None)
+        assert construction._usable_cpus() == [0]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no per-thread CPU affinity here")
+    def test_workers_pin_to_distinct_cpus(self, grh_111, monkeypatch):
+        # Each of two workers pins its own thread to its own CPU; the
+        # caller's affinity is left as it was.  A pin the OS refuses (a
+        # machine with one CPU) is still recorded and changes nothing.
+        setaffinity = os.sched_setaffinity
+        pins = []
+
+        def recording_pin(pid, cpus):
+            pins.append((threading.get_ident(), pid, frozenset(cpus)))
+            setaffinity(pid, cpus)
+
+        monkeypatch.setattr(construction, "_usable_cpus", lambda: [0, 1])
+        monkeypatch.setattr(construction.os, "sched_setaffinity", recording_pin)
+        before = os.sched_getaffinity(0)
+        stats = sample_stats(grh_111, 3 * construction._CHUNK, seed=4, workers=2)
+        assert os.sched_getaffinity(0) == before
+        threads = {ident for ident, _, _ in pins}
+        assert len(threads) == 2 and threading.get_ident() not in threads
+        assert sorted((pid, *cpus) for _, pid, cpus in pins) == [(0, 0), (0, 1)]
+        monkeypatch.undo()
+        assert stats == sample_stats(grh_111, 3 * construction._CHUNK, seed=4, workers=1)
+
+    @pytest.mark.parametrize("pin", ["refused", "missing"])
+    def test_failed_pin_changes_nothing(self, grh_111, monkeypatch, pin):
+        # The pin is only a hint: where the OS refuses it, or the platform
+        # has no call for it, the workers run unpinned to the same results.
+        def refuse(pid, cpus):
+            raise OSError(errno.EINVAL, "Invalid argument")
+
+        trials = 3 * construction._CHUNK + 11
+        one = sample_stats(grh_111, trials, seed=6, workers=1)
+        monkeypatch.setattr(construction, "_usable_cpus", lambda: [0, 1])
+        if pin == "refused":
+            monkeypatch.setattr(construction.os, "sched_setaffinity", refuse, raising=False)
+        else:
+            monkeypatch.delattr(construction.os, "sched_setaffinity", raising=False)
+        assert sample_stats(grh_111, trials, seed=6, workers=2) == one
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunk_exception_reaches_the_caller(self, grh_111, monkeypatch, workers):
@@ -508,7 +564,7 @@ class TestSampleStats:
         # 16 threads on the machine's cores, switching every microsecond,
         # race for 40 chunks: a claim the lock failed to guard would run a
         # chunk twice or skip one
-        monkeypatch.setattr(construction.os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(construction, "_usable_cpus", lambda: list(range(16)))
         monkeypatch.setattr(construction, "_CHUNK", 64)
         chunk_stats = construction._chunk_stats
         starts = []
