@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import sys
 from types import SimpleNamespace
 from typing import Any, NamedTuple
@@ -312,7 +311,8 @@ class Command(NamedTuple):
 
 
 # The whole command line: global flags go before the subcommand, each
-# subcommand's options after it.  The parser and --help read only this.
+# subcommand's options after it.  The plain reader, the argparse tree and
+# --help read only this.
 GLOBAL_OPTIONS = {
     "--seed": Option(int, 1, "seed in [0, 2^64) for sampled sections"),
     "--format": Option(("csv", "json"), None, "output format"),
@@ -381,169 +381,95 @@ COMMANDS = {
     ),
 }
 
-_HELP = ("-h", "--help")
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
 
 def _dest(name: str) -> str:
     return name[2:].replace("-", "_")
 
 
-def _metavar(name: str, option: Option) -> str:
-    if isinstance(option.convert, tuple):
-        return "{" + ",".join(option.convert) + "}"
-    return _dest(name).upper()
-
-
-class _Level(NamedTuple):
-    """One level of the command line, read by argparse's rules: the global
-    flags with the subcommands, or one subcommand's options."""
-
-    prog: str
-    about: str
-    options: dict[str, Option]
-    commands: dict[str, Command] | None = None
-
-    def usage(self) -> str:
-        parts = ["[-h]"]
-        for name, option in self.options.items():
-            part = f"{name} {_metavar(name, option)}"
-            parts.append(part if option.default is REQUIRED else f"[{part}]")
-        if self.commands:
-            parts.append("{" + ",".join(self.commands) + "} ...")
-        head = f"usage: {self.prog}"
-        lines = [head]
-        for part in parts:
-            if len(lines[-1]) > len(head) and len(lines[-1]) + 1 + len(part) > 79:
-                lines.append(" " * len(head))
-            lines[-1] += " " + part
-        return "\n".join(lines) + "\n"
-
-    def help(self) -> str:
-        def row(left: str, text: str) -> str:
-            if len(left) > 20:
-                return f"  {left}\n{'':24}{text}\n" if text else f"  {left}\n"
-            return f"  {left:<20}  {text}".rstrip() + "\n"
-
-        text = f"{self.usage()}\n{self.about}\n\n"
-        if self.commands:
-            text += "positional arguments:\n" + row("{" + ",".join(self.commands) + "}", "")
-            text += "".join(row(f"  {name}", command.help) for name, command in self.commands.items())
-            text += "\n"
-        text += "options:\n" + row("-h, --help", "show this help message and exit")
-        for name, option in self.options.items():
-            notes = [option.help] if option.help else []
-            if option.default is REQUIRED:
-                notes.append("(required)")
-            elif option.default is not None:
-                notes.append(f"(default: {option.default})")
-            text += row(f"{name} {_metavar(name, option)}", " ".join(notes))
-        return text
-
-    def error(self, message: str):
-        sys.stderr.write(f"{self.usage()}{self.prog}: error: {message}\n")
-        raise SystemExit(2)
-
-    def read(self, arg: str) -> tuple[str | None, str | None] | None:
-        """None for a value, else (option, its `=` value or None), option
-        None where no option of this level has that name or prefix."""
-        if not arg.startswith("-") or arg == "-":
+def _read_plain(options: dict[str, Option], args: list[str]) -> dict[str, Any] | None:
+    """`args` read as `--name value` pairs of `options`, each name exact and
+    each value converted and not starting with "-", defaults filled in; None
+    for anything else, or where a required option is missing."""
+    if len(args) % 2:
+        return None
+    values = {_dest(name): option.default for name, option in options.items()}
+    for name, value in zip(args[::2], args[1::2]):
+        option = options.get(name)
+        if option is None or value.startswith("-"):
             return None
-        names = [*_HELP, *self.options]
-        if arg in names:
-            return arg, None
-        name, eq, value = arg.partition("=")
-        if eq and name in names:
-            return name, value
-        if arg.startswith("--"):
-            hits = [(n, value if eq else None) for n in names if n.startswith(name)]
+        if isinstance(option.convert, tuple):
+            if value not in option.convert:
+                return None
         else:
-            # a one-dash option may be glued to its value, as in -hh
-            hits = [(n, arg[2:]) for n in names if n == arg[:2]]
-        if len(hits) > 1:
-            self.error(f"ambiguous option: {arg} could match {', '.join(n for n, _ in hits)}")
-        if hits:
-            return hits[0]
-        if _NEGATIVE_NUMBER.match(arg) or " " in arg:
-            return None
-        return None, None
+            try:
+                value = option.convert(value)
+            except ValueError:
+                return None
+        values[_dest(name)] = value
+    return None if REQUIRED in values.values() else values
 
-    def convert(self, name: str, text: str) -> Any:
-        convert = self.options[name].convert
-        if isinstance(convert, tuple):
-            if text in convert:
-                return text
-            self.error(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(map(repr, convert))})")
-        try:
-            return convert(text)
-        except ValueError:
-            pass
-        self.error(f"argument {name}: invalid {convert.__name__} value: {text!r}")
 
-    def parse(self, args: list[str], ns: SimpleNamespace) -> list[str]:
-        """Set this level's options on `ns`, and at the top level run the
-        subcommand's level on what follows its name; return the arguments
-        nobody took."""
-        readings = []
-        for i, arg in enumerate(args):
-            if arg == "--":  # everything after it is a value
-                readings += ["--"] + [None] * (len(args) - i - 1)
-                break
-            readings.append(self.read(arg))
-        for name, option in self.options.items():
-            if option.default is not REQUIRED:
-                setattr(ns, _dest(name), option.default)
-        seen, extras, i = set(), [], 0
-        while i < len(args):
-            reading, i = readings[i], i + 1
-            if reading is None or reading == "--":
-                # where no option wants it, a value (or "--" with more after
-                # it) names the subcommand, which takes every argument after it
-                if self.commands is None or (i == len(args) and reading == "--"):
-                    extras.append(args[i - 1])
-                    continue
-                name = args[i - 1]
-                if name not in self.commands:
-                    choices = ", ".join(map(repr, self.commands))
-                    self.error(f"argument subcommand: invalid choice: {name!r} (choose from {choices})")
-                command = self.commands[name]
-                ns.subcommand, ns.handler, ns.formats = name, command.handler, command.formats
-                level = _Level(f"{self.prog} {name}", command.help, command.options)
-                return extras + level.parse(args[i:], ns)
-            name, value = reading
-            if name is None:
-                extras.append(args[i - 1])
-            elif name in _HELP:
-                # -h may repeat its own letter (-hh); any other value is refused
-                if value is not None and not (name == "-h" and value and not value.strip("h")):
-                    self.error(f"argument -h/--help: ignored explicit argument {value!r}")
-                sys.stdout.write(self.help())
-                raise SystemExit(0)
-            else:
-                if value is None:
-                    if i == len(args) or readings[i] is not None:
-                        self.error(f"argument {name}: expected one argument")
-                    value, i = args[i], i + 1
-                setattr(ns, _dest(name), self.convert(name, value))
-                seen.add(name)
-        missing = [n for n, o in self.options.items() if o.default is REQUIRED and n not in seen]
-        if self.commands:
-            missing.append("subcommand")
-        if missing:
-            self.error(f"the following arguments are required: {', '.join(missing)}")
-        return extras
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """A plain command line read without argparse: global options, the
+    subcommand and its options, each level read by `_read_plain`.  None for
+    any other line, which argparse must read."""
+    i = 0
+    while i < len(argv) and argv[i] in GLOBAL_OPTIONS:
+        i += 2
+    if i >= len(argv) or argv[i] not in COMMANDS:
+        return None
+    command = COMMANDS[argv[i]]
+    top, sub = _read_plain(GLOBAL_OPTIONS, argv[:i]), _read_plain(command.options, argv[i + 1 :])
+    if top is None or sub is None:
+        return None
+    return SimpleNamespace(**top, **sub, subcommand=argv[i], handler=command.handler, formats=command.formats)
+
+
+def _add_options(parser, options: dict[str, Option]) -> None:
+    """Give an argparse parser the options of one level of the table."""
+    import argparse
+
+    class Store(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            # argparse before 3.13 stores [] for --opt=--; the value "--" is
+            # read through the option's type and choices, as 3.13 reads it
+            if values == []:
+                values = parser._get_value(self, "--")
+                parser._check_value(self, values)
+            setattr(namespace, self.dest, values)
+
+    for name, option in options.items():
+        choices = option.convert if isinstance(option.convert, tuple) else None
+        default = None if option.default is REQUIRED else option.default
+        parser.add_argument(
+            name,
+            action=Store,
+            type=None if choices else option.convert,
+            choices=choices,
+            required=option.default is REQUIRED,
+            default=default,
+            help=option.help if default is None else f"{option.help} (default: %(default)s)",
+        )
 
 
 def _parse_args(argv: list[str]) -> SimpleNamespace:
     """The parsed command line, or SystemExit: 0 after --help, 2 after a
-    `usage:` line and the error on stderr."""
+    `usage:` line and the error on stderr.  Only a line outside the plain
+    form builds and runs argparse."""
+    args = _parse_plain(argv)
+    if args is not None:
+        return args
+    import argparse
+
     about = "Shifted-prime divisor counts, moments, divisor-set sampling, and smooth censuses."
-    top = _Level("omegastar", about, GLOBAL_OPTIONS, COMMANDS)
-    args = SimpleNamespace()
-    extras = top.parse(list(argv), args)
-    if extras:
-        top.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    parser = argparse.ArgumentParser(prog="omegastar", description=about)
+    _add_options(parser, GLOBAL_OPTIONS)
+    levels = parser.add_subparsers(dest="subcommand", required=True)
+    for name, command in COMMANDS.items():
+        level = levels.add_parser(name, help=command.help, description=command.help)
+        level.set_defaults(handler=command.handler, formats=command.formats)
+        _add_options(level, command.options)
+    return parser.parse_args(argv)
 
 
 def _parse_list(text: str, kind: type, flag: str) -> list[Any]:

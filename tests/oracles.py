@@ -4,7 +4,7 @@ The scalar SplitMix64 finalizer and substream seed in pure Python integers,
 which the vectorized `omegastar.rng` is pinned against; a one-sample
 reference for the Monte Carlo chunk; the exhaustive walk over all 2^R
 divisors at R = 24; the representation count behind the bridging
-identity; and the argparse grammar that the CLI's option-table parser
+identity; and the argparse grammar that the CLI's command-line reader
 must accept and refuse alike.
 
 `sample_divisor` shares no kernel with the Monte Carlo chunk of

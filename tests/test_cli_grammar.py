@@ -1,12 +1,15 @@
-"""The option-table parser against the argparse grammar it replaced.
+"""The CLI's command-line reader against the argparse grammar it keeps.
 
-`oracles.build_parser` is the argparse tree the CLI was built on.  Command
-lines drawn from the grammar, valid or mutated, must give the same
-attribute values under both, or make both exit with the same status: 2 with
-a `usage:` line on stderr and nothing on stdout, 0 with help on stdout.
-Only behaviour that argparse shares on Python 3.10 to 3.12 is drawn: no
-`--opt=--`, and no one-dash option glued to a value other than its own
-letter.
+`oracles.build_parser` is the argparse tree the CLI was built on.  The CLI
+reads a plain line (exact names, each followed by a value not starting with
+"-") itself and hands every other line to an argparse tree it builds from
+its option table.  Command lines drawn from the grammar, valid or mutated,
+must give the same attribute values under the CLI and the oracle, or make
+both exit with the same status: 2 with a `usage:` line on stderr and
+nothing on stdout, 0 with help on stdout.  Every plain line must be read
+without argparse.  Only behaviour that argparse shares on Python 3.10 to
+3.12 is drawn: no `--opt=--`, and no one-dash option glued to a value other
+than its own letter; `--opt=--` has tests of its own.
 """
 
 import argparse
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from oracles import build_parser
 
-from omegastar.cli import COMMANDS, GLOBAL_OPTIONS, REQUIRED, Option, _Level, _parse_args, main
+from omegastar.cli import COMMANDS, GLOBAL_OPTIONS, REQUIRED, Option, _add_options, _parse_args, _parse_plain, _read_plain, main
 
 # Values argparse reads in ways worth pinning: empty, a lone comma, negative
 # numbers (taken as values), dash words (taken as options), spaces,
@@ -44,16 +47,19 @@ def _outcome(parse, argv):
     return "parsed", values, out.getvalue(), err.getvalue()
 
 
-def _values(option: Option):
+def _valid(option: Option):
     if isinstance(option.convert, tuple):
-        valid = st.sampled_from(option.convert)
-    elif option.convert is int:
-        valid = st.integers(-(10**6), 10**6).map(str)
-    elif option.convert is float:
-        valid = st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr)
-    else:
-        valid = st.lists(st.integers(-9, 10**4), min_size=1, max_size=3).map(lambda v: ",".join(map(str, v)))
+        return st.sampled_from(option.convert)
+    if option.convert is int:
+        return st.integers(-(10**6), 10**6).map(str)
+    if option.convert is float:
+        return st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr)
+    return st.lists(st.integers(-9, 10**4), min_size=1, max_size=3).map(lambda v: ",".join(map(str, v)))
+
+
+def _values(option: Option):
     # one draw in four is odd, so that most command lines stay valid
+    valid = _valid(option)
     return st.one_of(valid, valid, valid, st.sampled_from(ODD_VALUES))
 
 
@@ -167,6 +173,28 @@ def test_parser_matches_argparse_at_edges(argv):
     assert _outcome(_parse_args, argv) == _outcome(_oracle, argv)
 
 
+@st.composite
+def plain_lines(draw):
+    """Valid lines in the plain form: exact names, each with a separate value
+    that does not start with "-", every required option given."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    argv = []
+    for options, tail in ((GLOBAL_OPTIONS, [command]), (COMMANDS[command].options, [])):
+        names = draw(st.lists(st.sampled_from(list(options)), max_size=4))
+        names += [n for n, o in options.items() if o.default is REQUIRED]
+        for name in draw(st.permutations(names)):
+            argv += [name, draw(_valid(options[name]).filter(lambda v: not v.startswith("-")))]
+        argv += tail
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_lines())
+def test_plain_lines_are_read_without_argparse(argv):
+    assert _parse_plain(argv) is not None
+    assert _outcome(_parse_plain, argv) == _outcome(_oracle, argv)
+
+
 # A grammar whose names share prefixes, so that an abbreviation can be
 # ambiguous beyond "--": --m names three options, --max- two.
 SHARED = {
@@ -189,12 +217,15 @@ def _shared_oracle(argv):
     return parser.parse_args(argv)
 
 
-def _shared_level(argv):
-    level, ns = _Level("shared", "", SHARED), SimpleNamespace()
-    extras = level.parse(argv, ns)
-    if extras:
-        level.error(f"unrecognized arguments: {' '.join(extras)}")
-    return ns
+def _shared_cli(argv):
+    """SHARED read as the CLI reads one level: plainly where it can, else by
+    the CLI's own mapping of the table to argparse."""
+    values = _read_plain(SHARED, argv)
+    if values is not None:
+        return SimpleNamespace(**values)
+    parser = argparse.ArgumentParser(prog="shared")
+    _add_options(parser, SHARED)
+    return parser.parse_args(argv)
 
 
 @st.composite
@@ -212,7 +243,7 @@ def _shared_lines(draw):
 @given(_shared_lines())
 @example(["--max-n", "0", "--x", "nan"])
 def test_prefixes_match_argparse_where_names_share_them(argv):
-    assert _outcome(_shared_level, argv) == _outcome(_shared_oracle, argv)
+    assert _outcome(_shared_cli, argv) == _outcome(_shared_oracle, argv)
 
 
 def test_help_lists_every_name(capsys):
@@ -254,8 +285,35 @@ def test_usage_error_names_what_was_refused(capsys, argv, named):
 
 def test_dashes_after_equals_are_a_value(capsys):
     # argparse before 3.13 turned --x=-- into an empty list and crashed the
-    # handler; the table parser reads the value "--", which the list refuses
+    # handler; the CLI reads the value "--", which the list refuses
     code = main(["moments", "--x=--"])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.startswith("omegastar: error: --x must be a nonempty comma-separated list")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["omega-star", "--n=--"], "omegastar omega-star: error: argument --n: invalid int value: '--'"),
+        (["--seed=--", "omega-star", "--n", "1"], "omegastar: error: argument --seed: invalid int value: '--'"),
+        (["constants", "--theta=--"], "omegastar constants: error: argument --theta: invalid float value: '--'"),
+        (["report", "--mode=--"], "omegastar report: error: argument --mode: invalid choice: '--' (choose from "),
+        (["--format=--", "constants"], "omegastar: error: argument --format: invalid choice: '--' (choose from "),
+        (
+            ["smooth-scan", "--x", "100", "--v-list=--"],
+            "omegastar: error: --v-list must be a nonempty comma-separated list of finite floats, got '--'",
+        ),
+    ],
+    ids=["int", "global-int", "float", "choice", "global-choice", "list"],
+)
+def test_dashes_after_equals_are_read_by_each_kind_of_option(capsys, argv, message):
+    # an int, float or choice refuses "--" as argparse refuses any bad value;
+    # a list option hands it to its handler (moments --x: the test above)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(message), err

@@ -4,7 +4,7 @@ OpenBLAS pin, the modules a CLI run must not load, and the names the
 benchmark tracer needs."""
 
 import ast
-import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -253,8 +253,8 @@ def test_no_module_uses_dataclasses():
 
 
 # Each costs start-up and none is needed: argparse with its gettext and
-# locale went with the option table, the thread pool with its logging and
-# queue with plain sampler threads.
+# locale is built only for a command line outside the plain form, the
+# thread pool with its logging and queue went with plain sampler threads.
 UNLOADED = ("argparse", "gettext", "locale", "concurrent.futures", "logging", "queue")
 
 
@@ -266,6 +266,24 @@ def test_cli_run_loads_no_parser_or_pool_module():
     result = _run(code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[0, []]"
+
+
+def test_benchmark_runs_load_no_parser_or_pool_module(monkeypatch):
+    # each benchmark command line takes the plain path, which never builds argparse
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    argvs = [w.argv(1) for w in workloads.WORKLOADS.values()]
+    code = (
+        "import contextlib, io, json, sys; from omegastar.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        f"print(json.dumps([codes, sorted(set({UNLOADED!r}) & set(sys.modules))]))"
+    )
+    result = _run(code, json.dumps(argvs))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[[0, 0, 0, 0], []]"
 
 
 def test_benchmark_tracer_installs():
