@@ -11,12 +11,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import sieve
 from .arith import divisors
 from .sieve import (
     _TRIAL_PRIMES,
     ResourceLimitError,
-    _set_slots,
+    _slot_windows,
     _tile,
     check_ceiling,
     factorize,
@@ -85,8 +84,8 @@ def omega_star_table(x: int) -> OmegaStarTable:
     whole table.
 
     Every larger half-step has fewer than B multiples, so those are added
-    by multiplier instead, one window of sieve._MAP_SLOTS slots at a time:
-    the window's half-steps are mapped from the bits by _set_slots, and pass
+    by multiplier instead, one window of slots at a time: for the
+    half-steps that _slot_windows maps from each window of the bits, pass
     j = 1, 2, ... adds one to j * t for each of them still at most
     (x // 2) // j, through one np.add.at (the multiples are distinct for a
     fixed j), until none is left.
@@ -99,7 +98,7 @@ def omega_star_table(x: int) -> OmegaStarTable:
     bits = sieve_primes(x + 1).bits
     h = np.ones(half + 1, dtype=np.uint16)
     split = max(half // _SMALL_STEP_MULTIPLES, min(half, _SMALL_STEP_MULTIPLES))
-    small = _set_slots(bits, 1, split + 1)
+    small = np.concatenate([np.empty(0, dtype=np.int64), *_slot_windows(bits, 1, split + 1)])
     on_wheel = _WHEEL % small == 0
     # Each slice gains one in place on its view: `h[...] += 1` would add a
     # __setitem__ of the view onto itself and convert the Python int 1 per step.
@@ -111,8 +110,7 @@ def omega_star_table(x: int) -> OmegaStarTable:
     for step in small[~on_wheel].tolist():
         multiples = h[step::step]
         multiples += one
-    for a in range(split + 1, half + 1, sieve._MAP_SLOTS):
-        large = _set_slots(bits, a, min(a + sieve._MAP_SLOTS, half + 1))
+    for large in _slot_windows(bits, split + 1, half + 1):
         j = 1
         while large.size:
             np.add.at(h, j * large, one)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -13,14 +13,13 @@ DEFAULT_CEILING = 2**31
 CEILING_ENV = "OMEGASTAR_CEILING"
 
 _TRIAL_LIMIT = 1 << 16
-# Odd slots per kernel window of _odd_slots, and per window of the census's
-# walk over the primes above sqrt(x).  It must be a multiple of 8, so that
-# each window but the last packs into whole bytes of the bits.
+# Odd slots per kernel window of _odd_slots.  It must be a multiple of 8,
+# so that each window but the last packs into whole bytes of the bits.
 _SEGMENT = 1 << 20
-# Slots per unpacked window of _set_slots, and per window of the omega*
-# table's multiplier passes: a window and the int64 positions of its set
-# slots are held beside the result, and a whole _SEGMENT of them would
-# outweigh the primes below a few million.
+# Slots per window of _slot_windows, the one reader of the bits as a range:
+# a window and the int64 positions of its set slots are held beside what
+# its caller keeps, and those of a whole kernel window would outweigh the
+# primes below a few million.
 _MAP_SLOTS = 1 << 16
 # The kernel's pre-sieved wheel: slot i of _WHEEL_FLAGS is 1 exactly when
 # 2i + 1 is prime to every one of _WHEEL_PRIMES, whose product is its period
@@ -153,32 +152,31 @@ def _flags_at(bits: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return (bits[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1
 
 
-def _set_slots(bits: np.ndarray, lo: int, hi: int, count: int | None = None) -> np.ndarray:
-    """Ascending int64 indices of the set slots in [lo, hi) of _odd_slots
-    bits, mapped from windows of _MAP_SLOTS slots, each unpacked afresh.
-    Given their `count`, they are written into one array of that size, so
-    beside it only one window and the positions of its set slots are held;
-    without it, each window's positions are kept and joined at the end."""
-    out = np.empty(count or 0, dtype=np.int64)
-    pieces, at = [out], 0  # without a count, out is an empty first piece
+def _slot_windows(bits: np.ndarray, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """For each window of _MAP_SLOTS slots of [lo, hi) in turn, the ascending
+    int64 indices of its set slots in _odd_slots bits.  Each window is
+    unpacked afresh, so beside what the caller keeps only one window and
+    the positions of its set slots are held."""
     for a in range(lo, hi, _MAP_SLOTS):
         b = min(a + _MAP_SLOTS, hi)
         flags = np.unpackbits(bits[a >> 3 : (b + 7) >> 3], bitorder="little").view(bool)
         got = np.flatnonzero(flags[a & 7 : (a & 7) + b - a])
         got += a
-        if count is None:
-            pieces.append(got)
-        else:
-            out[at : at + got.size] = got
-            at += got.size
-    return out if count is not None else np.concatenate(pieces)
+        yield got
 
 
 def _slot_primes(bits: np.ndarray, slots: int, count: int | None = None) -> np.ndarray:
     """Ascending int64 primes flagged in the first `slots` slots of _odd_slots
-    bits; `count`, if given, is their number, which lets _set_slots write
-    them into one array of that size."""
-    primes = _set_slots(bits, 0, slots, count)
+    bits.  Given their `count`, each window is written into one array of
+    that size, so the windows are never held all at once; without it, they
+    are joined."""
+    if count is None:
+        primes = np.concatenate([np.empty(0, dtype=np.int64), *_slot_windows(bits, 0, slots)])
+    else:
+        primes, at = np.empty(count, dtype=np.int64), 0
+        for got in _slot_windows(bits, 0, slots):
+            primes[at : at + got.size] = got
+            at += got.size
     primes *= 2
     primes += 1
     if primes.size and primes[0] == 1:

@@ -15,9 +15,8 @@ come from the odd-slot bits of sieve.sieve_primes(x), packed 8 to a byte,
 which cost x / 16 bytes, and pi(x) from the count it keeps beside them; its
 int64 primes array is never read.  The rest stays small beside them,
 whatever y: the enumerated sets hold Psi(x / p, p) entries at most, the
-primes above sqrt(x) are mapped from the bits one window of
-sieve._SEGMENT slots at a time, and no list of all primes up to y is
-built.
+primes above sqrt(x) are mapped from the bits one 2^16-slot window at a
+time, and no list of all primes up to y is built.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from . import sieve
-from .sieve import _flags_at, _set_slots, _slot_primes, sieve_primes
+from .sieve import _flags_at, _slot_primes, _slot_windows, sieve_primes
 
 import numpy as np
 
@@ -88,16 +86,15 @@ def _small_prime_counts(x: int, bits: np.ndarray, primes: list[int]) -> tuple[li
 
 def _large_prime_counts(x: int, bits: np.ndarray, a: int, b: int) -> tuple[int, int]:
     """(Psi, pi) gained from the primes of the odd slots [a, b), all above
-    isqrt(x), mapped by _set_slots one window of sieve._SEGMENT slots at a
-    time: slot t holds the prime 2t + 1.
+    isqrt(x), mapped by _slot_windows one window of slots at a time: slot t
+    holds the prime 2t + 1.
 
     Each p adds x // p to Psi, one for every m <= x // p.  To pi it adds the
     even m = 2j with p * m + 1 <= x prime, read at slot p * j; for each j
     those p are a prefix of the window's primes.
     """
     psi = pi = 0
-    for lo in range(a, b, sieve._SEGMENT):
-        ps = _set_slots(bits, lo, min(lo + sieve._SEGMENT, b))
+    for ps in _slot_windows(bits, a, b):
         if not ps.size:
             continue
         ps *= 2

@@ -11,8 +11,8 @@ from omegastar.sieve import (
     _flags_at,
     _odd_slots,
     _segment_flags,
-    _set_slots,
     _slot_primes,
+    _slot_windows,
     factorize,
     is_prime,
     sieve_primes,
@@ -267,17 +267,25 @@ class TestSegmentKernel:
 
     @pytest.mark.parametrize("window", [1, 3, 8, 64, 1 << 20])
     def test_unpacked_windows_tile_any_range(self, monkeypatch, window):
-        # _set_slots unpacks windows of _MAP_SLOTS slots from any bit
-        # offset; counted or told their count, they map the byte sieve's
-        # set slots of [lo, hi), in order
+        # _slot_windows unpacks windows of _MAP_SLOTS slots from any bit
+        # offset; each yields the int64 set slots of its own window, and
+        # joined they map the byte sieve's set slots of [lo, hi), in order
         monkeypatch.setattr(sieve, "_MAP_SLOTS", window)
         n = 1001
-        bits, want = _odd_slots(n).bits, byte_slots(n)
+        t, want = _odd_slots(n), byte_slots(n)
         for lo, hi in ((0, 501), (1, 500), (3, 11), (7, 8), (8, 9), (250, 250), (493, 501)):
-            expected = lo + np.flatnonzero(want[lo:hi])
-            for count in (None, expected.size):
-                got = _set_slots(bits, lo, hi, count)
-                assert got.dtype == np.int64 and np.array_equal(got, expected), (lo, hi, count)
+            got = list(_slot_windows(t.bits, lo, hi))
+            assert len(got) == len(range(lo, hi, window)), (lo, hi)
+            for a, piece in zip(range(lo, hi, window), got):
+                assert piece.dtype == np.int64, (lo, hi)
+                assert np.all((a <= piece) & (piece < min(a + window, hi))), (lo, hi, a)
+            joined = np.concatenate([np.empty(0, dtype=np.int64), *got])
+            assert np.array_equal(joined, lo + np.flatnonzero(want[lo:hi])), (lo, hi)
+        # _slot_primes writes the windows into one array when told their
+        # count, and joins them otherwise
+        for slots in (0, 1, 8, 9, 501):
+            count = int(np.count_nonzero(want[:slots]))
+            assert np.array_equal(_slot_primes(t.bits, slots, count), _slot_primes(t.bits, slots)), slots
 
     def test_driver_peak_below_1_25_n_bytes(self):
         # the packed bits (n / 16 bytes), the int64 primes (0.63 n) and a

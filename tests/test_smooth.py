@@ -34,6 +34,7 @@ class TestPsiCount:
     def test_segmentation_invariance(self, monkeypatch):
         whole = smooth_census(12345, [7])[0].psi
         monkeypatch.setattr(sieve, "_SEGMENT", 104)
+        monkeypatch.setattr(sieve, "_MAP_SLOTS", 104)
         assert smooth_census(12345, [7])[0].psi == whole
 
     def test_complement_partition(self, gpf_oracle_1e5):
@@ -165,6 +166,7 @@ class TestCensusInternals:
         # p - 1 falling in the previous segment must still be seen
         (b,) = smooth_census(10**4, [10])
         monkeypatch.setattr(sieve, "_SEGMENT", 64)
+        monkeypatch.setattr(sieve, "_MAP_SLOTS", 64)
         (a,) = smooth_census(10**4, [10])
         assert (a.psi, a.pi_smooth, a.pi_x) == (b.psi, b.pi_smooth, b.pi_x)
 
@@ -196,12 +198,12 @@ def _got(x: int, ys: list[int]) -> list[tuple[int, int, int]]:
 
 
 class TestCensusOracle:
-    """The census against the unsegmented division peel.  Small segments cut
-    the flag sieve and the walk over the primes above sqrt(x) into many
-    slices, so every slice boundary meets several y values.  _SEGMENT is a
-    multiple of 8, so these tests set it in whole bytes of bits:
-    segment_bytes = 1, 7, 64 and 100 make windows of 8, 56, 512 and 800
-    slots."""
+    """The census against the unsegmented division peel.  Small windows cut
+    the flag sieve (_SEGMENT) and the walk over the primes above sqrt(x)
+    (_MAP_SLOTS) into many slices, so every slice boundary meets several y
+    values.  _SEGMENT is a multiple of 8, so these tests set both in whole
+    bytes of bits: segment_bytes = 1, 7, 64 and 100 make windows of 8, 56,
+    512 and 800 slots."""
 
     @pytest.mark.parametrize("segment_bytes", [1, 7, 64, 100])
     def test_every_x_below_300(self, monkeypatch, segment_bytes):
@@ -209,6 +211,7 @@ class TestCensusOracle:
         cases = [(x, f(x)) for x in range(1, 300) for f in _Y_LISTS]
         expected = [_expected(x, ys) for x, ys in cases]
         monkeypatch.setattr(sieve, "_SEGMENT", 8 * segment_bytes)
+        monkeypatch.setattr(sieve, "_MAP_SLOTS", 8 * segment_bytes)
         for (x, ys), want in zip(cases, expected):
             assert _got(x, ys) == want, (x, ys, segment_bytes)
 
@@ -221,6 +224,7 @@ class TestCensusOracle:
         cases = [f(x) for f in _Y_LISTS]
         expected = [_expected(x, ys) for ys in cases]
         monkeypatch.setattr(sieve, "_SEGMENT", 8 * segment_bytes)
+        monkeypatch.setattr(sieve, "_MAP_SLOTS", 8 * segment_bytes)
         for ys, want in zip(cases, expected):
             assert _got(x, ys) == want, (x, ys, segment_bytes)
 
@@ -241,6 +245,7 @@ class TestCensusOracle:
             pi = sum(trial_division_is_prime(p * m + 1) for p in primes for m in range(2, (x - 1) // p + 1, 2))
             for segment in (8, 16, 56, 1 << 20):
                 monkeypatch.setattr(sieve, "_SEGMENT", segment)
+                monkeypatch.setattr(sieve, "_MAP_SLOTS", segment)
                 got = smooth._large_prime_counts(x, bits, a + lo, a + hi)
                 assert got == (psi, pi), (x, segment)
                 head = smooth._large_prime_counts(x, bits, a, a + lo)
@@ -260,6 +265,7 @@ class TestCensusAboveRoot:
         ys = [root - 1, root, root + 1, 2 * root, x // 2, x - 1, x, 3 * x]
         expected = _expected(x, ys)
         monkeypatch.setattr(sieve, "_SEGMENT", segment)
+        monkeypatch.setattr(sieve, "_MAP_SLOTS", segment)
         assert _got(x, ys) == expected
 
     def test_mixed_ys_equal_separate_calls(self):
@@ -310,6 +316,7 @@ class TestCensusEdges:
         # isqrt(x) = 1 here, so the prime 2 lies above the square root; a
         # window of 8 * segment_bytes slots holds the at most 2 slots
         monkeypatch.setattr(sieve, "_SEGMENT", 8 * segment_bytes)
+        monkeypatch.setattr(sieve, "_MAP_SLOTS", 8 * segment_bytes)
         want = {
             1: {1: (1, 0, 0), 2: (1, 0, 0), 5: (1, 0, 0)},
             2: {1: (1, 1, 1), 2: (2, 1, 1), 5: (2, 1, 1)},
@@ -351,6 +358,7 @@ def test_census_property_against_division(x, ys, repeat, segment):
         ys = ys + ys[:1]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sieve, "_SEGMENT", segment)
+        patch.setattr(sieve, "_MAP_SLOTS", segment)
         assert _got(x, ys) == _expected(x, ys)
 
 
@@ -389,3 +397,17 @@ class TestCensusMemory:
         x = 30_000_000
         peak = self._peak(x, [x])
         assert peak <= x // 2 + (1 << 23), peak
+
+    def test_walk_above_root_holds_one_small_window(self):
+        # The walk over the primes above sqrt(x) maps one 2^16-slot window
+        # at a time: its unpacked flags, their int64 primes and one j
+        # gather read 0.59 MB here, where 2^20-slot windows read 4.25 MB.
+        x = 30_000_000
+        bits = sieve_primes(x).bits
+        tracemalloc.start()
+        try:
+            smooth._large_prime_counts(x, bits, (math.isqrt(x) + 1) // 2, (x + 1) // 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
