@@ -16,7 +16,6 @@ from .sieve import (
     _TRIAL_PRIMES,
     ResourceLimitError,
     _slot_windows,
-    _tile,
     check_ceiling,
     factorize,
     is_prime,
@@ -27,7 +26,8 @@ from .sieve import (
 # slice update each, and so do all those up to it.
 _SMALL_STEP_MULTIPLES = 256
 # 2^4 * 3^2 * 5 * 7 * 11 * 13: the small half-steps that divide it are
-# periodic mod _WHEEL, so one period of them is written and copied.
+# periodic mod _WHEEL, so one period of them is written and copied, and the
+# table is then walked one period (1.4 MB of uint16) at a time.
 _WHEEL = 720_720
 # omega*(n) <= tau(n), and the least n with tau(n) >= 2^16 is this one,
 # 2^7 * 3^3 * 5^3 * 7 * 11 * ... * 37, so uint16 holds every count below it.
@@ -79,9 +79,13 @@ def omega_star_table(x: int) -> OmegaStarTable:
     table in slices rather than in up to B - 1 multiplier passes.  Small
     half-steps that divide _WHEEL are periodic: t divides m exactly when it
     divides m mod _WHEEL, so they are added to the first period
-    counts[1 : _WHEEL + 1] only, and that period is then copied across the
-    table by doubling.  Every other small half-step gets one slice over the
-    whole table.
+    counts[1 : _WHEEL + 1] only.  The other small half-steps are near, with
+    at least B multiples in one period (t <= _WHEEL // B), or far.  The
+    table is then walked one period at a time, from the last period down:
+    each later period is copied from the first and, while it is still in
+    cache, gains the near half-steps' multiples that fall in it.  The first
+    period gains its own near multiples last, after every copy has read it.
+    Each far half-step gets one slice over the whole table.
 
     Every larger half-step has fewer than B multiples, so those are added
     by multiplier instead, one window of slots at a time: for the
@@ -96,7 +100,9 @@ def omega_star_table(x: int) -> OmegaStarTable:
     half = x // 2
     # (x + 2) // 2 = half + 1 slots: slot t for every t <= half
     bits = sieve_primes(x + 1).bits
-    h = np.ones(half + 1, dtype=np.uint16)
+    h = np.empty(half + 1, dtype=np.uint16)
+    first = min(_WHEEL, half) + 1
+    h[:first] = 1
     split = max(half // _SMALL_STEP_MULTIPLES, min(half, _SMALL_STEP_MULTIPLES))
     small = np.concatenate([np.empty(0, dtype=np.int64), *_slot_windows(bits, 1, split + 1)])
     on_wheel = _WHEEL % small == 0
@@ -104,10 +110,23 @@ def omega_star_table(x: int) -> OmegaStarTable:
     # __setitem__ of the view onto itself and convert the Python int 1 per step.
     one = np.uint16(1)
     for step in small[on_wheel].tolist():
-        multiples = h[step : _WHEEL + 1 : step]
+        multiples = h[step:first:step]
         multiples += one
-    _tile(h[1:], _WHEEL)
-    for step in small[~on_wheel].tolist():
+    off_wheel = small[~on_wheel]
+    # The near half-steps have at least B multiples in each period.
+    near_count = np.searchsorted(off_wheel, _WHEEL // _SMALL_STEP_MULTIPLES, side="right")
+    near = off_wheel[:near_count].tolist()
+    # Periods [a, b) from the last down, so the first is read before it gains them
+    for a in range(1 + (half - 1) // _WHEEL * _WHEEL, 0, -_WHEEL):
+        b = min(a + _WHEEL, half + 1)
+        if a > 1:
+            h[a:b] = h[1 : 1 + b - a]
+        for step in near:
+            multiples = h[a + (-a) % step : b : step]
+            multiples += one
+    # The far steps' list is made only here: made beside the near list before
+    # the walk, it raised the `moments` peak RSS by about 0.13 MB.
+    for step in off_wheel[near_count:].tolist():
         multiples = h[step::step]
         multiples += one
     for large in _slot_windows(bits, split + 1, half + 1):

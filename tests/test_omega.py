@@ -153,8 +153,10 @@ class TestSplitKernel:
 
 
 class TestWheel:
-    """The small half-steps that divide _WHEEL are written over one period
-    and copied across the table by doubling."""
+    """The small half-steps that divide _WHEEL are written over the first
+    period, which is copied into each later period.  The near off-wheel
+    half-steps, t <= _WHEEL // B, are added to each period as it is walked,
+    the first period last; the far ones get whole-table slices."""
 
     W = omega._WHEEL
 
@@ -162,18 +164,41 @@ class TestWheel:
     def test_small_wheels_with_wheel_steps_past_2(self, monkeypatch, wheel):
         # At the real B only t = 1 and 2 are small below x = 6B; at B = 4
         # the wheel also carries 3 and 6 (and 5, 15, 20, 30 for 60), and
-        # the steps off it get whole-table slices.  x // 2 runs from below
-        # the wheel to five periods past it, and to 64 periods and 3 more
-        # at the last x, so the doubling ends on short and whole copies.
+        # the steps off it are near up to W // 4 and far past it.  x // 2
+        # runs from below the wheel to five periods past it, and to 64
+        # periods and 3 more at the last x, so the walk ends on short and
+        # whole periods.
         monkeypatch.setattr(omega, "_WHEEL", wheel)
         monkeypatch.setattr(omega, "_SMALL_STEP_MULTIPLES", 4)
         for x in (*range(1, 10 * wheel + 3), 128 * wheel + 7):
             check_against_oracle(x)
 
+    def test_near_far_boundary(self, monkeypatch):
+        # At W = 60 and B = 7 the off-wheel half-step 8 (p = 17) is
+        # W // B, the last near step, and 9 (p = 19) the first far one.
+        # 8 is small from x = 112 on, where the split (x // 2) // B
+        # reaches it; x // 2 runs on through six periods and a short
+        # seventh.
+        monkeypatch.setattr(omega, "_WHEEL", 60)
+        monkeypatch.setattr(omega, "_SMALL_STEP_MULTIPLES", 7)
+        assert 60 // 7 == 8 and 60 % 8 and sieve_primes(17).primes[-1] == 17
+        for x in range(112, 2 * (6 * 60 + 7) + 2):
+            check_against_oracle(x)
+
     def test_half_next_to_one_and_two_periods(self):
-        # x // 2 at W - 1 (no copy), W (no copy), W + 1 (a one-entry copy)
-        # and 2W + 1 (a whole copy, then a one-entry one)
+        # x // 2 at W - 1 and W (one period, so no copy), W + 1 (a
+        # one-entry last period) and 2W + 1 (a whole period, then a
+        # one-entry one)
         for half in (self.W - 1, self.W, self.W + 1, 2 * self.W + 1):
+            for x in (2 * half, 2 * half + 1):
+                check_against_oracle(x)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_half_next_to_k_periods(self, k):
+        # x // 2 at kW - 1 (a last period one entry short), kW (a whole
+        # last period) and kW + 1 (a one-entry last period); the first
+        # period's near slices come after every copy has read it
+        for half in (k * self.W - 1, k * self.W, k * self.W + 1):
             for x in (2 * half, 2 * half + 1):
                 check_against_oracle(x)
 
