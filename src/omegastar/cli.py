@@ -498,8 +498,9 @@ def main(argv: list[str] | None = None) -> int:
             _check_out(args.out)
         _emit(args.out, _render(fmt, *args.handler(args)))
         return 0
-    except ResourceLimitError as exc:
-        print(f"omegastar: resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation that failed; a bare one is empty
+        print(f"omegastar: resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"omegastar: error: {exc}", file=sys.stderr)

@@ -27,13 +27,17 @@ from .sieve import (
 _SMALL_STEP_MULTIPLES = 256
 # 2^4 * 3^2 * 5 * 7 * 11 * 13: the small half-steps that divide it are
 # periodic mod _WHEEL, so one period of them is written and copied, and the
-# table is then walked one period (1.4 MB of uint16) at a time.
+# table is then walked one period (0.7 MB of uint8 below _UINT8_BELOW,
+# 1.4 MB of uint16 from it) at a time.
 _WHEEL = 720_720
+# The least n with omega*(n) >= 2^8, 2^5 * 3^2 * 5^2 * 7 * 11 * 13 * 17
+# (omega* = 259): every count below it is at most 247, so uint8 holds it.
+_UINT8_BELOW = 122_522_400
 # omega*(n) <= tau(n), and the least n with tau(n) >= 2^16 is this one,
 # 2^7 * 3^3 * 5^3 * 7 * 11 * ... * 37, so uint16 holds every count below it.
 _UINT16_BELOW = 106_858_629_141_264_000
 # Entries per np.bincount call in moment_sum, whose intp copy of a block is
-# 512 KiB.  A block of uint16 counts also sums exactly in uint32:
+# 512 KiB.  A block of uint8 or uint16 counts also sums exactly in uint32:
 # 2^16 * 65,535 < 2^32.
 _HIST_BLOCK = 1 << 16
 _TOO_LARGE = "M_k(x) at k = {k}, x = {x} is too large for a float"
@@ -42,8 +46,9 @@ _TOO_LARGE = "M_k(x) at k = {k}, x = {x} is too large for a float"
 class OmegaStarTable(NamedTuple):
     """The even half of omega* over [1, x]: counts[m] = omega*(2m) for
     1 <= m <= x // 2, and counts[0] is unused.  Odd n are not stored, since
-    omega*(n) = 1 on every odd n.  The counts are uint16, so the table
-    takes about x bytes."""
+    omega*(n) = 1 on every odd n.  The counts are uint8 below
+    _UINT8_BELOW and uint16 from it, so the table takes about x / 2 bytes
+    there and x bytes past it."""
 
     x: int
     counts: np.ndarray
@@ -91,8 +96,12 @@ def omega_star_table(x: int) -> OmegaStarTable:
     by multiplier instead, one window of slots at a time: for the
     half-steps that _slot_windows maps from each window of the bits, pass
     j = 1, 2, ... adds one to j * t for each of them still at most
-    (x // 2) // j, through one np.add.at (the multiples are distinct for a
-    fixed j), until none is left.
+    (x // 2) // j, through one np.add.at on the view h[::j] at t (the
+    multiples are distinct for a fixed j), until none is left.
+
+    The counts are uint8 below _UINT8_BELOW and uint16 from it.  A count
+    only rises while the table is built, so none passes its final value
+    and none wraps.
     """
     if x < 1:
         raise ValueError("x must be at least 1")
@@ -100,7 +109,7 @@ def omega_star_table(x: int) -> OmegaStarTable:
     half = x // 2
     # (x + 2) // 2 = half + 1 slots: slot t for every t <= half
     bits = sieve_primes(x + 1).bits
-    h = np.empty(half + 1, dtype=np.uint16)
+    h = np.empty(half + 1, dtype=np.uint8 if x < _UINT8_BELOW else np.uint16)
     first = min(_WHEEL, half) + 1
     h[:first] = 1
     split = max(half // _SMALL_STEP_MULTIPLES, min(half, _SMALL_STEP_MULTIPLES))
@@ -108,7 +117,7 @@ def omega_star_table(x: int) -> OmegaStarTable:
     on_wheel = _WHEEL % small == 0
     # Each slice gains one in place on its view: `h[...] += 1` would add a
     # __setitem__ of the view onto itself and convert the Python int 1 per step.
-    one = np.uint16(1)
+    one = h.dtype.type(1)
     for step in small[on_wheel].tolist():
         multiples = h[step:first:step]
         multiples += one
@@ -132,7 +141,7 @@ def omega_star_table(x: int) -> OmegaStarTable:
     for large in _slot_windows(bits, split + 1, half + 1):
         j = 1
         while large.size:
-            np.add.at(h, j * large, one)
+            np.add.at(h[::j], large, one)
             j += 1
             large = large[: np.searchsorted(large, half // j, side="right")]
     return OmegaStarTable(x=x, counts=h)
@@ -145,8 +154,9 @@ def moment_sum(table: OmegaStarTable, k: int, upto: int | None = None, lo: int =
     The odd n in (lo, upto] add (upto - upto // 2) - (lo - lo // 2) entries
     of value 1.  The even n are read in blocks of _HIST_BLOCK entries, so
     the working memory beyond the table does not grow with upto.  At k = 1
-    each block's counts are summed exactly in uint32 and the block sums are
-    added as Python ints; at k >= 2 the blocks accumulate a value histogram.
+    each block's uint8 or uint16 counts are summed exactly in uint32 and
+    the block sums are added as Python ints; at k >= 2 the blocks
+    accumulate a value histogram.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

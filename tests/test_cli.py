@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,19 @@ def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# One CLI run in a child process whose address space is capped at its size
+# after import plus 16 MB, less than the first large array of each run below
+# (44 to 48 MB), so that array cannot be mapped.
+_CAPPED_CLI = """
+import resource, sys
+from omegastar.cli import main
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:")) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (size + (16 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 def _json(doc):
@@ -152,7 +168,7 @@ PINNED_SHA256 = {
 
 # SHA-256 of the exact stdout of the omega* table commands at the scale of the
 # moments benchmark, taken from the full-length int32 kernel: the even-only
-# uint16 kernel must reproduce every byte.
+# uint8 kernel must reproduce every byte.
 PINNED_TABLE_SHA256 = {
     ("moments", "--x", "99000,990000,9900000", "--k", "1"): (
         "ff4b82f04f46f4f2fc0f028fcb4776d77aff373c15e64fbe21b6398951c1fdc4"
@@ -625,6 +641,44 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"omegastar: resource limit: omega* table size = {10**20} reaches {omega._UINT16_BELOW}")
         assert err.rstrip().endswith("where uint16 counts end")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc/self/status and an enforced RLIMIT_AS")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "moments --x 100000000",
+            "champions --max-n 100000000",
+            "pairs --x 100000000 --k 30",
+            "--workers 2 sample-divisors --log-x 1e8 --trials 2",
+        ],
+    )
+    def test_out_of_memory_exit_3(self, argv):
+        # each run is under the default ceiling, so only the allocation fails
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", _CAPPED_CLI, *argv.split()],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])),
+            timeout=60,
+        )
+        assert result.returncode == 3, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.startswith("omegastar: resource limit: ")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_worker_out_of_memory_exit_3(self, capsys, monkeypatch, workers):
+        # a sampler worker's MemoryError is raised again in the caller
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(construction, "_chunk_buffers", no_memory)
+        argv = ["--workers", workers, "sample-divisors", "--log-x", "100", "--trials", str(3 * construction._CHUNK)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err == "omegastar: resource limit: out of memory\n"
 
     @pytest.mark.parametrize("target", ["missing/x", "."], ids=["missing-dir", "is-a-dir"])
     def test_unwritable_out_exit_2(self, capsys, tmp_path, target):

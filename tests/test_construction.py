@@ -507,11 +507,13 @@ class TestSampleStats:
         # Each of two workers pins its own thread to its own CPU; the
         # caller's affinity is left as it was.  A pin the OS refuses (a
         # machine with one CPU) is still recorded and changes nothing.
+        # Workers are told apart by their Thread objects: the OS may hand a
+        # finished thread's ident to the next one.
         setaffinity = os.sched_setaffinity
         pins = []
 
         def recording_pin(pid, cpus):
-            pins.append((threading.get_ident(), pid, frozenset(cpus)))
+            pins.append((threading.current_thread(), pid, frozenset(cpus)))
             setaffinity(pid, cpus)
 
         monkeypatch.setattr(construction, "_usable_cpus", lambda: [0, 1])
@@ -519,8 +521,8 @@ class TestSampleStats:
         before = os.sched_getaffinity(0)
         stats = sample_stats(grh_111, 3 * construction._CHUNK, seed=4, workers=2)
         assert os.sched_getaffinity(0) == before
-        threads = {ident for ident, _, _ in pins}
-        assert len(threads) == 2 and threading.get_ident() not in threads
+        threads = {thread for thread, _, _ in pins}
+        assert len(threads) == 2 and threading.current_thread() not in threads
         assert sorted((pid, *cpus) for _, pid, cpus in pins) == [(0, 0), (0, 1)]
         monkeypatch.undo()
         assert stats == sample_stats(grh_111, 3 * construction._CHUNK, seed=4, workers=1)

@@ -137,7 +137,7 @@ class TestSplitKernel:
             check_against_oracle(x)
 
     def test_at_1e6(self, table_1e6):
-        assert table_1e6.counts.dtype == np.uint16
+        assert table_1e6.counts.dtype == np.uint8
         assert np.array_equal(expand_half_table(table_1e6), slice_per_prime_oracle(10**6))
 
     @pytest.mark.parametrize("window", [8, 64])
@@ -205,15 +205,15 @@ class TestWheel:
 
 class TestHalfTableMemory:
     """The table stores omega*(2m) only (its size is checked in
-    TestSplitKernel): about x bytes at uint16, and no array of x + 1 entries
-    beside it."""
+    TestSplitKernel): about x / 2 bytes at uint8, and no array of x + 1
+    entries beside it."""
 
-    def test_moment_scan_peak_below_1_25_x_bytes(self):
-        # the uint16 half table (x bytes) beside the sieve's packed slot bits
-        # (x / 16 bytes) and one mapped 2^16-slot window sets the peak at
-        # 1.10 x, so the bound leaves 0.15 x of headroom; the uint8 slot
-        # flags (x / 2 bytes) read 1.54 x, with int64 primes beside the
-        # table 1.63 x, and a full-length uint16 table beside the half 3.00 x
+    def test_moment_scan_peak_below_0_75_x_bytes(self):
+        # the uint8 half table (x / 2 bytes) beside the sieve's packed slot
+        # bits (x / 16 bytes) and one mapped 2^16-slot window sets the peak
+        # at 0.60 x, so the bound leaves 0.15 x of headroom; a uint16 half
+        # table reads 1.10 x, and uint8 slot flags (x / 2 bytes) or int64
+        # primes beside the table would each add about 0.5 x more
         x = 10**7
         tracemalloc.start()
         try:
@@ -221,7 +221,7 @@ class TestHalfTableMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * x, peak / x
+        assert peak < 0.75 * x, peak / x
 
     def test_slots_are_never_mapped_to_primes(self, monkeypatch):
         # The table and the scan read the sieve's slot bits: only the
@@ -262,6 +262,7 @@ def least_n_with_tau_at_least(bound):
 
 
 class TestTableDtype:
+    N8 = omega._UINT8_BELOW
     N16 = omega._UINT16_BELOW
 
     def test_uint16_bound_is_least_n_with_tau_2_pow_16(self):
@@ -276,9 +277,40 @@ class TestTableDtype:
         assert n < 2**31
         assert tau(factorize(n)) == 1600 < np.iinfo(np.uint16).max
 
-    def test_counts_are_uint16(self, table_1e6):
+    def test_uint8_bound_is_least_n_with_omega_star_2_pow_8(self, monkeypatch):
+        # omega* reaches 256 at the bound itself, from pointwise divisors ...
+        assert self.N8 == 122_522_400 == 2**5 * 3**2 * 5**2 * 7 * 11 * 13 * 17
+        assert omega_star(self.N8) == 259 and tau(factorize(self.N8)) == 864
+        # ... and nowhere below it: the uint16 table over [1, N8 - 1] peaks
+        # at 247, on n = 86,486,400, so no count there passes uint8's 255
+        monkeypatch.setattr(omega, "_UINT8_BELOW", 0)
+        counts = omega_star_table(self.N8 - 1).counts
+        assert counts.dtype == np.uint16
+        m = int(counts.argmax())
+        assert (2 * m, int(counts[m])) == (86_486_400, 247)
+        assert omega_star(86_486_400) == 247
+
+    def test_dtype_switches_at_the_bound(self, monkeypatch, table_1e6):
         for table in (omega_star_table(1), omega_star_table(999), table_1e6):
-            assert table.counts.dtype == np.uint16
+            assert table.counts.dtype == np.uint8
+        # with the bound moved down, the tables on either side of it take
+        # uint8 and uint16, and both match the per-prime oracle
+        for bound in (2, 3, 1000, 1001):
+            monkeypatch.setattr(omega, "_UINT8_BELOW", bound)
+            for x, dtype in ((bound - 1, np.uint8), (bound, np.uint16), (bound + 1, np.uint16)):
+                table = omega_star_table(x)
+                assert table.counts.dtype == dtype, (bound, x)
+                assert np.array_equal(expand_half_table(table), slice_per_prime_oracle(x)), (bound, x)
+
+    def test_uint8_and_uint16_tables_are_value_equal(self, monkeypatch, table_1e6):
+        W = omega._WHEEL
+        xs = (1, 999, 3000, 10**6, *(2 * (k * W + d) + e for k in (1, 2) for d in (-1, 1) for e in (0, 1)))
+        narrow = {x: table_1e6 if x == 10**6 else omega_star_table(x) for x in xs}
+        monkeypatch.setattr(omega, "_UINT8_BELOW", 0)
+        for x in xs:
+            wide = omega_star_table(x)
+            assert (narrow[x].counts.dtype, wide.counts.dtype) == (np.uint8, np.uint16)
+            assert np.array_equal(narrow[x].counts, wide.counts), x
 
     def test_refused_from_the_bound_before_sieving(self, monkeypatch):
         def no_sieve(*args, **kwargs):
