@@ -15,6 +15,7 @@ from .arith import divisors
 from .sieve import (
     _TRIAL_PRIMES,
     ResourceLimitError,
+    _cutoffs,
     _slot_windows,
     check_ceiling,
     factorize,
@@ -22,8 +23,8 @@ from .sieve import (
     sieve_primes,
 )
 
-# Half-steps (p - 1)/2 with at least this many multiples in [1, x // 2] get a
-# slice update each, and so do all those up to it.
+# Half-steps (p - 1)/2 with this many multiples in a period of _WHEEL (or in
+# [1, x // 2], if shorter) get slice updates, and so do all those up to it.
 _SMALL_STEP_MULTIPLES = 256
 # 2^4 * 3^2 * 5 * 7 * 11 * 13: the small half-steps that divide it are
 # periodic mod _WHEEL, so one period of them is written and copied, and the
@@ -79,25 +80,26 @@ def omega_star_table(x: int) -> OmegaStarTable:
     2t + 1, so it is set exactly when t is such a half-step.
 
     With B = _SMALL_STEP_MULTIPLES, half-steps t up to the split
-    max((x // 2) // B, min(x // 2, B)) are small; each adds one to the
-    strided slice of its multiples.  The floor min(x // 2, B) keeps a small
-    table in slices rather than in up to B - 1 multiplier passes.  Small
-    half-steps that divide _WHEEL are periodic: t divides m exactly when it
-    divides m mod _WHEEL, so they are added to the first period
-    counts[1 : _WHEEL + 1] only.  The other small half-steps are near, with
-    at least B multiples in one period (t <= _WHEEL // B), or far.  The
-    table is then walked one period at a time, from the last period down:
-    each later period is copied from the first and, while it is still in
-    cache, gains the near half-steps' multiples that fall in it.  The first
-    period gains its own near multiples last, after every copy has read it.
-    Each far half-step gets one slice over the whole table.
+    max(min(x // 2, _WHEEL) // B, min(x // 2, B)) are small: each has at
+    least B multiples in one period of _WHEEL, or in the whole table when
+    that is shorter, and adds one to the strided slice of its multiples.
+    The floor min(x // 2, B) keeps a small table in slices rather than in
+    up to B - 1 multiplier passes.  Small half-steps that divide _WHEEL are
+    periodic: t divides m exactly when it divides m mod _WHEEL, so they are
+    added to the first period counts[1 : _WHEEL + 1] only.  The other small
+    half-steps are near.  The table is then walked one period at a time,
+    from the last period down: each later period is copied from the first
+    and, while it is still in cache, gains the near half-steps' multiples
+    that fall in it.  The first period gains its own near multiples last,
+    after every copy has read it.
 
-    Every larger half-step has fewer than B multiples, so those are added
-    by multiplier instead, one window of slots at a time: for the
+    Every larger half-step has fewer than B multiples in a period, so those
+    are added by multiplier instead, one window of slots at a time: for the
     half-steps that _slot_windows maps from each window of the bits, pass
     j = 1, 2, ... adds one to j * t for each of them still at most
-    (x // 2) // j, through one np.add.at on the view h[::j] at t (the
-    multiples are distinct for a fixed j), until none is left.
+    (x // 2) // j, a prefix that sieve._cutoffs gives, through one
+    np.add.at on the view h[::j] at t (the multiples are distinct for a
+    fixed j), until none is left.
 
     The counts are uint8 below _UINT8_BELOW and uint16 from it.  A count
     only rises while the table is built, so none passes its final value
@@ -112,7 +114,7 @@ def omega_star_table(x: int) -> OmegaStarTable:
     h = np.empty(half + 1, dtype=np.uint8 if x < _UINT8_BELOW else np.uint16)
     first = min(_WHEEL, half) + 1
     h[:first] = 1
-    split = max(half // _SMALL_STEP_MULTIPLES, min(half, _SMALL_STEP_MULTIPLES))
+    split = max(min(half, _WHEEL) // _SMALL_STEP_MULTIPLES, min(half, _SMALL_STEP_MULTIPLES))
     small = np.concatenate([np.empty(0, dtype=np.int64), *_slot_windows(bits, 1, split + 1)])
     on_wheel = _WHEEL % small == 0
     # Each slice gains one in place on its view: `h[...] += 1` would add a
@@ -121,10 +123,7 @@ def omega_star_table(x: int) -> OmegaStarTable:
     for step in small[on_wheel].tolist():
         multiples = h[step:first:step]
         multiples += one
-    off_wheel = small[~on_wheel]
-    # The near half-steps have at least B multiples in each period.
-    near_count = np.searchsorted(off_wheel, _WHEEL // _SMALL_STEP_MULTIPLES, side="right")
-    near = off_wheel[:near_count].tolist()
+    near = small[~on_wheel].tolist()
     # Periods [a, b) from the last down, so the first is read before it gains them
     for a in range(1 + (half - 1) // _WHEEL * _WHEEL, 0, -_WHEEL):
         b = min(a + _WHEEL, half + 1)
@@ -133,17 +132,9 @@ def omega_star_table(x: int) -> OmegaStarTable:
         for step in near:
             multiples = h[a + (-a) % step : b : step]
             multiples += one
-    # The far steps' list is made only here: made beside the near list before
-    # the walk, it raised the `moments` peak RSS by about 0.13 MB.
-    for step in off_wheel[near_count:].tolist():
-        multiples = h[step::step]
-        multiples += one
     for large in _slot_windows(bits, split + 1, half + 1):
-        j = 1
-        while large.size:
-            np.add.at(h[::j], large, one)
-            j += 1
-            large = large[: np.searchsorted(large, half // j, side="right")]
+        for j, k in enumerate(_cutoffs(large, half), 1):
+            np.add.at(h[::j], large[:k], one)
     return OmegaStarTable(x=x, counts=h)
 
 

@@ -165,6 +165,14 @@ def _slot_windows(bits: np.ndarray, lo: int, hi: int) -> Iterator[np.ndarray]:
         yield got
 
 
+def _cutoffs(values: np.ndarray, bound: int) -> list[int]:
+    """How many of the ascending positive `values` are at most bound // j,
+    for j = 1, 2, ... up to bound // values[0], from one searchsorted."""
+    if not values.size:
+        return []
+    return np.searchsorted(values, bound // np.arange(1, bound // int(values[0]) + 1), side="right").tolist()
+
+
 def _slot_primes(bits: np.ndarray, slots: int, count: int | None = None) -> np.ndarray:
     """Ascending int64 primes flagged in the first `slots` slots of _odd_slots
     bits.  Given their `count`, each window is written into one array of

@@ -26,7 +26,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .sieve import _flags_at, _slot_primes, _slot_windows, sieve_primes
+from .sieve import _cutoffs, _flags_at, _slot_primes, _slot_windows, sieve_primes
 
 import numpy as np
 
@@ -100,8 +100,8 @@ def _large_prime_counts(x: int, bits: np.ndarray, a: int, b: int) -> tuple[int, 
         ps *= 2
         ps += 1
         psi += int((x // ps).sum())
-        js = np.arange(1, (x - 1) // (2 * int(ps[0])) + 1)
-        for j, k in zip(js.tolist(), np.searchsorted(ps, (x - 1) // (2 * js), side="right").tolist()):
+        # 2j <= (x - 1) // p, that is p <= ((x - 1) // 2) // j
+        for j, k in enumerate(_cutoffs(ps, (x - 1) // 2), 1):
             pi += int(np.count_nonzero(_flags_at(bits, ps[:k] * j)))
     return psi, pi
 

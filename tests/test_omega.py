@@ -97,8 +97,9 @@ def check_against_oracle(x):
 class TestSplitKernel:
     """omega_star_table's even-only kernel against the full-length per-prime
     oracle: half-steps t = (p - 1)/2 over [1, x // 2], split at
-    max((x // 2) // B, min(x // 2, B)) into slice updates and multiplier
-    passes."""
+    max(min(x // 2, W) // B, min(x // 2, B)) into slice updates and
+    multiplier passes; below x // 2 = W = _WHEEL that is
+    max((x // 2) // B, min(x // 2, B))."""
 
     B = omega._SMALL_STEP_MULTIPLES
 
@@ -154,36 +155,47 @@ class TestSplitKernel:
 
 class TestWheel:
     """The small half-steps that divide _WHEEL are written over the first
-    period, which is copied into each later period.  The near off-wheel
-    half-steps, t <= _WHEEL // B, are added to each period as it is walked,
-    the first period last; the far ones get whole-table slices."""
+    period, which is copied into each later period.  Every other small
+    half-step is near, t <= _WHEEL // B once x // 2 reaches _WHEEL, and is
+    added to each period as it is walked, the first period last; every
+    half-step past the split goes through the multiplier passes."""
 
     W = omega._WHEEL
 
     @pytest.mark.parametrize("wheel", [12, 60])
     def test_small_wheels_with_wheel_steps_past_2(self, monkeypatch, wheel):
         # At the real B only t = 1 and 2 are small below x = 6B; at B = 4
-        # the wheel also carries 3 and 6 (and 5, 15, 20, 30 for 60), and
-        # the steps off it are near up to W // 4 and far past it.  x // 2
-        # runs from below the wheel to five periods past it, and to 64
-        # periods and 3 more at the last x, so the walk ends on short and
-        # whole periods.
+        # the wheel also carries 3 and 6 (and 5, 15, 20, 30 for 60), the
+        # steps off it up to W // 4 are near, and those past it go through
+        # the multiplier passes.  x // 2 runs from below the wheel to five
+        # periods past it, and to 64 periods and 3 more at the last x, so
+        # the walk ends on short and whole periods.
         monkeypatch.setattr(omega, "_WHEEL", wheel)
         monkeypatch.setattr(omega, "_SMALL_STEP_MULTIPLES", 4)
         for x in (*range(1, 10 * wheel + 3), 128 * wheel + 7):
             check_against_oracle(x)
 
-    def test_near_far_boundary(self, monkeypatch):
+    def test_near_large_boundary(self, monkeypatch):
         # At W = 60 and B = 7 the off-wheel half-step 8 (p = 17) is
-        # W // B, the last near step, and 9 (p = 19) the first far one.
-        # 8 is small from x = 112 on, where the split (x // 2) // B
-        # reaches it; x // 2 runs on through six periods and a short
+        # W // B, the last near step, and 9 (p = 19), also off the wheel,
+        # the first to go through the multiplier passes.  From x // 2 = 56
+        # on, the split min(x // 2, W) // B stays at 8 however many periods
+        # the table holds; x // 2 runs on through six periods and a short
         # seventh.
         monkeypatch.setattr(omega, "_WHEEL", 60)
         monkeypatch.setattr(omega, "_SMALL_STEP_MULTIPLES", 7)
-        assert 60 // 7 == 8 and 60 % 8 and sieve_primes(17).primes[-1] == 17
+        assert 60 // 7 == 8 and 60 % 8 and 60 % 9 and sieve_primes(19).primes[-2:].tolist() == [17, 19]
+        passes = []
+
+        def spy(values, bound):
+            passes.append(values.tolist())
+            return sieve._cutoffs(values, bound)
+
+        monkeypatch.setattr(omega, "_cutoffs", spy)
         for x in range(112, 2 * (6 * 60 + 7) + 2):
+            passes.clear()
             check_against_oracle(x)
+            assert passes[0][0] == 9, x
 
     def test_half_next_to_one_and_two_periods(self):
         # x // 2 at W - 1 and W (one period, so no copy), W + 1 (a

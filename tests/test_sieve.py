@@ -8,6 +8,7 @@ import pytest
 from omegastar import sieve
 from omegastar.sieve import (
     ResourceLimitError,
+    _cutoffs,
     _flags_at,
     _odd_slots,
     _segment_flags,
@@ -286,6 +287,32 @@ class TestSegmentKernel:
         for slots in (0, 1, 8, 9, 501):
             count = int(np.count_nonzero(want[:slots]))
             assert np.array_equal(_slot_primes(t.bits, slots, count), _slot_primes(t.bits, slots)), slots
+
+    def test_cutoffs_match_a_brute_count(self):
+        # _cutoffs lists, for j = 1, 2, ... while any entry is at most
+        # bound // j, how many are
+        def brute(values, bound):
+            counts = []
+            while k := int(np.count_nonzero(values <= bound // (len(counts) + 1))):
+                counts.append(k)
+            return counts
+
+        empty = np.empty(0, dtype=np.int64)
+        assert _cutoffs(empty, 100) == brute(empty, 100) == []
+        # values[0] > bound: not even j = 1 has an entry
+        assert _cutoffs(np.array([7, 9]), 6) == []
+        # 6 = 36 // 6 and 12 = 36 // 3 are at their bounds and count there
+        assert _cutoffs(np.array([6, 12, 13]), 36) == brute(np.array([6, 12, 13]), 36) == [3, 3, 2, 1, 1, 1]
+        # the callers' bounds at odd and even x: the omega* table's half-steps
+        # t = (p - 1)/2 above a split against x // 2, and the census's odd
+        # primes above isqrt(x) against (x - 1) // 2
+        for x in (1000, 1001, 2 * 3 * 5 * 7 * 11 * 13, 30031):
+            ps = sieve_primes(x + 1).primes[1:]
+            steps = ps // 2
+            for values, bound in ((steps[steps > 20], x // 2), (ps[ps > math.isqrt(x)], (x - 1) // 2)):
+                assert _cutoffs(values, bound) == brute(values, bound), (x, bound)
+                # some entry sits exactly at a bound // j
+                assert np.isin(values, bound // np.arange(1, bound + 1)).any(), (x, bound)
 
     def test_driver_peak_below_1_25_n_bytes(self):
         # the packed bits (n / 16 bytes), the int64 primes (0.63 n) and a
